@@ -5,6 +5,11 @@ clipped dual box and returns a Verdict recording the grid, tolerances, and
 the first few counterexamples in scan order. Positive answers are statements
 about the grid; they are flagged approximate whenever a consumed value came
 from a sampled rather than closed-form source.
+
+The phi-based checks build the lattice once with scan_grid and hand all of
+it to the operator's phi_batch or mr_batch. On the sampled route that
+enumerates the graph once per check and evaluates the lattice in bounded
+blocks, with values identical to the pointwise phi and mr_test.
 """
 from __future__ import annotations
 
@@ -14,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import Envelope
-from .core import DEFAULT_TOL, PrimalDualPoint, Tolerance, coupling
+from .core import (DEFAULT_TOL, PrimalDualPoint, Tolerance, coupling,
+                   coupling_rows, point_rows)
 from .errors import ToleranceError, UnsatisfiedHypothesis
 from .fitzpatrick import (coupling_band, is_representative, penot_envelope,
                           scan_grid)
-from .operators import (DEFAULT_GRID, OperatorHandle, is_monotone, mr_test)
+from .operators import DEFAULT_GRID, OperatorHandle, is_monotone
 from .regions import (Box, GridSpec, Region, grid_sample, intersect_regions,
                       whole_space)
 from .verdicts import Property, Verdict, finish
@@ -39,6 +45,17 @@ def _meets_domain(T: OperatorHandle, V: Region, g: GridSpec,
     return any(V.contains(p.x) for p in T.enumerate_graph(None, g))
 
 
+def _couplings(zs: list[PrimalDualPoint], n: int) -> np.ndarray:
+    return coupling_rows(point_rows(zs, n))
+
+
+def _strictly_below(T: OperatorHandle, V: Region, zs, g: GridSpec,
+                    tol: Tolerance) -> np.ndarray:
+    """Mask of scan points where phi_{T|V} < coupling - eps_strict."""
+    return (T.phi_batch(V, zs, g)
+            < _couplings(zs, V.dimension) - tol.eps_strict)
+
+
 def check_vni(T: OperatorHandle, V: Region, g: GridSpec | None = None,
               tol: Tolerance | None = None) -> Verdict:
     """phi of the restriction stays above coupling - eps_strict on the grid.
@@ -53,8 +70,9 @@ def check_vni(T: OperatorHandle, V: Region, g: GridSpec | None = None,
         return Verdict(Property.VNI, True, approximate=approx, grid=g,
                        tol=tol, region_ids=ids, vacuous=True,
                        notes=("window does not meet the domain",))
-    failures = [z for z in scan_grid(V, g)
-                if T.phi(V, z, g) < coupling(z) - tol.eps_strict]
+    zs = scan_grid(V, g)
+    below = _strictly_below(T, V, zs, g, tol)
+    failures = [z for z, b in zip(zs, below) if b]
     return finish(Property.VNI, failures, approximate=approx, grid=g,
                   tol=tol, region_ids=ids)
 
@@ -68,9 +86,10 @@ def check_locates(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     membership rule.
     """
     g, tol = _defaults(g, tol)
+    zs = scan_grid(V, g)
     failures = []
-    for z in scan_grid(V, g):
-        if not mr_test(T, V, z, tol, g):
+    for z, related in zip(zs, T.mr_batch(V, zs, tol, g)):
+        if not related:
             continue
         ok = (T.domain_contains(z.x, tol) if target is None
               else target.contains(z.x))
@@ -85,8 +104,9 @@ def check_identifies(T: OperatorHandle, V: Region, g: GridSpec | None = None,
                      tol: Tolerance | None = None) -> Verdict:
     """Monotonically related grid points over V already lie in the graph."""
     g, tol = _defaults(g, tol)
-    failures = [z for z in scan_grid(V, g)
-                if mr_test(T, V, z, tol, g) and not T.graph_contains(z, tol)]
+    zs = scan_grid(V, g)
+    failures = [z for z, related in zip(zs, T.mr_batch(V, zs, tol, g))
+                if related and not T.graph_contains(z, tol)]
     return finish(Property.IDENTIFIES, failures,
                   approximate=not T.phi_is_exact(V), grid=g, tol=tol,
                   region_ids=(V.describe(),))
@@ -168,18 +188,14 @@ def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
         raise UnsatisfiedHypothesis(
             "phi stays above coupling on the window",
             f"witness {vni.witnesses[:1]}")
-    band, sublevel = [], []
-    for z in scan_grid(V, g):
-        p = T.phi(V, z, g)
-        c = coupling(z)
-        if abs(p - c) <= tol.eps_eq:
-            band.append(z)
-        if p <= c + tol.eps_eq:
-            sublevel.append(z)
-    if band != sublevel:
+    zs = scan_grid(V, g)
+    p = T.phi_batch(V, zs, g)
+    c = _couplings(zs, V.dimension)
+    band = np.abs(p - c) <= tol.eps_eq
+    if not np.array_equal(band, p <= c + tol.eps_eq):
         raise ToleranceError(
             "equality band and sublevel trace disagree at these margins")
-    return band
+    return [z for z, b in zip(zs, band) if b]
 
 
 def check_condition_c(T: OperatorHandle, V: Region,
@@ -188,8 +204,8 @@ def check_condition_c(T: OperatorHandle, V: Region,
     """Strictly sub-coupling grid points over V project into the domain
     closure; vacuously true when the strict set is empty."""
     g, tol = _defaults(g, tol)
-    strict = [z for z in scan_grid(V, g)
-              if T.phi(V, z, g) < coupling(z) - tol.eps_strict]
+    zs = scan_grid(V, g)
+    strict = [z for z, b in zip(zs, _strictly_below(T, V, zs, g, tol)) if b]
     failures = [z for z in strict
                 if not T.domain_closure_contains(z.x, tol)]
     return finish(Property.CONDITION_C, failures,

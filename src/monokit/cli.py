@@ -186,7 +186,7 @@ def _cmd_export(args) -> int:
     window = config.window if config.window is not None else whole_space(n)
     zs = scan_grid(window, g)
     if args.fn == "phi":
-        values = [T.phi(config.window, z, g) for z in zs]
+        values = T.phi_batch(config.window, zs, g)
     else:
         env, _ = penot_envelope(T, config.window, g)
         values = [envelope_eval(env, z) for z in zs]

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import (DimensionMismatch, InfinityArithmetic, ToleranceError,
                      ValidationError)
 
@@ -58,6 +60,22 @@ def _dot(a: tuple[float, ...], b: tuple[float, ...]) -> float:
 def coupling(z: PrimalDualPoint) -> float:
     """The duality product <x, x*> of a primal-dual point."""
     return _dot(z.x, z.xstar)
+
+
+def point_rows(points: Iterable[PrimalDualPoint], n: int) -> np.ndarray:
+    """Points as an (N, 2n) float array of [x, x*] rows."""
+    return np.array([p.x + p.xstar for p in points],
+                    dtype=float).reshape(-1, 2 * n)
+
+
+def coupling_rows(rows: np.ndarray) -> np.ndarray:
+    """coupling of every [x, x*] row, summed coordinate by coordinate in
+    _dot's order so each entry equals the scalar coupling bit for bit."""
+    n = rows.shape[1] // 2
+    out = np.zeros(rows.shape[0])
+    for i in range(n):
+        out += rows[:, i] * rows[:, n + i]
+    return out
 
 
 def natural_pairing(z: PrimalDualPoint, w: PrimalDualPoint) -> float:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import (Envelope, conjugate, envelope_eval, max_affine_eval_batch)
-from .core import INF, PrimalDualPoint, Tolerance, coupling
+from .core import (INF, PrimalDualPoint, Tolerance, coupling, coupling_rows,
+                   point_rows)
 from .errors import BelowCoupling
 from .operators import DEFAULT_GRID, OperatorHandle
 from .regions import GridSpec, Region, grid_sample
@@ -92,8 +93,8 @@ class RepresentativeReport:
 
 
 def _coupling_rows(zs: list[PrimalDualPoint], n: int):
-    arr = np.array([list(z.x) + list(z.xstar) for z in zs])
-    return arr, (arr[:, :n] * arr[:, n:]).sum(axis=1)
+    rows = point_rows(zs, n)
+    return rows, coupling_rows(rows)
 
 
 def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (INF, PrimalDualPoint, Tolerance, as_vector, coupling,
-                   natural_pairing, monotone_gap, supremum)
+                   coupling_rows, point_rows, supremum)
 from .errors import (DimensionMismatch, MonokitError, ValidationError)
 from .regions import (Box, GridSpec, Region, box_from_literal,
                       grid_sample, intersect_regions, interval,
@@ -85,9 +85,41 @@ class OperatorHandle:
     def phi_is_exact(self, V: Region | None) -> bool:
         return False
 
+    def phi_batch(self, V: Region | None, zs: list[PrimalDualPoint],
+                  g: GridSpec) -> np.ndarray:
+        """phi at every point of zs, as an array in the order of zs.
+
+        The closed form point by point when it is exact for V; otherwise the
+        graph is enumerated once at g and the sup runs in the blocked kernel.
+        """
+        if self.phi_is_exact(V):
+            return np.array([self.phi(V, z, g) for z in zs], dtype=float)
+        return self._phi_enumerated(V, zs, g)
+
+    def mr_batch(self, V: Region | None, zs: list[PrimalDualPoint],
+                 tol: Tolerance, g: GridSpec) -> np.ndarray:
+        """Boolean mask: which points of zs are monotonically related to
+        every graph point over V (see mr_test)."""
+        if not zs:
+            return np.zeros(0, dtype=bool)
+        n = zs[0].dimension
+        rows = point_rows(zs, n)
+        if self.phi_is_exact(V):
+            return (self.phi_batch(V, zs, g)
+                    <= coupling_rows(rows) + tol.eps_eq)
+        graph = point_rows(self.enumerate_graph(V, g), n)
+        return _mr_rows(graph, rows, tol.eps_eq)
+
+    def _phi_enumerated(self, V, zs, g) -> np.ndarray:
+        """The sup over the graph enumerated once at g, for every z in zs."""
+        if not zs:
+            return np.zeros(0)
+        n = zs[0].dimension
+        graph = point_rows(self.enumerate_graph(V, g), n)
+        return _phi_rows(graph, point_rows(zs, n))
+
     def _phi_sampled(self, V, z, g) -> float:
-        pts = self.enumerate_graph(V, g or DEFAULT_GRID)
-        return supremum(natural_pairing(z, w) - coupling(w) for w in pts)
+        return float(self._phi_enumerated(V, [z], g or DEFAULT_GRID)[0])
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -139,11 +171,14 @@ class FiniteGraph(OperatorHandle):
         return [p for p in self.points if V.contains(p.x)]
 
     def phi(self, V, z, g=None):
-        pts = self.enumerate_graph(V, g)
-        return supremum(natural_pairing(z, w) - coupling(w) for w in pts)
+        return float(self._phi_enumerated(V, [z], g)[0])
 
     def phi_is_exact(self, V):
         return True
+
+    def phi_batch(self, V, zs, g):
+        # Exact, and already a sup over the points themselves.
+        return self._phi_enumerated(V, zs, g)
 
     def describe(self) -> str:
         return f"finite graph ({len(self.points)} points)"
@@ -545,6 +580,9 @@ class Restriction(OperatorHandle):
     def phi_is_exact(self, V):
         return self.base.phi_is_exact(self._inner(V))
 
+    def phi_batch(self, V, zs, g):
+        return self.base.phi_batch(self._inner(V), zs, g)
+
     def describe(self) -> str:
         return f"{self.base.describe()} restricted to {self.window.describe()}"
 
@@ -784,6 +822,61 @@ def restrict(T: OperatorHandle, V: Region) -> OperatorHandle:
     return Restriction(T, V)
 
 
+# Cap on the float64 entries of each rows x M temporary in the scan kernels
+# below (1 MiB), so memory stays bounded at every grid resolution.
+_BLOCK_ELEMS = 1 << 17
+
+
+def _blocks(n_rows: int, n_cols: int):
+    """(row slice, column slice) tiles of an n_rows x n_cols product, each
+    with at most _BLOCK_ELEMS entries."""
+    cols = max(1, min(n_cols, _BLOCK_ELEMS))
+    rows = max(1, _BLOCK_ELEMS // cols)
+    for r0 in range(0, n_rows, rows):
+        for c0 in range(0, n_cols, cols):
+            yield slice(r0, r0 + rows), slice(c0, c0 + cols)
+
+
+def _phi_rows(graph: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """max over graph rows w = (u, u*) of <x, u*> + <u, x*> - <u, u*> for
+    every row z = (x, x*) of zs; -inf against an empty graph.
+
+    Each pairing accumulates coordinate by coordinate with elementwise ops
+    in core._dot's order (no matmul), so every value equals the scalar
+    natural_pairing(z, w) - coupling(w) bit for bit.
+    """
+    n = zs.shape[1] // 2
+    out = np.full(zs.shape[0], -INF)
+    cw = coupling_rows(graph)
+    for r, c in _blocks(zs.shape[0], graph.shape[0]):
+        z, w = zs[r], graph[c]
+        left = np.zeros((z.shape[0], w.shape[0]))
+        right = np.zeros_like(left)
+        for i in range(n):
+            left += z[:, i, None] * w[None, :, n + i]
+            right += w[None, :, i] * z[:, n + i, None]
+        left += right
+        left -= cw[None, c]
+        np.maximum(out[r], left.max(axis=1), out=out[r])
+    return out
+
+
+def _mr_rows(graph: np.ndarray, zs: np.ndarray, eps: float) -> np.ndarray:
+    """Whether <x - u, x* - u*> >= -eps against every graph row, for every
+    row of zs; True against an empty graph. Same summation order as
+    core.monotone_gap."""
+    n = zs.shape[1] // 2
+    out = np.ones(zs.shape[0], dtype=bool)
+    for r, c in _blocks(zs.shape[0], graph.shape[0]):
+        z, w = zs[r], graph[c]
+        gap = np.zeros((z.shape[0], w.shape[0]))
+        for i in range(n):
+            gap += ((z[:, i, None] - w[None, :, i])
+                    * (z[:, n + i, None] - w[None, :, n + i]))
+        out[r] &= (gap >= -eps).all(axis=1)
+    return out
+
+
 def _pairwise_gap_failures(points, eps):
     """First lexicographic pair with a negative gap, if any."""
     n = len(points)
@@ -828,12 +921,10 @@ def mr_test(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
 
     Uses the closed-form phi when exact for this window (phi <= coupling +
     eps_eq); otherwise checks pairwise gaps against the enumerated graph.
-    For finite graphs the two routes are algebraically identical.
+    For finite graphs the two routes are algebraically identical. A one-row
+    call of mr_batch.
     """
-    if T.phi_is_exact(V):
-        return T.phi(V, z, g) <= coupling(z) + tol.eps_eq
-    pts = T.enumerate_graph(V, g or DEFAULT_GRID)
-    return all(monotone_gap(z, w) >= -tol.eps_eq for w in pts)
+    return bool(T.mr_batch(V, [z], tol, g or DEFAULT_GRID)[0])
 
 
 def enumerate_range(T: OperatorHandle, g: GridSpec | None = None,
