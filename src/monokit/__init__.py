@@ -15,7 +15,7 @@ from .errors import (BelowCoupling, DimensionMismatch, InfinityArithmetic,
 from .regions import (Box, GridSpec, HalfSpace, Intersection, Polytope,
                       Region, box_from_literal, closed_box, grid_sample,
                       intersect_regions, interval, normal_cone_contains,
-                      normal_interval_1d, open_box, whole_space)
+                      open_box, whole_space)
 from .convex import (ConjugateValue, ConvexFn, Envelope, GridTable, MaxAffine,
                      PlusIndicator, conjugate, envelope, envelope_eval,
                      envelope_lower_bound, fenchel_subdiff_test, max_affine,
@@ -61,7 +61,7 @@ __all__ = [
     "infimum", "intersect_regions", "interval", "is_monotone",
     "is_representative", "max_affine", "max_affine_eval",
     "max_affine_eval_batch", "monotone_gap", "mr_test", "natural_pairing",
-    "normal_cone_contains", "normal_interval_1d", "open_box", "operator_sum",
+    "normal_cone_contains", "open_box", "operator_sum",
     "parse_spec", "pdp", "penot_envelope", "phi_eval", "phi_is_exact",
     "psi_eval", "restrict", "rho_square_eval", "run_gallery", "scan_grid",
     "square_conjugate_eval", "support_eval", "supremum", "unique_extension",

@@ -19,19 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import Envelope
-from .core import (DEFAULT_TOL, PrimalDualPoint, Tolerance, coupling,
-                   coupling_rows, point_rows)
+from .core import (PrimalDualPoint, Tolerance, coupling, coupling_rows,
+                   point_rows)
 from .errors import ToleranceError, UnsatisfiedHypothesis
 from .fitzpatrick import (coupling_band, is_representative, penot_envelope,
                           scan_grid)
-from .operators import DEFAULT_GRID, OperatorHandle, is_monotone
+from .operators import OperatorHandle, is_monotone, with_defaults
 from .regions import (Box, GridSpec, Region, grid_sample, intersect_regions,
                       whole_space)
 from .verdicts import Property, Verdict, finish
-
-
-def _defaults(g, tol):
-    return (g or DEFAULT_GRID), (tol or DEFAULT_TOL)
 
 
 def _meets_domain(T: OperatorHandle, V: Region, g: GridSpec,
@@ -63,7 +59,7 @@ def check_vni(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     A window that misses the domain yields a vacuous positive: the
     restriction is empty and the check ranges over nothing meaningful.
     """
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     approx = not T.phi_is_exact(V)
     ids = (V.describe(),)
     if not _meets_domain(T, V, g, tol):
@@ -85,7 +81,7 @@ def check_locates(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     The target defaults to the operator's domain, tested through its own
     membership rule.
     """
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     zs = scan_grid(V, g)
     failures = []
     for z, related in zip(zs, T.mr_batch(V, zs, tol, g)):
@@ -103,7 +99,7 @@ def check_locates(T: OperatorHandle, V: Region, g: GridSpec | None = None,
 def check_identifies(T: OperatorHandle, V: Region, g: GridSpec | None = None,
                      tol: Tolerance | None = None) -> Verdict:
     """Monotonically related grid points over V already lie in the graph."""
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     zs = scan_grid(V, g)
     failures = [z for z, related in zip(zs, T.mr_batch(V, zs, tol, g))
                 if related and not T.graph_contains(z, tol)]
@@ -122,7 +118,7 @@ def check_v_representable(T: OperatorHandle, V: Region,
     the grid against the graph. An empty restriction is reported false and
     vacuous: its envelope is identically +inf, which represents nothing.
     """
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     ids = (V.describe(),)
     approx = not T.enumeration_exact
     pts = T.enumerate_graph(V, g)
@@ -155,7 +151,7 @@ def check_maximal_on_grid(T: OperatorHandle, ambient: Region | None = None,
     operator must be monotone to begin with; that gate failing is an error,
     not a false verdict.
     """
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     mono = is_monotone(T, tol, g)
     if not mono.value:
         raise UnsatisfiedHypothesis("the operator is monotone",
@@ -178,7 +174,7 @@ def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     [phi <= coupling]; a mismatch means the margins cannot separate the two
     sets and is raised rather than silently picking one.
     """
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     mono = is_monotone(T, tol, g, V=V)
     if not mono.value:
         raise UnsatisfiedHypothesis("the restriction is monotone",
@@ -203,7 +199,7 @@ def check_condition_c(T: OperatorHandle, V: Region,
                       tol: Tolerance | None = None) -> Verdict:
     """Strictly sub-coupling grid points over V project into the domain
     closure; vacuously true when the strict set is empty."""
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     zs = scan_grid(V, g)
     strict = [z for z, b in zip(zs, _strictly_below(T, V, zs, g, tol)) if b]
     failures = [z for z in strict
@@ -231,7 +227,7 @@ def dyadic_open_boxes(ambient: Box, scales: int,
     by bounds; when an operator is given, only boxes meeting its domain are
     kept.
     """
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     n = ambient.dimension
     seen: dict[tuple, Box] = {}
     for s in range(1, scales + 1):
@@ -272,7 +268,7 @@ def family_scan(T: OperatorHandle, family: RegionFamily, property: Property,
     admit some family member around its primal on which the representability
     check passes.
     """
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     if property is Property.LOW_REPRESENTABLE:
         return _low_representable(T, family, g, tol)
     if property not in _FAMILY_CHECKS:

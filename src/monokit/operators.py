@@ -1,8 +1,8 @@
 """Operator graphs in Z = R^n x R^n and their pointwise calculus.
 
-Each handle answers the same questions: domain and graph membership, a finite
-enumeration of its graph at a declared sampling density, and the restricted
-Fitzpatrick value
+Each handle answers the same questions: domain and graph membership, the dual
+fiber T(x) as a list of boxes, a finite enumeration of its graph at a declared
+sampling density, and the restricted Fitzpatrick value
 
     phi_{T|V}(z) = sup { z . w - <u, u*> : w = (u, u*) in graph(T), u in V }.
 
@@ -19,17 +19,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (INF, PrimalDualPoint, Tolerance, as_vector, coupling,
-                   coupling_rows, point_rows, supremum)
+from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, as_vector,
+                   coupling, coupling_rows, point_rows, supremum)
 from .errors import (DimensionMismatch, MonokitError, ValidationError)
-from .regions import (Box, GridSpec, Region, box_from_literal,
+from .regions import (Box, GridSpec, Region, box_from_literal, closed_box,
                       grid_sample, intersect_regions, interval,
-                      normal_cone_contains, normal_interval_1d, whole_space)
+                      normal_cone_contains, whole_space)
 from .verdicts import Property, Verdict, finish
 
 _DUST = 1e-12
 
 DEFAULT_GRID = GridSpec()
+
+
+def with_defaults(g: GridSpec | None,
+                  tol: Tolerance | None) -> tuple[GridSpec, Tolerance]:
+    """The grid and tolerances a checker was given, or the defaults."""
+    return (g or DEFAULT_GRID), (tol or DEFAULT_TOL)
 
 
 def _window(n: int, V: Region | None) -> Region:
@@ -71,8 +77,18 @@ class OperatorHandle:
             return self.domain_contains(x, tol)
         return region.distance_inf(x) <= tol.delta_dom
 
-    def graph_contains(self, z: PrimalDualPoint, tol: Tolerance) -> bool:
+    def fiber(self, x, tol: Tolerance) -> list[tuple[tuple[float, ...],
+                                                     tuple[float, ...]]]:
+        """T(x), up to closure, as dual boxes (lower, upper); bounds may be
+        +-inf and a point is a box with lower == upper."""
         raise NotImplementedError
+
+    def graph_contains(self, z: PrimalDualPoint, tol: Tolerance) -> bool:
+        """Whether some box of the fiber at z.x holds z.xstar within
+        delta_dom on every axis."""
+        return any(all(max(lo - s, s - hi) <= tol.delta_dom
+                       for lo, s, hi in zip(low, z.xstar, up))
+                   for low, up in self.fiber(z.x, tol))
 
     def enumerate_graph(self, V: Region | None,
                         g: GridSpec) -> list[PrimalDualPoint]:
@@ -160,10 +176,10 @@ class FiniteGraph(OperatorHandle):
     def domain_closure_contains(self, x, tol):
         return self.domain_contains(x, tol)
 
-    def graph_contains(self, z, tol):
-        return any(
-            max(abs(a - b) for a, b in zip(z.x + z.xstar, p.x + p.xstar))
-            <= tol.delta_dom for p in self.points)
+    def fiber(self, x, tol):
+        v = as_vector(x)
+        return [(p.xstar, p.xstar) for p in self.points
+                if max(abs(a - b) for a, b in zip(v, p.x)) <= tol.delta_dom]
 
     def enumerate_graph(self, V, g):
         if V is None:
@@ -206,10 +222,8 @@ class Flat(OperatorHandle):
     def domain_contains(self, x, tol):
         return self.region.contains(x)
 
-    def graph_contains(self, z, tol):
-        if not self.region.contains(z.x):
-            return False
-        return max(abs(a - b) for a, b in zip(z.xstar, self.wstar)) <= tol.delta_dom
+    def fiber(self, x, tol):
+        return [(self.wstar, self.wstar)] if self.region.contains(x) else []
 
     def enumerate_graph(self, V, g):
         dom = self.region if V is None else intersect_regions(self.region, V)
@@ -259,6 +273,17 @@ class NormalConeBox(OperatorHandle):
 
     def domain_contains(self, x, tol):
         return self.box.contains(x)
+
+    def fiber(self, x, tol):
+        """An axis is unbounded below at a lower face and above at an upper
+        face, and pinned to 0 elsewhere."""
+        v = as_vector(x)
+        if not self.box.contains(v):
+            return []
+        return [(tuple(-INF if abs(c - b) <= _DUST else 0.0
+                       for c, b in zip(v, self.box.lower)),
+                 tuple(INF if abs(c - b) <= _DUST else 0.0
+                       for c, b in zip(v, self.box.upper)))]
 
     def graph_contains(self, z, tol):
         return normal_cone_contains(self.box, z.x, z.xstar, tol)
@@ -369,13 +394,13 @@ class AbsSubdiff(OperatorHandle):
     def domain_contains(self, x, tol):
         return True
 
-    def graph_contains(self, z, tol):
-        x, s, a = z.x[0], z.xstar[0], self.slope
-        if x > _DUST:
-            return abs(s - a) <= tol.delta_dom
-        if x < -_DUST:
-            return abs(s + a) <= tol.delta_dom
-        return -a - tol.delta_dom <= s <= a + tol.delta_dom
+    def fiber(self, x, tol):
+        xi, a = as_vector(x)[0], self.slope
+        if xi > _DUST:
+            return [((a,), (a,))]
+        if xi < -_DUST:
+            return [((-a,), (-a,))]
+        return [((-a,), (a,))]
 
     def enumerate_graph(self, V, g):
         a = self.slope
@@ -439,6 +464,13 @@ class PointComplement(OperatorHandle):
     def domain_contains(self, x, tol):
         return self._at_anchor(x)
 
+    def fiber(self, x, tol):
+        # The closure of the dual space minus the origin is the whole space.
+        if not self._at_anchor(x):
+            return []
+        n = self.dimension
+        return [((-INF,) * n, (INF,) * n)]
+
     def graph_contains(self, z, tol):
         # The dual must be nonzero exactly: the origin is the excluded point.
         return self._at_anchor(z.x) and any(c != 0.0 for c in z.xstar)
@@ -494,9 +526,9 @@ class Linear(OperatorHandle):
     def domain_contains(self, x, tol):
         return True
 
-    def graph_contains(self, z, tol):
-        mx = self._m() @ np.array(z.x)
-        return float(np.abs(mx - np.array(z.xstar)).max()) <= tol.delta_dom
+    def fiber(self, x, tol):
+        mx = tuple(float(c) for c in self._m() @ np.array(as_vector(x)))
+        return [(mx, mx)]
 
     def enumerate_graph(self, V, g):
         m = self._m()
@@ -568,6 +600,9 @@ class Restriction(OperatorHandle):
                 and self.base.domain_closure_contains(x, tol)
         return region.distance_inf(x) <= tol.delta_dom
 
+    def fiber(self, x, tol):
+        return self.base.fiber(x, tol) if self.window.contains(x) else []
+
     def graph_contains(self, z, tol):
         return self.window.contains(z.x) and self.base.graph_contains(z, tol)
 
@@ -585,128 +620,6 @@ class Restriction(OperatorHandle):
 
     def describe(self) -> str:
         return f"{self.base.describe()} restricted to {self.window.describe()}"
-
-
-def _dual_candidates(T: OperatorHandle, x, tol: Tolerance):
-    """The dual fiber T(x) as ('points', [...]), ('interval', lo, hi), or None.
-
-    Intervals only arise in dimension one. None means the kind has no cheap
-    fiber description and callers should fall back to sampling.
-    """
-    if isinstance(T, FiniteGraph):
-        v = as_vector(x)
-        pts = [p.xstar for p in T.points
-               if max(abs(a - b) for a, b in zip(v, p.x)) <= tol.delta_dom]
-        return ("points", pts)
-    if isinstance(T, Flat):
-        if T.region.contains(x):
-            return ("points", [T.wstar])
-        return ("points", [])
-    if isinstance(T, Linear):
-        mx = T._m() @ np.array(as_vector(x))
-        return ("points", [tuple(float(c) for c in mx)])
-    if isinstance(T, AbsSubdiff):
-        xi = as_vector(x)[0]
-        if xi > _DUST:
-            return ("points", [(T.slope,)])
-        if xi < -_DUST:
-            return ("points", [(-T.slope,)])
-        return ("interval", -T.slope, T.slope)
-    if isinstance(T, NormalConeBox) and T.dimension == 1:
-        band = normal_interval_1d(T.box, as_vector(x)[0])
-        if band is None:
-            return ("points", [])
-        return ("interval", band[0], band[1])
-    if isinstance(T, Restriction):
-        if not T.window.contains(x):
-            return ("points", [])
-        return _dual_candidates(T.base, x, tol)
-    return None
-
-
-@dataclass(frozen=True)
-class SumNormalCone(OperatorHandle):
-    """A + (normal cone of a closed box C), enumerated on aligned lattices."""
-
-    summand: OperatorHandle
-    box: Box
-
-    def __post_init__(self):
-        if self.summand.dimension != self.box.dimension:
-            raise DimensionMismatch("summand and box disagree in dimension")
-        if not self.box.is_closed or self.box.is_empty():
-            raise ValidationError("the constraint set must be a nonempty closed box")
-
-    @property
-    def dimension(self) -> int:
-        return self.summand.dimension
-
-    def domain_region(self):
-        base = self.summand.domain_region()
-        if base is None:
-            return None
-        return intersect_regions(base, self.box)
-
-    def domain_contains(self, x, tol):
-        return self.box.contains(x) and self.summand.domain_contains(x, tol)
-
-    def graph_contains(self, z, tol):
-        if not self.box.contains(z.x):
-            return False
-        cands = _dual_candidates(self.summand, z.x, tol)
-        if cands is None:
-            return self._sampled_membership(z, tol)
-        if cands[0] == "points":
-            for astar in cands[1]:
-                rest = tuple(a - b for a, b in zip(z.xstar, astar))
-                if normal_cone_contains(self.box, z.x, rest, tol):
-                    return True
-            return False
-        _, lo, hi = cands
-        band = normal_interval_1d(self.box, z.x[0])
-        if band is None:
-            return False
-        s = z.xstar[0]
-        # Need some a* in [lo, hi] with s - a* in the cone interval.
-        want_lo = band[0] + lo - tol.delta_dom
-        want_hi = band[1] + hi + tol.delta_dom
-        return want_lo <= s <= want_hi
-
-    def _sampled_membership(self, z, tol):
-        pts = self.enumerate_graph(None, DEFAULT_GRID)
-        return any(
-            max(abs(a - b) for a, b in zip(z.x + z.xstar, p.x + p.xstar))
-            <= tol.delta_dom for p in pts)
-
-    def enumerate_graph(self, V, g):
-        dom = self.box if V is None else intersect_regions(self.box, V)
-        cone = NormalConeBox(self.box)
-        mags = [float(m) for m in
-                np.linspace(0.0, g.dual_bound, g.dual_resolution)]
-        out: dict[PrimalDualPoint, None] = {}
-        for w in self.summand.enumerate_graph(dom, g):
-            if not self.box.contains(w.x):
-                continue
-            per_axis = []
-            for i in range(self.dimension):
-                lo, hi = self.box.lower[i], self.box.upper[i]
-                opts = {0.0}
-                if abs(w.x[i] - lo) <= _DUST:
-                    opts.update(-m for m in mags)
-                if abs(w.x[i] - hi) <= _DUST:
-                    opts.update(mags)
-                per_axis.append(sorted(opts))
-            for combo in itertools.product(*per_axis):
-                s = tuple(a + b for a, b in zip(w.xstar, combo))
-                out.setdefault(PrimalDualPoint(w.x, s))
-        return list(out)
-
-    def phi(self, V, z, g=None):
-        return self._phi_sampled(V, z, g)
-
-    def describe(self) -> str:
-        return (f"{self.summand.describe()} plus normal cone of "
-                f"{self.box.describe()}")
 
 
 @dataclass(frozen=True)
@@ -737,35 +650,12 @@ class PairSum(OperatorHandle):
         return self.first.domain_contains(x, tol) \
             and self.second.domain_contains(x, tol)
 
-    def graph_contains(self, z, tol):
-        ca = _dual_candidates(self.first, z.x, tol)
-        cb = _dual_candidates(self.second, z.x, tol)
-        if ca is None or cb is None:
-            return self._sampled_membership(z, tol)
-        if ca[0] == "interval" and cb[0] == "interval":
-            lo = ca[1] + cb[1] - tol.delta_dom
-            hi = ca[2] + cb[2] + tol.delta_dom
-            return lo <= z.xstar[0] <= hi
-        if ca[0] == "interval" or cb[0] == "interval":
-            band, pts = (ca, cb[1]) if ca[0] == "interval" else (cb, ca[1])
-            for p in pts:
-                rest = z.xstar[0] - p[0]
-                if band[1] - tol.delta_dom <= rest <= band[2] + tol.delta_dom:
-                    return True
-            return False
-        for pa in ca[1]:
-            for pb in cb[1]:
-                total = tuple(a + b for a, b in zip(pa, pb))
-                if max(abs(a - b) for a, b in zip(z.xstar, total)) \
-                        <= tol.delta_dom:
-                    return True
-        return False
-
-    def _sampled_membership(self, z, tol):
-        pts = self.enumerate_graph(None, DEFAULT_GRID)
-        return any(
-            max(abs(a - b) for a, b in zip(z.x + z.xstar, p.x + p.xstar))
-            <= tol.delta_dom for p in pts)
+    def fiber(self, x, tol):
+        """Pairwise Minkowski sums of the summands' fiber boxes."""
+        return [(tuple(p + q for p, q in zip(la, lb)),
+                 tuple(p + q for p, q in zip(ua, ub)))
+                for la, ua in self.first.fiber(x, tol)
+                for lb, ub in self.second.fiber(x, tol)]
 
     def _joint_window(self, V: Region | None) -> Region | None:
         """The window cut down to both domains, so the summands sample one
@@ -792,6 +682,11 @@ class PairSum(OperatorHandle):
                            if max(abs(u - v) for u, v in zip(key, a.x))
                            <= self.match_tol
                            for q in by_primal[key]]
+            if not matches:
+                # Off the shared lattice (a point cloud, say): sample the
+                # other summand at this primal point itself.
+                matches = self.second.enumerate_graph(
+                    closed_box(a.x, a.x), g)
             for b in matches:
                 s = tuple(u + v for u, v in zip(a.xstar, b.xstar))
                 out.setdefault(PrimalDualPoint(a.x, s))
@@ -802,6 +697,11 @@ class PairSum(OperatorHandle):
 
     def describe(self) -> str:
         return f"sum of {self.first.describe()} and {self.second.describe()}"
+
+
+def SumNormalCone(summand: OperatorHandle, box: Box) -> PairSum:
+    """A + N_C: the pair sum of the summand and the box normal cone."""
+    return PairSum(summand, NormalConeBox(box))
 
 
 def restrict(T: OperatorHandle, V: Region) -> OperatorHandle:

@@ -570,14 +570,19 @@ def _axis_lattice(lo, hi, lo_open, hi_open, k) -> np.ndarray:
     """k uniform samples of one interval, stepped inward from open ends.
 
     Closed-closed uses the endpoints; each open end shifts the lattice one
-    step inside, so an open span is sampled with step span / (k + 1).
+    step inside, so an open span is sampled with step span / (k + 1). A
+    closed upper end is pinned to hi exactly, since the stepped last sample
+    can round past it.
     """
     if lo == hi:
         return np.array([lo])
     n_open = int(lo_open) + int(hi_open)
     step = (hi - lo) / (k - 1 + n_open)
     start = lo + step if lo_open else lo
-    return start + step * np.arange(k)
+    out = start + step * np.arange(k)
+    if not hi_open:
+        out[-1] = hi
+    return out
 
 
 def grid_sample(region: Region, spec: GridSpec,
@@ -627,24 +632,3 @@ def normal_cone_contains(region: Region, x, xstar, tol) -> bool:
     if sup_val == INF:
         return False
     return sup_val <= sum(a * b for a, b in zip(xv, sv)) + tol.eps_eq
-
-
-def normal_interval_1d(box: Box, x: float, slack: float = 1e-12):
-    """Normal cone of a 1-d closed box as an interval (lo, hi), or None.
-
-    Returns None when x is outside the box. Endpoints may be +-inf.
-    """
-    if box.dimension != 1:
-        raise DimensionMismatch("expected a one dimensional box")
-    lo, hi = box.lower[0], box.upper[0]
-    if x < lo - slack or x > hi + slack:
-        return None
-    at_lo = abs(x - lo) <= slack
-    at_hi = abs(x - hi) <= slack
-    if at_lo and at_hi:
-        return (-INF, INF)
-    if at_lo:
-        return (-INF, 0.0)
-    if at_hi:
-        return (0.0, INF)
-    return (0.0, 0.0)

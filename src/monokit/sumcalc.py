@@ -11,30 +11,30 @@ the enumerated summand graph; piecewise-affine structure puts the true
 minimizer in that set for lattice evaluation points. A general second
 summand replaces the support term with its sampled envelope and the result
 is flagged approximate.
+
+There is one sum construction, PairSum: add_normal_cone, operator_sum and the
+sum_normal_cone spec kind all build it. Sum membership is decided from the
+summands' dual fibers at the point itself, at no grid at all.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .convex import Envelope, envelope_eval
-from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, coupling)
+from .core import INF, PrimalDualPoint, Tolerance, coupling
 from .errors import UnsatisfiedHypothesis, ValidationError
 from .fitzpatrick import scan_grid
-from .operators import (DEFAULT_GRID, NormalConeBox, OperatorHandle, PairSum,
-                        SumNormalCone, is_monotone)
+from .operators import (NormalConeBox, OperatorHandle, PairSum, is_monotone,
+                        with_defaults)
 from .regions import Box, GridSpec, Region
 from .verdicts import Property, finish
 
 
-def _defaults(g, tol):
-    return (g or DEFAULT_GRID), (tol or DEFAULT_TOL)
-
-
 def add_normal_cone(A: OperatorHandle, C: Box,
                     g: GridSpec | None = None,
-                    tol: Tolerance | None = None) -> SumNormalCone:
+                    tol: Tolerance | None = None) -> PairSum:
     """The operator A + N_C; requires the domain of A to reach int C."""
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     if not isinstance(C, Box):
         raise ValidationError("the constraint set must be a box")
     probe = A.domain_region()
@@ -48,7 +48,7 @@ def add_normal_cone(A: OperatorHandle, C: Box,
     if not hit:
         raise UnsatisfiedHypothesis(
             "the summand domain meets the interior of the constraint set")
-    return SumNormalCone(A, C)
+    return PairSum(A, NormalConeBox(C), match_tol=tol.delta_dom)
 
 
 def operator_sum(A: OperatorHandle, B: OperatorHandle,
@@ -59,7 +59,7 @@ def operator_sum(A: OperatorHandle, B: OperatorHandle,
     An empty sum (no primal matches at sampling density) is legal; the
     handle carries an empty flag rather than raising.
     """
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     out = PairSum(A, B, match_tol=tol.delta_dom)
     if not out.enumerate_graph(None, g):
         out = PairSum(A, B, match_tol=tol.delta_dom, empty=True)
@@ -141,7 +141,7 @@ def rho_square_eval(A: OperatorHandle, second, V: Region | None,
     second is either a closed box (exact support term) or an operator
     (sampled envelope term, flagged approximate).
     """
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     return _RhoMachine(A, second, V, g, tol).value(z)
 
 
@@ -157,7 +157,7 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
     requires the domain to reach the interior of the box; an empty pair sum
     cannot be verified. Each gate raises UnsatisfiedHypothesis.
     """
-    g, tol = _defaults(g, tol)
+    g, tol = with_defaults(g, tol)
     mono = is_monotone(A, tol, g)
     if not mono.value:
         raise UnsatisfiedHypothesis("the summand is monotone",

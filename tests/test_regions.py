@@ -18,7 +18,6 @@ from monokit import (
     intersect_regions,
     interval,
     normal_cone_contains,
-    normal_interval_1d,
     support_eval,
     whole_space,
 )
@@ -160,6 +159,24 @@ class TestGridSampling:
         for p in grid_sample(region, GridSpec(), resolution=17):
             assert region.contains(p)
 
+    def test_closed_upper_end_is_pinned(self):
+        # The stepped last sample rounds to 0.3800000000000001 here.
+        box = closed_box((-1.34,), (0.38,))
+        pts = grid_sample(box, GridSpec(resolution=13))
+        assert pts[-1] == (0.38,)
+        assert all(box.contains(p) for p in pts)
+
+    def test_random_closed_boxes_contain_their_samples(self):
+        rng = np.random.default_rng(3)
+        for _ in range(400):
+            n = int(rng.integers(1, 3))
+            lo = np.round(rng.uniform(-2.0, 2.0, n), 2)
+            hi = np.round(lo + rng.uniform(0.01, 2.0, n), 2)
+            box = closed_box(lo, hi)
+            g = GridSpec(resolution=int(rng.integers(2, 24)))
+            for p in grid_sample(box, g):
+                assert box.contains(p), (box.describe(), p)
+
     def test_dual_lattice_shape(self):
         g = GridSpec(resolution=41, dual_bound=10.0, dual_resolution=41)
         lat = g.dual_lattice(1)
@@ -188,14 +205,6 @@ class TestNormalCones:
         b = closed_box([0.0, 0.0], [1.0, 1.0])
         assert normal_cone_contains(b, [1.0, 1.0], [2.0, 5.0], DEFAULT_TOL)
         assert not normal_cone_contains(b, [1.0, 1.0], [2.0, -1.0], DEFAULT_TOL)
-
-    def test_normal_interval_1d(self):
-        b = interval(0.0, 1.0)
-        lo, hi = normal_interval_1d(b, 1.0)
-        assert lo == 0.0 and hi == np.inf
-        lo, hi = normal_interval_1d(b, 0.5)
-        assert lo == 0.0 and hi == 0.0
-        assert normal_interval_1d(b, 2.0) is None
 
 
 def test_restrict_composition_matches_intersection():

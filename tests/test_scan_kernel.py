@@ -3,7 +3,9 @@
 phi_batch must equal the scalar phi with ==, infinities included, and
 mr_batch the scalar mr_test. Where phi is sampled, both must also equal a
 plain Python sup and gap scan over the enumerated graph, so the kernel's
-summation order is checked against core's pairings bit for bit.
+summation order is checked against core's pairings bit for bit. Every
+enumerated graph point must also pass graph_contains and sit in a box of the
+dual fiber at its primal point.
 """
 
 import numpy as np
@@ -21,10 +23,12 @@ from monokit import (
     Linear,
     NormalConeBox,
     PairSum,
+    PointComplement,
     Restriction,
     SumNormalCone,
     Box,
     closed_box,
+    interval,
     coupling,
     monotone_gap,
     mr_test,
@@ -122,7 +126,7 @@ def cases(draw):
     n = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(
         ("simple", "half", "bounded_linear", "restriction", "sum_cone",
-         "pair_sum")))
+         "pair_sum", "nested_sum")))
     if kind == "simple":
         T, n = draw(simple_kinds(n))
         V = draw(windows(n))
@@ -149,11 +153,22 @@ def cases(draw):
             summand = draw(linear_maps(n))
         T, V = SumNormalCone(summand, draw(boxes(n, closed=True))), \
             draw(windows(n))
-    else:
+    elif kind == "pair_sum":
         first = draw(linear_maps(n))
         second = NormalConeBox(draw(boxes(n, closed=True))) \
             if draw(st.booleans()) else Flat(whole_space(n), draw(vec(n)))
         T, V = PairSum(first, second), draw(windows(n))
+    else:
+        inner = PairSum(draw(linear_maps(n)),
+                        NormalConeBox(draw(boxes(n, closed=True))))
+        outer = draw(st.sampled_from(("cone", "flat", "abs")))
+        if outer == "abs" and n == 1:
+            second = AbsSubdiff(0.5)
+        elif outer == "flat":
+            second = Flat(draw(boxes(n)), draw(vec(n)))
+        else:
+            second = NormalConeBox(draw(boxes(n, closed=True)))
+        T, V = PairSum(inner, second), draw(windows(n))
     return T, V, draw(grids(n))
 
 
@@ -203,9 +218,12 @@ def test_batches_equal_scalar_routes(case):
     lambda n: st.tuples(finite_graphs(n), windows(n), grids(n))))
 @settings(max_examples=60, deadline=None)
 def test_finite_graph_phi_is_the_kernel_sup(case):
+    """Also the two mr_test routes, phi against the coupling and pairwise
+    gaps, agree on finite graphs."""
     T, V, g = case
     zs = scan_points(V, T.dimension, g) + list(T.points)
     assert_batches_match(T, V, g, zs)
+    assert T.mr_batch(V, zs, TOL, g).tolist() == reference_mr(T, V, zs, g)
 
 
 @pytest.mark.parametrize("T, V", [
@@ -272,3 +290,122 @@ def test_large_scan_crosses_blocks():
     graph = T.enumerate_graph(V, g)
     assert len(zs) * len(graph) > operators._BLOCK_ELEMS
     assert_batches_match(T, V, g, zs)
+
+
+def in_fiber(T, w):
+    return any(all(lo <= s <= hi for lo, s, hi in zip(low, w.xstar, up))
+               for low, up in T.fiber(w.x, TOL))
+
+
+@given(cases())
+@settings(max_examples=300, deadline=None)
+def test_enumerated_points_are_members(case):
+    """Enumeration and membership agree: every enumerated point passes
+    graph_contains and its dual lies in a fiber box at its primal point."""
+    T, V, g = case
+    for w in T.enumerate_graph(V, g):
+        assert T.graph_contains(w, TOL), w
+        assert in_fiber(T, w), (w, T.fiber(w.x, TOL))
+
+
+def built_on_finite_graph(T):
+    while isinstance(T, Restriction):
+        T = T.base
+    return isinstance(T, FiniteGraph)
+
+
+@given(cases())
+@settings(max_examples=200, deadline=None)
+def test_phi_is_the_coupling_at_graph_points(case):
+    """Every kind but a raw point cloud is monotone, so phi_{T|V} meets the
+    coupling at each enumerated point of the graph over V."""
+    T, V, g = case
+    if built_on_finite_graph(T):
+        return
+    pts = T.enumerate_graph(V, g)
+    for w, p in zip(pts, T.phi_batch(V, pts, g)):
+        assert p == pytest.approx(coupling(w), rel=1e-9, abs=1e-9), w
+
+
+@given(cases())
+@settings(max_examples=150, deadline=None)
+def test_sampled_phi_stays_below_the_closed_form(case):
+    """The sup over enumerated graph points never exceeds the exact sup."""
+    T, V, g = case
+    if not T.phi_is_exact(V):
+        return
+    zs = scan_points(V, T.dimension, g)
+    exact = T.phi_batch(V, zs, g)
+    sampled = T._phi_enumerated(V, zs, g)
+    assert ((sampled <= exact)
+            | np.isclose(sampled, exact, rtol=1e-9, atol=1e-9)).all()
+
+
+def test_two_dim_cone_sum_members_at_the_callers_grid():
+    """Every point the sum enumerates is a member, decided from fibers."""
+    T = PairSum(Linear(((1.0, 0.5), (-0.5, 1.0))),
+                NormalConeBox(closed_box([-1.0, -1.0], [1.0, 1.0])))
+    g = GridSpec(resolution=7, dual_bound=4.0, dual_resolution=7)
+    pts = T.enumerate_graph(None, g)
+    assert len(pts) == 361
+    assert sum(T.graph_contains(w, TOL) for w in pts) == 361
+    assert T.graph_contains(pdp([1.0, 1.0], [1.5 + 2.0, 0.5 + 3.0]), TOL)
+    assert not T.graph_contains(pdp([1.0, 1.0], [1.5 - 2.0, 0.5]), TOL)
+    assert not T.graph_contains(pdp([0.0, 0.0], [0.5, 0.0]), TOL)
+
+
+def test_nested_pair_sum_adds_every_fiber():
+    box = closed_box([0.0], [2.0])
+    inner = SumNormalCone(AbsSubdiff(1.0), box)
+    T = PairSum(inner, Flat(interval(-1.0, 1.0), (0.5,)))
+    assert T.fiber([0.0], TOL) == [((-INF,), (1.5,))]
+    assert T.fiber([1.0], TOL) == [((1.5,), (1.5,))]
+    assert T.fiber([1.5], TOL) == []
+    assert T.graph_contains(pdp([0.0], [-7.0]), TOL)
+    assert not T.graph_contains(pdp([0.0], [1.6]), TOL)
+    assert T.graph_contains(pdp([1.0], [1.5]), TOL)
+    # Both summands sample the shared domain [0, 1].
+    g = GridSpec(resolution=5, dual_bound=2.0, dual_resolution=5)
+    pts = T.enumerate_graph(None, g)
+    assert {w.x for w in pts} == {(0.0,), (0.25,), (0.5,), (0.75,), (1.0,)}
+    assert all(T.graph_contains(w, TOL) for w in pts)
+
+
+def test_point_cloud_plus_cone_keeps_off_lattice_points():
+    # (0.33; 1) lies off the cone's lattice, so the cone is sampled there.
+    A = FiniteGraph((pdp([0.33], [1.0]), pdp([0.0], [0.5])))
+    T = SumNormalCone(A, closed_box([0.0], [1.0]))
+    g = GridSpec(resolution=11, dual_bound=2.0, dual_resolution=3)
+    pts = T.enumerate_graph(None, g)
+    assert set(pts) == {pdp([0.33], [1.0]), pdp([0.0], [0.5]),
+                        pdp([0.0], [-0.5]), pdp([0.0], [-1.5])}
+    assert all(T.graph_contains(w, TOL) for w in pts)
+
+
+def test_normal_cone_fiber_in_one_dimension():
+    b = interval(0.0, 1.0)
+    cone = NormalConeBox(b)
+    assert cone.fiber([1.0], TOL) == [((0.0,), (INF,))]
+    assert cone.fiber([0.0], TOL) == [((-INF,), (0.0,))]
+    assert cone.fiber([0.5], TOL) == [((0.0,), (0.0,))]
+    assert cone.fiber([2.0], TOL) == []
+    assert NormalConeBox(interval(1.0, 1.0)).fiber([1.0], TOL) \
+        == [((-INF,), (INF,))]
+
+
+@pytest.mark.parametrize("T, x, expected", [
+    (FiniteGraph((pdp([0.0], [1.0]), pdp([0.0], [2.0]), pdp([1.0], [3.0]))),
+     [0.0], [((1.0,), (1.0,)), ((2.0,), (2.0,))]),
+    (Flat(interval(0.0, 1.0, hi_open=True), (2.0,)), [1.0], []),
+    (Linear(((1.0, 2.0), (-2.0, 1.0))), [1.0, 1.0],
+     [((3.0, -1.0), (3.0, -1.0))]),
+    (AbsSubdiff(2.0), [0.0], [((-2.0,), (2.0,))]),
+    (AbsSubdiff(2.0), [-0.5], [((-2.0,), (-2.0,))]),
+    (PointComplement((1.0, 0.0)), [1.0, 0.0], [((-INF, -INF), (INF, INF))]),
+    (PointComplement((1.0, 0.0)), [1.0, 0.5], []),
+    (Restriction(AbsSubdiff(1.0), interval(0.0, 1.0)), [-0.5], []),
+    (Restriction(AbsSubdiff(1.0), interval(0.0, 1.0)), [0.5],
+     [((1.0,), (1.0,))]),
+])
+def test_fiber_of_each_kind(T, x, expected):
+    assert T.fiber(x, TOL) == expected
