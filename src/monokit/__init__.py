@@ -6,28 +6,23 @@ window-local properties on sampled grids with explicit tolerances.
 """
 
 from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, as_vector,
-                   coupling, ext_add, infimum, monotone_gap, natural_pairing,
-                   pdp, supremum)
-from .errors import (BelowCoupling, DimensionMismatch, InfinityArithmetic,
-                     LPNumericalError, MonokitError, RegionError,
-                     SpecFormatError, ToleranceError, UnsatisfiedHypothesis,
-                     ValidationError)
-from .regions import (Box, GridSpec, HalfSpace, Intersection, Polytope,
-                      Region, box_from_literal, closed_box, grid_sample,
-                      intersect_regions, interval, normal_cone_contains,
-                      open_box, whole_space)
-from .convex import (ConjugateValue, ConvexFn, Envelope, GridTable, MaxAffine,
-                     PlusIndicator, conjugate, envelope, envelope_eval,
-                     envelope_lower_bound, fenchel_subdiff_test, max_affine,
-                     max_affine_eval, max_affine_eval_batch,
-                     square_conjugate_eval, support_eval)
+                   coupling, monotone_gap, natural_pairing, pdp, supremum)
+from .errors import (BelowCoupling, DimensionMismatch, LPNumericalError,
+                     MonokitError, RegionError, SpecFormatError,
+                     ToleranceError, UnsatisfiedHypothesis, ValidationError)
+from .regions import (Box, GridSpec, HalfSpace, Intersection, Region,
+                      box_from_literal, closed_box, grid_sample,
+                      intersect_regions, interval, open_box, whole_space)
+from .convex import (ConjugateValue, ConvexFn, Envelope, MaxAffine, conjugate,
+                     envelope, envelope_eval, max_affine_eval_batch,
+                     square_conjugate_eval)
 from .operators import (AbsSubdiff, FiniteGraph, Flat, Linear, NormalConeBox,
                         OperatorHandle, PairSum, PointComplement, Restriction,
-                        SumNormalCone, build_operator, domain_contains,
-                        enumerate_range, is_monotone, mr_test, restrict)
+                        SumNormalCone, build_operator, is_monotone, mr_test,
+                        restrict)
 from .fitzpatrick import (RepresentativeReport, coupling_band,
                           is_representative, penot_envelope, phi_eval,
-                          phi_is_exact, psi_eval, scan_grid)
+                          psi_eval, scan_grid)
 from .classify import (RegionFamily, check_condition_c, check_identifies,
                        check_locates, check_maximal_on_grid,
                        check_v_representable, check_vni, dyadic_open_boxes,
@@ -44,26 +39,23 @@ __version__ = "0.1.0"
 __all__ = [
     "AbsSubdiff", "BelowCoupling", "Box", "ConjugateValue", "ConvexFn",
     "DEFAULT_TOL", "DimensionMismatch", "Envelope", "FiniteGraph", "Flat",
-    "GridSpec", "GridTable", "HalfSpace", "INF", "InfinityArithmetic",
-    "Intersection", "Linear", "LPNumericalError", "MaxAffine", "MonokitError",
-    "NormalConeBox", "OperatorHandle", "PairSum", "PlusIndicator",
-    "PointComplement", "Polytope", "PrimalDualPoint", "Property", "Region",
-    "RegionError", "RegionFamily", "RepresentativeReport", "Restriction",
-    "RhoValue", "RunConfig", "SpecFormatError", "SumNormalCone", "Tolerance",
-    "ToleranceError", "UnsatisfiedHypothesis", "ValidationError", "Verdict",
-    "add_normal_cone", "as_vector", "box_from_literal", "build_operator",
-    "check_condition_c", "check_identifies", "check_locates",
-    "check_maximal_on_grid", "check_v_representable", "check_vni",
-    "closed_box", "conjugate", "coupling", "coupling_band",
-    "domain_contains", "dyadic_open_boxes", "enumerate_range", "envelope",
-    "envelope_eval", "envelope_lower_bound", "ext_add", "family_scan",
-    "fenchel_subdiff_test", "format_point", "format_scalar", "grid_sample",
-    "infimum", "intersect_regions", "interval", "is_monotone",
-    "is_representative", "max_affine", "max_affine_eval",
-    "max_affine_eval_batch", "monotone_gap", "mr_test", "natural_pairing",
-    "normal_cone_contains", "open_box", "operator_sum",
-    "parse_spec", "pdp", "penot_envelope", "phi_eval", "phi_is_exact",
-    "psi_eval", "restrict", "rho_square_eval", "run_gallery", "scan_grid",
-    "square_conjugate_eval", "support_eval", "supremum", "unique_extension",
-    "verify_sum_representative", "whole_space", "witness_strings",
+    "GridSpec", "HalfSpace", "INF", "Intersection", "Linear",
+    "LPNumericalError", "MaxAffine", "MonokitError", "NormalConeBox",
+    "OperatorHandle", "PairSum", "PointComplement", "PrimalDualPoint",
+    "Property", "Region", "RegionError", "RegionFamily",
+    "RepresentativeReport", "Restriction", "RhoValue", "RunConfig",
+    "SpecFormatError", "SumNormalCone", "Tolerance", "ToleranceError",
+    "UnsatisfiedHypothesis", "ValidationError", "Verdict", "add_normal_cone",
+    "as_vector", "box_from_literal", "build_operator", "check_condition_c",
+    "check_identifies", "check_locates", "check_maximal_on_grid",
+    "check_v_representable", "check_vni", "closed_box", "conjugate",
+    "coupling", "coupling_band", "dyadic_open_boxes", "envelope",
+    "envelope_eval", "family_scan", "format_point", "format_scalar",
+    "grid_sample", "intersect_regions", "interval", "is_monotone",
+    "is_representative", "max_affine_eval_batch", "monotone_gap", "mr_test",
+    "natural_pairing", "open_box", "operator_sum", "parse_spec", "pdp",
+    "penot_envelope", "phi_eval", "psi_eval", "restrict", "rho_square_eval",
+    "run_gallery", "scan_grid", "square_conjugate_eval", "supremum",
+    "unique_extension", "verify_sum_representative", "whole_space",
+    "witness_strings",
 ]

@@ -179,14 +179,16 @@ def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     if not mono.value:
         raise UnsatisfiedHypothesis("the restriction is monotone",
                                     f"witness pair {mono.witnesses[:1]}")
-    vni = check_vni(T, V, g, tol)
-    if not vni.value:
-        raise UnsatisfiedHypothesis(
-            "phi stays above coupling on the window",
-            f"witness {vni.witnesses[:1]}")
+    # The check_vni gate, decided from the same phi sweep as the band.
+    meets = _meets_domain(T, V, g, tol)
     zs = scan_grid(V, g)
     p = T.phi_batch(V, zs, g)
     c = _couplings(zs, V.dimension)
+    below = np.flatnonzero(p < c - tol.eps_strict)
+    if meets and below.size:
+        raise UnsatisfiedHypothesis(
+            "phi stays above coupling on the window",
+            f"witness {(zs[below[0]],)}")
     band = np.abs(p - c) <= tol.eps_eq
     if not np.array_equal(band, p <= c + tol.eps_eq):
         raise ToleranceError(

@@ -1,10 +1,9 @@
 """Convex function values on Z = R^n x R^n under the natural pairing.
 
-Four representations cover what the calculus needs: maxima of affine pieces,
-lower convex envelopes of finite point data (evaluated by an exact LP),
-tabulated grid values, and a base function plus a product-set indicator. The
-square conjugate f#(z) = sup(z.z' - f(z')) is exact for the first two and a
-flagged lower bound otherwise.
+Two representations cover what the calculus needs: maxima of affine pieces
+and lower convex envelopes of finite point data (evaluated by an exact LP).
+Each is the square conjugate f#(z) = sup(z.z' - f(z')) of the other, so the
+conjugate is exact for both.
 """
 from __future__ import annotations
 
@@ -14,10 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .core import (INF, PrimalDualPoint, coupling, natural_pairing,
-                   pdp, supremum)
+from .core import INF, PrimalDualPoint, natural_pairing, pdp, supremum
 from .errors import DimensionMismatch, LPNumericalError, MonokitError
-from .regions import GridSpec, Region, grid_sample
 
 
 class ConvexFn:
@@ -52,41 +49,6 @@ class Envelope(ConvexFn):
         return envelope_eval(self, z)
 
 
-@dataclass(frozen=True)
-class GridTable(ConvexFn):
-    """Finite tabulation; +inf off the listed points."""
-
-    table: tuple[tuple[PrimalDualPoint, float], ...]
-    dimension: int
-
-    def evaluate(self, z: PrimalDualPoint) -> float:
-        _check_dim(self, z)
-        for p, v in self.table:
-            if p == z:
-                return v
-        return INF
-
-
-@dataclass(frozen=True)
-class PlusIndicator(ConvexFn):
-    """base(z) plus the indicator of a primal region times a dual region."""
-
-    base: ConvexFn
-    primal_region: Region
-    dual_region: Region
-
-    @property
-    def dimension(self) -> int:
-        return self.primal_region.dimension
-
-    def evaluate(self, z: PrimalDualPoint) -> float:
-        _check_dim(self, z)
-        if not (self.primal_region.contains(z.x)
-                and self.dual_region.contains(z.xstar)):
-            return INF
-        return self.base.evaluate(z)
-
-
 class ConjugateValue(NamedTuple):
     value: float
     lower_bound_only: bool
@@ -98,17 +60,6 @@ def _check_dim(f, z: PrimalDualPoint):
             f"point dimension {z.dimension} != function dimension {f.dimension}")
 
 
-def max_affine(pieces, dimension=None) -> MaxAffine:
-    """Build a MaxAffine from (slope point, intercept) pairs."""
-    normalized = tuple((w if isinstance(w, PrimalDualPoint) else pdp(*w), float(b))
-                       for w, b in pieces)
-    if dimension is None:
-        if not normalized:
-            raise MonokitError("dimension required for a piece-free max-affine")
-        dimension = normalized[0][0].dimension
-    return MaxAffine(normalized, dimension)
-
-
 def envelope(points, dimension=None) -> Envelope:
     """Build an Envelope from (point, value) pairs."""
     normalized = tuple((p if isinstance(p, PrimalDualPoint) else pdp(*p), float(v))
@@ -118,10 +69,6 @@ def envelope(points, dimension=None) -> Envelope:
             raise MonokitError("dimension required for a point-free envelope")
         dimension = normalized[0][0].dimension
     return Envelope(normalized, dimension)
-
-
-def max_affine_eval(f: MaxAffine, z: PrimalDualPoint) -> float:
-    return f.evaluate(z)
 
 
 def max_affine_eval_batch(f: MaxAffine, zs: np.ndarray) -> np.ndarray:
@@ -162,13 +109,6 @@ def envelope_eval(f: Envelope, z: PrimalDualPoint) -> float:
     return sol.value
 
 
-def envelope_lower_bound(f: Envelope, z: PrimalDualPoint) -> float:
-    """max_i z . p_i - v_i, a cheap minorant of the envelope when the data
-    is a monotone graph with its coupling values."""
-    _check_dim(f, z)
-    return supremum(natural_pairing(z, p) - v for p, v in f.points)
-
-
 def conjugate(f: ConvexFn) -> ConvexFn:
     """Structural square conjugate: swaps MaxAffine and Envelope data."""
     if isinstance(f, MaxAffine):
@@ -178,13 +118,11 @@ def conjugate(f: ConvexFn) -> ConvexFn:
     raise MonokitError(f"no structural conjugate for {type(f).__name__}")
 
 
-def square_conjugate_eval(f: ConvexFn, z: PrimalDualPoint,
-                          search: GridSpec | None = None) -> ConjugateValue:
+def square_conjugate_eval(f: ConvexFn, z: PrimalDualPoint) -> ConjugateValue:
     """f#(z) = sup(z . z' - f(z')).
 
     Exact for Envelope (the sup is attained at the data points) and for
-    MaxAffine (whose conjugate is the envelope of its pieces). GridTable and
-    the fallback search-grid sup only bound the value from below and say so.
+    MaxAffine (whose conjugate is the envelope of its pieces).
     """
     _check_dim(f, z)
     if isinstance(f, Envelope):
@@ -192,55 +130,4 @@ def square_conjugate_eval(f: ConvexFn, z: PrimalDualPoint,
             return ConjugateValue(-INF, False)
         return ConjugateValue(
             max(natural_pairing(z, p) - v for p, v in f.points), False)
-    if isinstance(f, MaxAffine):
-        if not f.pieces:
-            return ConjugateValue(INF, False)
-        return ConjugateValue(envelope_eval(conjugate(f), z), False)
-    if isinstance(f, GridTable):
-        if not f.table:
-            return ConjugateValue(-INF, False)
-        return ConjugateValue(
-            max(natural_pairing(z, p) - v for p, v in f.table), True)
-    if search is None:
-        raise MonokitError(
-            "a search grid is required to bound this conjugate from below")
-    n = f.dimension
-    best = -INF
-    primal = grid_sample(search.primal_clip(n), search)
-    dual = search.dual_lattice(n)
-    for u in primal:
-        for ustar in dual:
-            w = PrimalDualPoint(u, ustar)
-            fv = f.evaluate(w)
-            if fv == INF:
-                continue
-            if fv == -INF:
-                return ConjugateValue(INF, True)
-            best = max(best, natural_pairing(z, w) - fv)
-    return ConjugateValue(best, True)
-
-
-def support_eval(region: Region, xstar) -> float:
-    """sup of <x, xstar> over the region; -inf for the empty region."""
-    return region.support(xstar)
-
-
-def fenchel_subdiff_test(values: tuple[float, float], x, xstar, tol) -> bool:
-    """Equality in Fenchel-Young at (x, xstar) given f(x) and f*(xstar).
-
-    False as soon as either value is +inf. Values of -inf are rejected: a
-    proper function never takes them.
-    """
-    fx, fstar = values
-    if fx == -INF or fstar == -INF:
-        raise MonokitError("proper functions never take -inf")
-    if fx == INF or fstar == INF:
-        return False
-    z = pdp(x, xstar)
-    return abs(fx + fstar - coupling(z)) <= tol.eps_eq
-
-
-# Re-exported so LP consumers need only this module.
-LPProblem = lp.LPProblem
-LPStatus = lp.LPStatus
-solve_lp = lp.solve
+    return ConjugateValue(envelope_eval(conjugate(f), z), False)

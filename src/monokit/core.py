@@ -1,9 +1,8 @@
 """Primal-dual points, pairings, and extended-real conventions.
 
 Points live in Z = R^n x R^n with n <= 3 at the scales this package targets.
-Extended reals are plain floats where +-inf is a legal saturating value; the
-one illegal combination, inf + (-inf), always raises instead of producing nan.
-Empty suprema are -inf and empty infima are +inf throughout.
+Extended reals are plain floats where +-inf is a legal saturating value.
+Empty suprema are -inf throughout.
 """
 from __future__ import annotations
 
@@ -13,8 +12,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InfinityArithmetic, ToleranceError,
-                     ValidationError)
+from .errors import DimensionMismatch, ToleranceError, ValidationError
 
 INF = math.inf
 
@@ -102,25 +100,9 @@ def monotone_gap(z: PrimalDualPoint, w: PrimalDualPoint) -> float:
     )
 
 
-def ext_add(a: float, b: float) -> float:
-    """Extended-real sum; saturates at infinities, raises on inf + (-inf)."""
-    if math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0):
-        raise InfinityArithmetic("inf + (-inf) is undefined")
-    if math.isinf(a):
-        return a
-    if math.isinf(b):
-        return b
-    return a + b
-
-
 def supremum(values: Iterable[float]) -> float:
     """max with the convention sup of the empty set = -inf."""
     return max(values, default=-INF)
-
-
-def infimum(values: Iterable[float]) -> float:
-    """min with the convention inf of the empty set = +inf."""
-    return min(values, default=INF)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,6 @@ class DimensionMismatch(MonokitError):
     """Primal and dual components, or two points, disagree in dimension."""
 
 
-class InfinityArithmetic(MonokitError):
-    """An expression would silently evaluate inf + (-inf)."""
-
-
 class ToleranceError(MonokitError):
     """A tolerance bundle violates its ordering or positivity constraints."""
 

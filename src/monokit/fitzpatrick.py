@@ -37,10 +37,6 @@ def phi_eval(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
     return T.phi(V, z, g)
 
 
-def phi_is_exact(T: OperatorHandle, V: Region | None) -> bool:
-    return T.phi_is_exact(V)
-
-
 def penot_envelope(T: OperatorHandle, V: Region | None,
                    g: GridSpec | None = None) -> tuple[Envelope, bool]:
     """Envelope data (w, <u, u*>) over the enumerated graph in V.
@@ -69,16 +65,23 @@ def coupling_band(env: Envelope, zs: list[PrimalDualPoint], tol: Tolerance,
     """
     if not env.points or not zs:
         return []
-    n = env.dimension
-    if monotone_data:
-        rows, cs = _coupling_rows(zs, n)
-        ell = max_affine_eval_batch(conjugate(env), rows)
-        idx = np.nonzero(ell <= cs + 3.0 * tol.eps_eq)[0]
-        candidates = [zs[int(i)] for i in idx]
-    else:
-        candidates = zs
+    candidates = _near_band(env, zs, tol) if monotone_data else zs
     return [z for z in candidates
             if abs(envelope_eval(env, z) - coupling(z)) <= tol.eps_eq]
+
+
+def _near_band(env: Envelope, zs: list[PrimalDualPoint],
+               tol: Tolerance) -> list[PrimalDualPoint]:
+    """The points of a nonempty zs where the affine sup over the envelope
+    data is at most coupling + 3 eps_eq, in scan order.
+
+    When the data is a monotone graph with its coupling values that sup
+    minorizes the envelope, so every dropped point is off the band.
+    """
+    rows = point_rows(zs, zs[0].dimension)
+    ell = max_affine_eval_batch(conjugate(env), rows)
+    keep = np.nonzero(ell <= coupling_rows(rows) + 3.0 * tol.eps_eq)[0]
+    return [zs[int(i)] for i in keep]
 
 
 @dataclass(frozen=True)
@@ -90,11 +93,6 @@ class RepresentativeReport:
     tolerances: Tolerance
     grid: GridSpec
     approximate: bool = False
-
-
-def _coupling_rows(zs: list[PrimalDualPoint], n: int):
-    rows = point_rows(zs, n)
-    return rows, coupling_rows(rows)
 
 
 def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
@@ -113,21 +111,13 @@ def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
     prefilter (the affine sup minorizes the envelope in that case) so only
     near-band points pay for an exact evaluation.
     """
-    n = T.dimension
     zs = scan_grid(V, g)
     witnesses: list[PrimalDualPoint] = []
+    if (assume_above_coupling and isinstance(h, Envelope) and h.points
+            and zs):
+        zs = _near_band(h, zs, tol)
 
-    use_prefilter = (assume_above_coupling and isinstance(h, Envelope)
-                     and bool(h.points) and bool(zs))
-    if use_prefilter:
-        rows, cs = _coupling_rows(zs, n)
-        ell = max_affine_eval_batch(conjugate(h), rows)
-        candidate_idx = np.nonzero(ell <= cs + 3.0 * tol.eps_eq)[0]
-        pairs = ((int(i), zs[int(i)]) for i in candidate_idx)
-    else:
-        pairs = enumerate(zs)
-
-    for _, z in pairs:
+    for z in zs:
         hv = h.evaluate(z)
         c = coupling(z)
         if hv < c - tol.eps_strict:

@@ -23,8 +23,7 @@ from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, as_vector,
                    coupling, coupling_rows, point_rows, supremum)
 from .errors import (DimensionMismatch, MonokitError, ValidationError)
 from .regions import (Box, GridSpec, Region, box_from_literal, closed_box,
-                      grid_sample, intersect_regions, interval,
-                      normal_cone_contains, whole_space)
+                      grid_sample, intersect_regions, interval, whole_space)
 from .verdicts import Property, Verdict, finish
 
 _DUST = 1e-12
@@ -284,9 +283,6 @@ class NormalConeBox(OperatorHandle):
                        for c, b in zip(v, self.box.lower)),
                  tuple(INF if abs(c - b) <= _DUST else 0.0
                        for c, b in zip(v, self.box.upper)))]
-
-    def graph_contains(self, z, tol):
-        return normal_cone_contains(self.box, z.x, z.xstar, tol)
 
     def enumerate_graph(self, V, g):
         dom = self.box if V is None else intersect_regions(self.box, V)
@@ -666,30 +662,41 @@ class PairSum(OperatorHandle):
                 win = r if win is None else intersect_regions(win, r)
         return win
 
+    def _partners(self, x, index, op: OperatorHandle, g: GridSpec):
+        """The points of one summand at primal x, and whether they came
+        from its enumeration (index, see _by_primal) at x exactly or within
+        match_tol; off that lattice (a point cloud, say) op is sampled at x
+        itself."""
+        by_primal, keys = index
+        found = by_primal.get(x) or [
+            q for key in keys
+            if max(abs(u - v) for u, v in zip(key, x)) <= self.match_tol
+            for q in by_primal[key]]
+        if found:
+            return found, True
+        return op.enumerate_graph(closed_box(x, x), g), False
+
     def enumerate_graph(self, V, g):
         win = self._joint_window(V)
         pa = self.first.enumerate_graph(win, g)
         pb = self.second.enumerate_graph(win, g)
-        by_primal: dict[tuple[float, ...], list[PrimalDualPoint]] = {}
-        for p in pb:
-            by_primal.setdefault(p.x, []).append(p)
-        near: list[tuple[float, ...]] = sorted(by_primal)
+        index_a, index_b = _by_primal(pa), _by_primal(pb)
         out: dict[PrimalDualPoint, None] = {}
+
+        def add(x, astar, bstar):
+            s = tuple(u + v for u, v in zip(astar, bstar))
+            out.setdefault(PrimalDualPoint(x, s))
+
         for a in pa:
-            matches = by_primal.get(a.x, [])
-            if not matches:
-                matches = [q for key in near
-                           if max(abs(u - v) for u, v in zip(key, a.x))
-                           <= self.match_tol
-                           for q in by_primal[key]]
-            if not matches:
-                # Off the shared lattice (a point cloud, say): sample the
-                # other summand at this primal point itself.
-                matches = self.second.enumerate_graph(
-                    closed_box(a.x, a.x), g)
-            for b in matches:
-                s = tuple(u + v for u, v in zip(a.xstar, b.xstar))
-                out.setdefault(PrimalDualPoint(a.x, s))
+            for b in self._partners(a.x, index_b, self.second, g)[0]:
+                add(a.x, a.xstar, b.xstar)
+        # Second-summand primals that matched were summed above.
+        for x, bs in index_b[0].items():
+            found, matched = self._partners(x, index_a, self.first, g)
+            if not matched:
+                for b in bs:
+                    for a in found:
+                        add(x, a.xstar, b.xstar)
         return list(out)
 
     def phi(self, V, z, g=None):
@@ -697,6 +704,14 @@ class PairSum(OperatorHandle):
 
     def describe(self) -> str:
         return f"sum of {self.first.describe()} and {self.second.describe()}"
+
+
+def _by_primal(points: list[PrimalDualPoint]):
+    """Points grouped by primal part, with the sorted primal keys."""
+    by_primal: dict[tuple[float, ...], list[PrimalDualPoint]] = {}
+    for p in points:
+        by_primal.setdefault(p.x, []).append(p)
+    return by_primal, sorted(by_primal)
 
 
 def SumNormalCone(summand: OperatorHandle, box: Box) -> PairSum:
@@ -811,10 +826,6 @@ def is_monotone(T: OperatorHandle, tol: Tolerance,
                   region_ids=() if V is None else (V.describe(),))
 
 
-def domain_contains(T: OperatorHandle, x, tol: Tolerance) -> bool:
-    return T.domain_contains(x, tol)
-
-
 def mr_test(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
             tol: Tolerance, g: GridSpec | None = None) -> bool:
     """Whether z is monotonically related to every graph point of T over V.
@@ -827,13 +838,6 @@ def mr_test(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
     return bool(T.mr_batch(V, [z], tol, g or DEFAULT_GRID)[0])
 
 
-def enumerate_range(T: OperatorHandle, g: GridSpec | None = None,
-                    V: Region | None = None) -> list[tuple[float, ...]]:
-    """Sorted distinct dual parts of the enumerated graph."""
-    pts = T.enumerate_graph(V, g or DEFAULT_GRID)
-    return sorted({p.xstar for p in pts})
-
-
 def _as_region(value) -> Region:
     if isinstance(value, Region):
         return value
@@ -842,26 +846,42 @@ def _as_region(value) -> Region:
     raise ValidationError(f"cannot interpret {value!r} as a region")
 
 
+# The fields each operator kind takes, in the order build_operator reads
+# them; the spec parser checks description files against the same table.
+OPERATOR_FIELDS = {
+    "finite_graph": ("points",),
+    "flat": ("region", "wstar"),
+    "normal_cone_box": ("box",),
+    "abs_subdiff": ("slope",),
+    "point_complement": ("anchor",),
+    "linear": ("matrix",),
+    "restriction": ("operator", "region"),
+    "sum_normal_cone": ("operator", "box"),
+    "pair_sum": ("first", "second"),
+}
+
+
 def build_operator(spec: dict) -> OperatorHandle:
     """Construct a handle from a parsed kind/field mapping."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError("operator description needs a 'kind' field")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in OPERATOR_FIELDS:
+        raise ValidationError(f"unknown operator kind {kind!r}")
+    names = OPERATOR_FIELDS[kind]
     fields = {k: v for k, v in spec.items() if k != "kind"}
-
-    def take(*names):
-        missing = [n for n in names if n not in fields]
-        if missing:
-            raise ValidationError(
-                f"operator kind {kind!r} missing fields: {', '.join(missing)}")
-        extra = sorted(set(fields) - set(names))
-        if extra:
-            raise ValidationError(
-                f"operator kind {kind!r} got unknown fields: {', '.join(extra)}")
-        return [fields[n] for n in names]
+    missing = [n for n in names if n not in fields]
+    if missing:
+        raise ValidationError(
+            f"operator kind {kind!r} missing fields: {', '.join(missing)}")
+    extra = sorted(set(fields) - set(names))
+    if extra:
+        raise ValidationError(
+            f"operator kind {kind!r} got unknown fields: {', '.join(extra)}")
+    values = [fields[n] for n in names]
 
     if kind == "finite_graph":
-        (rows,) = take("points")
+        (rows,) = values
         pts = []
         for row in rows:
             row = list(row)
@@ -873,33 +893,31 @@ def build_operator(spec: dict) -> OperatorHandle:
                                        tuple(float(c) for c in row[n:])))
         return FiniteGraph(tuple(pts))
     if kind == "flat":
-        region, wstar = take("region", "wstar")
+        region, wstar = values
         return Flat(_as_region(region), as_vector(wstar))
     if kind == "normal_cone_box":
-        (box,) = take("box")
+        (box,) = values
         region = _as_region(box)
         if not isinstance(region, Box):
             raise ValidationError("normal_cone_box needs a box region")
         return NormalConeBox(region)
     if kind == "abs_subdiff":
-        (slope,) = take("slope")
+        (slope,) = values
         return AbsSubdiff(float(slope))
     if kind == "point_complement":
-        (anchor,) = take("anchor")
+        (anchor,) = values
         return PointComplement(as_vector(anchor))
     if kind == "linear":
-        (matrix,) = take("matrix")
+        (matrix,) = values
         return Linear(tuple(tuple(float(c) for c in row) for row in matrix))
     if kind == "restriction":
-        base, region = take("operator", "region")
+        base, region = values
         return restrict(build_operator(base), _as_region(region))
     if kind == "sum_normal_cone":
-        base, box = take("operator", "box")
+        base, box = values
         region = _as_region(box)
         if not isinstance(region, Box):
             raise ValidationError("sum_normal_cone needs a box region")
         return SumNormalCone(build_operator(base), region)
-    if kind == "pair_sum":
-        first, second = take("first", "second")
-        return PairSum(build_operator(first), build_operator(second))
-    raise ValidationError(f"unknown operator kind {kind!r}")
+    first, second = values
+    return PairSum(build_operator(first), build_operator(second))

@@ -3,7 +3,7 @@
 Boxes carry per-axis open/closed flags so the difference between (0,1) and
 [0,1] survives all the way into membership tests and lattice placement.
 Infinite bounds are allowed and are treated as open; sampling clips them to a
-configured ambient box. Half-spaces and vertex-list polytopes cover the
+configured ambient box. Half-spaces and symbolic intersections cover the
 remaining shapes the calculus needs.
 """
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
 from .core import INF, as_vector
 from .errors import DimensionMismatch, RegionError
 
@@ -302,125 +301,6 @@ class HalfSpace(Region):
 
 
 @dataclass(frozen=True)
-class Polytope(Region):
-    """Closed convex hull of a finite vertex list."""
-
-    vertices: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise RegionError("polytope needs at least one vertex")
-        n = len(self.vertices[0])
-        if any(len(v) != n for v in self.vertices):
-            raise RegionError("polytope vertices disagree in dimension")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vertices[0])
-
-    def is_empty(self) -> bool:
-        return False
-
-    def contains(self, x) -> bool:
-        v = as_vector(x)
-        if len(v) != self.dimension:
-            raise DimensionMismatch("point dimension does not match region")
-        k = len(self.vertices)
-        mat = np.vstack([np.array(self.vertices, dtype=float).T,
-                         np.ones((1, k))])
-        rhs = np.array(list(v) + [1.0])
-        sol = lp.solve(lp.LPProblem(np.zeros(k), mat, rhs))
-        return sol.status is lp.LPStatus.OPTIMAL
-
-    def interior_contains(self, x) -> bool:
-        # Probe along the axes; adequate at desk scale for n <= 3.
-        v = as_vector(x)
-        delta = 1e-9
-        for i in range(self.dimension):
-            for sign in (1.0, -1.0):
-                probe = list(v)
-                probe[i] += sign * delta
-                if not self.contains(tuple(probe)):
-                    return False
-        return True
-
-    def closure(self) -> "Polytope":
-        return self
-
-    def interior(self) -> "Polytope":
-        raise RegionError("polytope interiors are probed, not represented")
-
-    @property
-    def is_closed(self) -> bool:
-        return True
-
-    def support(self, direction) -> float:
-        d = as_vector(direction)
-        if len(d) != self.dimension:
-            raise DimensionMismatch("direction dimension does not match region")
-        return max(sum(a * b for a, b in zip(v, d)) for v in self.vertices)
-
-    def distance_inf(self, x) -> float:
-        v = as_vector(x)
-        k = len(self.vertices)
-        n = self.dimension
-        # Variables: lambda (k), t, and slacks s+/s- (n each) with
-        #   sum(lam_j v_j) + s+ - ... encoded as equalities via splits.
-        # min t  s.t.  x_i - sum lam v_i <= t, sum lam v_i - x_i <= t.
-        # Rewrite with nonnegative slacks: sum lam v_i + p_i - q_i = x_i,
-        # p_i <= t, q_i <= t  ->  p_i + r_i = t with r_i >= 0.
-        nv = k + 1 + 4 * n  # lam, t, p, q, rp, rq
-        cols = {"lam": 0, "t": k, "p": k + 1, "q": k + 1 + n,
-                "rp": k + 1 + 2 * n, "rq": k + 1 + 3 * n}
-        rows = []
-        rhs = []
-        for i in range(n):
-            row = np.zeros(nv)
-            for j, vert in enumerate(self.vertices):
-                row[j] = vert[i]
-            row[cols["p"] + i] = 1.0
-            row[cols["q"] + i] = -1.0
-            rows.append(row)
-            rhs.append(v[i])
-        row = np.zeros(nv)
-        row[:k] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-        for i in range(n):
-            row = np.zeros(nv)
-            row[cols["p"] + i] = 1.0
-            row[cols["rp"] + i] = 1.0
-            row[cols["t"]] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-            row = np.zeros(nv)
-            row[cols["q"] + i] = 1.0
-            row[cols["rq"] + i] = 1.0
-            row[cols["t"]] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-        obj = np.zeros(nv)
-        obj[cols["t"]] = 1.0
-        sol = lp.solve(lp.LPProblem(obj, np.vstack(rows), np.array(rhs)))
-        if sol.status is not lp.LPStatus.OPTIMAL:
-            return INF
-        return max(0.0, sol.value)
-
-    def bounding_box(self, clip: "Box") -> "Box":
-        arr = np.array(self.vertices, dtype=float)
-        lo = tuple(arr.min(axis=0))
-        hi = tuple(arr.max(axis=0))
-        n = self.dimension
-        raw = Box(lo, hi, (False,) * n, (False,) * n)
-        return raw.intersect(clip.closure())
-
-    def describe(self) -> str:
-        pts = ", ".join(
-            "(" + ", ".join(_fmt(c) for c in v) + ")" for v in self.vertices)
-        return f"polytope {{{pts}}}"
-
-
-@dataclass(frozen=True)
 class Intersection(Region):
     """Intersection of two regions kept symbolic; membership is the AND."""
 
@@ -615,20 +495,3 @@ def grid_sample(region: Region, spec: GridSpec,
     return [tuple(float(c) for c in p) for p in itertools.product(*axes)
             if region.contains(p)]
 
-
-def normal_cone_contains(region: Region, x, xstar, tol) -> bool:
-    """Whether xstar lies in the normal cone of a closed region at x.
-
-    Equivalent to membership of x plus support(region, xstar) <= <x, xstar>
-    up to tol.eps_eq; exact for boxes and polytopes where the support is a
-    closed form.
-    """
-    if not region.is_closed:
-        raise RegionError("normal cones are taken at points of closed regions")
-    if not region.contains(x):
-        return False
-    xv, sv = as_vector(x), as_vector(xstar)
-    sup_val = region.support(sv)
-    if sup_val == INF:
-        return False
-    return sup_val <= sum(a * b for a, b in zip(xv, sv)) + tol.eps_eq

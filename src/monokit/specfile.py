@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .core import DEFAULT_TOL, Tolerance
 from .errors import (MonokitError, RegionError, SpecFormatError,
                      ToleranceError)
-from .operators import OperatorHandle, build_operator
+from .operators import OPERATOR_FIELDS, OperatorHandle, build_operator
 from .regions import GridSpec, Region, box_from_literal
 from .verdicts import Property
 
@@ -168,19 +168,6 @@ def _require_dict(node, line, what):
     return node
 
 
-_OPERATOR_FIELDS = {
-    "finite_graph": {"points"},
-    "flat": {"region", "wstar"},
-    "normal_cone_box": {"box"},
-    "abs_subdiff": {"slope"},
-    "point_complement": {"anchor"},
-    "linear": {"matrix"},
-    "restriction": {"operator", "region"},
-    "sum_normal_cone": {"operator", "box"},
-    "pair_sum": {"first", "second"},
-}
-
-
 def _operator_node(node, line) -> dict:
     node = _require_dict(node, line, "operator")
     if "kind" not in node:
@@ -188,10 +175,10 @@ def _operator_node(node, line) -> dict:
     kind_line, kind = node["kind"]
     if not isinstance(kind, str):
         raise SpecFormatError("kind must be a name", line=kind_line)
-    if kind not in _OPERATOR_FIELDS:
+    if kind not in OPERATOR_FIELDS:
         raise SpecFormatError(f"unknown operator kind {kind!r}",
                               line=kind_line)
-    allowed = _OPERATOR_FIELDS[kind]
+    allowed = OPERATOR_FIELDS[kind]
     for key, (key_line, _) in node.items():
         if key != "kind" and key not in allowed:
             raise SpecFormatError(

@@ -9,28 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monokit import (
-    DEFAULT_TOL,
     INF,
     DimensionMismatch,
     Envelope,
-    GridSpec,
-    GridTable,
     MaxAffine,
-    MonokitError,
-    PlusIndicator,
     conjugate,
     envelope,
     envelope_eval,
-    envelope_lower_bound,
-    fenchel_subdiff_test,
-    interval,
-    max_affine,
-    max_affine_eval,
     max_affine_eval_batch,
     natural_pairing,
     pdp,
     square_conjugate_eval,
 )
+from monokit.core import point_rows
 
 import numpy as np
 
@@ -78,10 +69,12 @@ class TestEnvelope:
         assert envelope_eval(bump, pdp([0.5], [0.0])) == pytest.approx(0.0, abs=1e-9)
 
     def test_lower_bound_really_is_one(self, stair_env):
-        for z in [pdp([0.5], [0.5]), pdp([0.25], [0.5]), pdp([1.0], [1.0])]:
-            lo = envelope_lower_bound(stair_env, z)
-            hi = envelope_eval(stair_env, z)
-            assert lo <= hi + 1e-9
+        # The coupling-band prefilter: the affine sup over the data, read as
+        # the conjugate's max-affine, stays below the envelope.
+        zs = [pdp([0.5], [0.5]), pdp([0.25], [0.5]), pdp([1.0], [1.0])]
+        lo = max_affine_eval_batch(conjugate(stair_env), point_rows(zs, 1))
+        for z, bound in zip(zs, lo):
+            assert bound <= envelope_eval(stair_env, z) + 1e-9
 
     def test_dimension_checked(self, stair_env):
         with pytest.raises(DimensionMismatch):
@@ -90,25 +83,26 @@ class TestEnvelope:
 
 class TestMaxAffine:
     def test_evaluate_is_max_of_planes(self):
-        f = max_affine([(pdp([1.0], [0.0]), 0.0), (pdp([0.0], [1.0]), -1.0)])
+        f = MaxAffine(((pdp([1.0], [0.0]), 0.0), (pdp([0.0], [1.0]), -1.0)),
+                      1)
         z = pdp([2.0], [3.0])
         # z . w for w=(1,0) is <2,0> + <1,3> = 3; for w=(0,1) it is 2
-        assert max_affine_eval(f, z) == pytest.approx(3.0)
+        assert f.evaluate(z) == pytest.approx(3.0)
 
     def test_empty_max_affine_is_minus_inf(self):
         f = MaxAffine((), 1)
-        assert max_affine_eval(f, pdp([0.0], [0.0])) == -INF
+        assert f.evaluate(pdp([0.0], [0.0])) == -INF
 
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(5)
         pieces = [(pdp(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)),
                    float(rng.uniform(-1, 1))) for _ in range(4)]
-        f = max_affine(pieces)
+        f = MaxAffine(tuple(pieces), 2)
         zs = rng.uniform(-2, 2, (10, 4))
         batch = max_affine_eval_batch(f, zs)
         for row, val in zip(zs, batch):
             z = pdp(row[:2], row[2:])
-            assert val == pytest.approx(max_affine_eval(f, z), abs=1e-12)
+            assert val == pytest.approx(f.evaluate(z), abs=1e-12)
 
 
 class TestConjugate:
@@ -127,7 +121,8 @@ class TestConjugate:
         assert square_conjugate_eval(stair_env, z2).value == pytest.approx(want)
 
     def test_max_affine_conjugate_is_envelope_of_pieces(self):
-        f = max_affine([(pdp([0.0], [0.0]), 0.0), (pdp([1.0], [1.0]), -1.0)])
+        f = MaxAffine(((pdp([0.0], [0.0]), 0.0), (pdp([1.0], [1.0]), -1.0)),
+                      1)
         g = conjugate(f)
         z = pdp([0.5], [0.5])
         assert square_conjugate_eval(f, z).value == pytest.approx(
@@ -145,54 +140,6 @@ class TestConjugate:
             w = pdp(rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1))
             conj = square_conjugate_eval(stair_env, w)
             assert conj.value >= natural_pairing(z, w) - fz - 1e-7
-
-    def test_grid_table_conjugate_flagged_lower_bound(self):
-        t = GridTable(tuple((p, v) for p, v in STAIR), 1)
-        got = square_conjugate_eval(t, pdp([0.0], [0.0]))
-        assert got.lower_bound_only
-        assert got.value == pytest.approx(0.0, abs=1e-12)
-
-    def test_fallback_needs_search_grid(self):
-        f = PlusIndicator(max_affine([(pdp([0.0], [0.0]), 0.0)]),
-                          interval(0.0, 1.0), interval(-1.0, 1.0))
-        with pytest.raises(MonokitError):
-            square_conjugate_eval(f, pdp([1.0], [2.0]))
-
-    def test_fallback_search_bounds_from_below(self):
-        f = PlusIndicator(max_affine([(pdp([0.0], [0.0]), 0.0)]),
-                          interval(0.0, 1.0), interval(-1.0, 1.0))
-        g = GridSpec(resolution=5, dual_bound=1.0, dual_resolution=5,
-                     ambient_bound=1.0)
-        got = square_conjugate_eval(f, pdp([1.0], [2.0]), search=g)
-        assert got.lower_bound_only
-        # sup over the box [0,1] x [-1,1] of w* + 2u is attained at a corner
-        assert got.value == pytest.approx(3.0, abs=1e-9)
-
-
-class TestGridTableAndIndicator:
-    def test_table_lookup(self):
-        t = GridTable(tuple((p, v) for p, v in STAIR), 1)
-        assert t.evaluate(pdp([0.5], [1.0])) == 0.5
-        assert t.evaluate(pdp([0.5], [0.9])) == INF
-
-    def test_indicator_masks_base(self):
-        f = PlusIndicator(max_affine([(pdp([0.0], [0.0]), 0.25)]),
-                          interval(0.0, 1.0), interval(-1.0, 1.0))
-        assert f.evaluate(pdp([0.5], [0.0])) == 0.25
-        assert f.evaluate(pdp([2.0], [0.0])) == INF
-        assert f.evaluate(pdp([0.5], [2.0])) == INF
-
-
-class TestFenchelEquality:
-    def test_absolute_value_pair(self):
-        # f = |x|, f* = indicator of [-1,1]; equality exactly on the graph
-        assert fenchel_subdiff_test((1.0, 0.0), [1.0], [1.0], DEFAULT_TOL)
-        assert not fenchel_subdiff_test((1.0, 0.0), [1.0], [0.5], DEFAULT_TOL)
-        assert not fenchel_subdiff_test((INF, 0.0), [1.0], [1.0], DEFAULT_TOL)
-
-    def test_minus_inf_rejected(self):
-        with pytest.raises(MonokitError):
-            fenchel_subdiff_test((-INF, 0.0), [0.0], [0.0], DEFAULT_TOL)
 
 
 @given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),

@@ -9,13 +9,10 @@ from hypothesis import given, strategies as st
 from monokit import (
     INF,
     DimensionMismatch,
-    InfinityArithmetic,
     Tolerance,
     ToleranceError,
     ValidationError,
     coupling,
-    ext_add,
-    infimum,
     monotone_gap,
     natural_pairing,
     pdp,
@@ -66,20 +63,9 @@ def test_gap_of_point_with_itself_is_zero():
     assert monotone_gap(z, z) == 0.0
 
 
-def test_extended_addition():
-    assert ext_add(1.0, 2.0) == 3.0
-    assert ext_add(INF, 5.0) == INF
-    assert ext_add(-INF, 5.0) == -INF
-    assert ext_add(INF, INF) == INF
-    with pytest.raises(InfinityArithmetic):
-        ext_add(INF, -INF)
-
-
 def test_empty_extrema_conventions():
     assert supremum([]) == -INF
-    assert infimum([]) == INF
     assert supremum([1.0, INF]) == INF
-    assert infimum([2.0, -3.5]) == -3.5
 
 
 def test_tolerance_validation():

@@ -17,7 +17,6 @@ from monokit import (
     pdp,
     penot_envelope,
     phi_eval,
-    phi_is_exact,
     psi_eval,
     scan_grid,
 )
@@ -44,8 +43,8 @@ class TestScanGrid:
 
 class TestPhiPsi:
     def test_phi_exactness_bookkeeping(self, three_point_graph):
-        assert phi_is_exact(three_point_graph, None)
-        assert phi_is_exact(three_point_graph, interval(0.0, 1.0))
+        assert three_point_graph.phi_is_exact(None)
+        assert three_point_graph.phi_is_exact(interval(0.0, 1.0))
 
     def test_psi_at_graph_points_is_coupling(self, three_point_graph):
         for w in three_point_graph.points:

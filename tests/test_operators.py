@@ -27,8 +27,6 @@ from monokit import (
     build_operator,
     closed_box,
     coupling,
-    domain_contains,
-    enumerate_range,
     interval,
     is_monotone,
     monotone_gap,
@@ -123,8 +121,8 @@ class TestFlat:
         assert T.graph_contains(pdp([0.5], [3.0]), TOL)
         assert not T.graph_contains(pdp([0.5], [2.9]), TOL)
         assert not T.graph_contains(pdp([0.0], [3.0]), TOL)
-        assert domain_contains(T, [0.5], TOL)
-        assert not domain_contains(T, [1.5], TOL)
+        assert T.domain_contains([0.5], TOL)
+        assert not T.domain_contains([1.5], TOL)
 
 
 def vertex_ray_oracle(box, z):
@@ -342,12 +340,6 @@ class TestSumShapes:
         S = SumNormalCone(AbsSubdiff(1.0), closed_box([0.0], [2.0]))
         verdict = is_monotone(S, TOL, g=GridSpec(resolution=11, dual_resolution=11))
         assert bool(verdict.value)
-
-
-class TestEnumerateRange:
-    def test_distinct_sorted_duals(self, three_point_graph):
-        out = enumerate_range(three_point_graph)
-        assert out == [(0.0,), (1.0,)]
 
 
 class TestBuildOperator:

@@ -1,4 +1,4 @@
-"""Boxes, polytopes, lattices, and normal cones."""
+"""Boxes, half-spaces, lattices, and normal cones."""
 
 import numpy as np
 import pytest
@@ -7,18 +7,19 @@ from hypothesis import given, settings, strategies as st
 from monokit import (
     DEFAULT_TOL,
     Box,
+    Flat,
     GridSpec,
     HalfSpace,
     Intersection,
-    Polytope,
+    NormalConeBox,
+    PairSum,
     RegionError,
     box_from_literal,
     closed_box,
     grid_sample,
     intersect_regions,
     interval,
-    normal_cone_contains,
-    support_eval,
+    pdp,
     whole_space,
 )
 
@@ -77,11 +78,11 @@ def test_box_from_literal():
 
 def test_support_function_of_interval():
     b = interval(-1.0, 2.0)
-    assert support_eval(b, [1.0]) == 2.0
-    assert support_eval(b, [-1.0]) == 1.0
-    assert support_eval(b, [0.0]) == 0.0
+    assert b.support([1.0]) == 2.0
+    assert b.support([-1.0]) == 1.0
+    assert b.support([0.0]) == 0.0
     # open ends do not change the supremum
-    assert support_eval(interval(-1.0, 2.0, hi_open=True), [1.0]) == 2.0
+    assert interval(-1.0, 2.0, hi_open=True).support([1.0]) == 2.0
 
 
 @given(st.floats(0.1, 5.0), st.floats(-3.0, 3.0))
@@ -89,8 +90,8 @@ def test_support_function_of_interval():
 def test_support_positive_homogeneity(scale, direction):
     b = closed_box([-1.0, 0.0], [2.0, 1.0])
     d = [direction, 1.0 - direction]
-    one = support_eval(b, d)
-    scaled = support_eval(b, [scale * c for c in d])
+    one = b.support(d)
+    scaled = b.support([scale * c for c in d])
     assert scaled == pytest.approx(scale * one, rel=1e-9, abs=1e-9)
 
 
@@ -102,27 +103,12 @@ class TestHalfSpaceAndPolytope:
         strict = HalfSpace(normal=[1.0, 0.0], offset=1.0, closed=False)
         assert not strict.contains([1.0, 0.0])
 
-    def test_polytope_contains_via_lp(self):
-        tri = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert tri.contains([0.25, 0.25])
-        assert tri.contains([0.5, 0.5])
-        assert not tri.contains([0.6, 0.6])
-        assert not tri.contains([-0.01, 0.0])
-
-    def test_polytope_distance(self):
-        seg = Polytope([[0.0], [1.0]])
-        assert seg.distance_inf([2.0]) == pytest.approx(1.0, abs=1e-8)
-        assert seg.distance_inf([0.5]) == pytest.approx(0.0, abs=1e-8)
-
     def test_intersection_region(self):
         r = intersect_regions(interval(0.0, 2.0),
                               HalfSpace(normal=[1.0], offset=1.0))
+        assert isinstance(r, Intersection)
         assert r.contains([0.5])
         assert not r.contains([1.5])
-        assert isinstance(
-            intersect_regions(Polytope([[0.0], [1.0]]), interval(0.0, 0.5)),
-            Intersection,
-        )
 
 
 class TestGridSampling:
@@ -187,24 +173,34 @@ class TestGridSampling:
 
 class TestNormalCones:
     def test_interior_point_has_trivial_cone(self):
-        b = closed_box([0.0], [1.0])
-        assert normal_cone_contains(b, [0.5], [0.0], DEFAULT_TOL)
-        assert not normal_cone_contains(b, [0.5], [0.1], DEFAULT_TOL)
+        cone = NormalConeBox(closed_box([0.0], [1.0]))
+        assert cone.graph_contains(pdp([0.5], [0.0]), DEFAULT_TOL)
+        assert not cone.graph_contains(pdp([0.5], [0.1]), DEFAULT_TOL)
 
     def test_face_points_have_signed_cone(self):
-        b = closed_box([0.0], [1.0])
-        assert normal_cone_contains(b, [1.0], [3.0], DEFAULT_TOL)
-        assert not normal_cone_contains(b, [1.0], [-0.1], DEFAULT_TOL)
-        assert normal_cone_contains(b, [0.0], [-2.0], DEFAULT_TOL)
+        cone = NormalConeBox(closed_box([0.0], [1.0]))
+        assert cone.graph_contains(pdp([1.0], [3.0]), DEFAULT_TOL)
+        assert not cone.graph_contains(pdp([1.0], [-0.1]), DEFAULT_TOL)
+        assert cone.graph_contains(pdp([0.0], [-2.0]), DEFAULT_TOL)
 
     def test_outside_point_has_empty_cone(self):
-        b = closed_box([0.0], [1.0])
-        assert not normal_cone_contains(b, [2.0], [0.0], DEFAULT_TOL)
+        cone = NormalConeBox(closed_box([0.0], [1.0]))
+        assert not cone.graph_contains(pdp([2.0], [0.0]), DEFAULT_TOL)
 
     def test_corner_cone_in_two_dims(self):
-        b = closed_box([0.0, 0.0], [1.0, 1.0])
-        assert normal_cone_contains(b, [1.0, 1.0], [2.0, 5.0], DEFAULT_TOL)
-        assert not normal_cone_contains(b, [1.0, 1.0], [2.0, -1.0], DEFAULT_TOL)
+        cone = NormalConeBox(closed_box([0.0, 0.0], [1.0, 1.0]))
+        assert cone.graph_contains(pdp([1.0, 1.0], [2.0, 5.0]), DEFAULT_TOL)
+        assert not cone.graph_contains(pdp([1.0, 1.0], [2.0, -1.0]),
+                                       DEFAULT_TOL)
+
+    def test_cone_alone_and_in_a_sum_agree_inside_the_band(self):
+        # One membership rule: the cone's own test and a sum with the zero
+        # map both allow delta_dom on the pinned axis.
+        cone = NormalConeBox(closed_box([0.0], [1.0]))
+        total = PairSum(Flat(whole_space(1), (0.0,)), cone)
+        z = pdp([0.5], [1e-7])
+        assert cone.graph_contains(z, DEFAULT_TOL)
+        assert total.graph_contains(z, DEFAULT_TOL)
 
 
 def test_restrict_composition_matches_intersection():

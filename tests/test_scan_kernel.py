@@ -382,6 +382,18 @@ def test_point_cloud_plus_cone_keeps_off_lattice_points():
     assert all(T.graph_contains(w, TOL) for w in pts)
 
 
+def test_cone_plus_point_cloud_keeps_off_lattice_points():
+    # The same sum with the summands swapped: (0.33; 1) lies off the cone's
+    # lattice, so the cone is sampled at that point of the second summand.
+    A = FiniteGraph((pdp([0.33], [1.0]), pdp([0.0], [0.5])))
+    T = PairSum(NormalConeBox(closed_box([0.0], [1.0])), A)
+    g = GridSpec(resolution=11, dual_bound=2.0, dual_resolution=3)
+    pts = T.enumerate_graph(None, g)
+    assert set(pts) == {pdp([0.33], [1.0]), pdp([0.0], [0.5]),
+                        pdp([0.0], [-0.5]), pdp([0.0], [-1.5])}
+    assert all(T.graph_contains(w, TOL) for w in pts)
+
+
 def test_normal_cone_fiber_in_one_dimension():
     b = interval(0.0, 1.0)
     cone = NormalConeBox(b)
