@@ -24,21 +24,10 @@ from .core import (PrimalDualPoint, Tolerance, coupling, coupling_rows,
 from .errors import ToleranceError, UnsatisfiedHypothesis
 from .fitzpatrick import (coupling_band, is_representative, penot_envelope,
                           scan_grid)
-from .operators import OperatorHandle, is_monotone, with_defaults
-from .regions import (Box, GridSpec, Region, grid_sample, intersect_regions,
-                      whole_space)
+from .operators import (OperatorHandle, is_monotone, meets_domain,
+                        with_defaults)
+from .regions import Box, GridSpec, Region, whole_space
 from .verdicts import Property, Verdict, finish
-
-
-def _meets_domain(T: OperatorHandle, V: Region, g: GridSpec,
-                  tol: Tolerance) -> bool:
-    region = T.domain_region()
-    if region is not None:
-        cut = intersect_regions(region, V)
-        if isinstance(cut, Box):
-            return not cut.is_empty()
-        return bool(grid_sample(cut, g))
-    return any(V.contains(p.x) for p in T.enumerate_graph(None, g))
 
 
 def _couplings(zs: list[PrimalDualPoint], n: int) -> np.ndarray:
@@ -62,7 +51,7 @@ def check_vni(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     g, tol = with_defaults(g, tol)
     approx = not T.phi_is_exact(V)
     ids = (V.describe(),)
-    if not _meets_domain(T, V, g, tol):
+    if not meets_domain(T, V, g):
         return Verdict(Property.VNI, True, approximate=approx, grid=g,
                        tol=tol, region_ids=ids, vacuous=True,
                        notes=("window does not meet the domain",))
@@ -180,7 +169,7 @@ def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
         raise UnsatisfiedHypothesis("the restriction is monotone",
                                     f"witness pair {mono.witnesses[:1]}")
     # The check_vni gate, decided from the same phi sweep as the band.
-    meets = _meets_domain(T, V, g, tol)
+    meets = meets_domain(T, V, g)
     zs = scan_grid(V, g)
     p = T.phi_batch(V, zs, g)
     c = _couplings(zs, V.dimension)
@@ -247,7 +236,7 @@ def dyadic_open_boxes(ambient: Box, scales: int,
                 seen[key] = Box(lo, hi, (True,) * n, (True,) * n)
     boxes = [seen[k] for k in sorted(seen)]
     if T is not None:
-        boxes = [b for b in boxes if _meets_domain(T, b, g, tol)]
+        boxes = [b for b in boxes if meets_domain(T, b, g)]
     return RegionFamily(tuple(boxes), f"dyadic-open-boxes-{scales}")
 
 

@@ -13,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .core import INF, PrimalDualPoint, natural_pairing, pdp, supremum
+from .core import (INF, PrimalDualPoint, max_pairing_rows, natural_pairing,
+                   pdp, point_rows, supremum)
 from .errors import DimensionMismatch, LPNumericalError, MonokitError
 
 
@@ -51,7 +52,6 @@ class Envelope(ConvexFn):
 
 class ConjugateValue(NamedTuple):
     value: float
-    lower_bound_only: bool
 
 
 def _check_dim(f, z: PrimalDualPoint):
@@ -72,14 +72,11 @@ def envelope(points, dimension=None) -> Envelope:
 
 
 def max_affine_eval_batch(f: MaxAffine, zs: np.ndarray) -> np.ndarray:
-    """Vectorized MaxAffine values for rows (x..., xstar...) of zs."""
-    if not f.pieces:
-        return np.full(zs.shape[0], -INF)
-    n = f.dimension
-    slopes = np.array([list(w.xstar) + list(w.x) for w, _ in f.pieces])
-    intercepts = np.array([b for _, b in f.pieces])
-    # z . w = <x, w*> + <u, x*>, so pair each row with (w*, u).
-    return (zs @ slopes.T + intercepts).max(axis=1)
+    """f.evaluate at every row (x..., xstar...) of zs, bit for bit, in the
+    blocked pairing kernel."""
+    slopes = point_rows((w for w, _ in f.pieces), f.dimension)
+    intercepts = np.array([b for _, b in f.pieces], dtype=float)
+    return max_pairing_rows(slopes, intercepts, zs)
 
 
 def envelope_eval(f: Envelope, z: PrimalDualPoint) -> float:
@@ -119,15 +116,9 @@ def conjugate(f: ConvexFn) -> ConvexFn:
 
 
 def square_conjugate_eval(f: ConvexFn, z: PrimalDualPoint) -> ConjugateValue:
-    """f#(z) = sup(z . z' - f(z')).
+    """f#(z) = sup(z . z' - f(z')), the structural conjugate at z.
 
     Exact for Envelope (the sup is attained at the data points) and for
     MaxAffine (whose conjugate is the envelope of its pieces).
     """
-    _check_dim(f, z)
-    if isinstance(f, Envelope):
-        if not f.points:
-            return ConjugateValue(-INF, False)
-        return ConjugateValue(
-            max(natural_pairing(z, p) - v for p, v in f.points), False)
-    return ConjugateValue(envelope_eval(conjugate(f), z), False)
+    return ConjugateValue(conjugate(f).evaluate(z))

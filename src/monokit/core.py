@@ -3,6 +3,13 @@
 Points live in Z = R^n x R^n with n <= 3 at the scales this package targets.
 Extended reals are plain floats where +-inf is a legal saturating value.
 Empty suprema are -inf throughout.
+
+Every pairwise scan over point rows runs in one of two blocked kernels:
+max_pairing_rows (the max of z . w + b_w, which gives the sampled and
+finite-graph phi and the max-affine values) and mr_rows (the monotone gap
+test, which gives mr_batch and the pairwise monotone scan). Both sum in the
+scalar pairings' order, so they agree with them bit for bit, and both tile
+the product so no temporary exceeds 1 MiB.
 """
 from __future__ import annotations
 
@@ -73,6 +80,61 @@ def coupling_rows(rows: np.ndarray) -> np.ndarray:
     out = np.zeros(rows.shape[0])
     for i in range(n):
         out += rows[:, i] * rows[:, n + i]
+    return out
+
+
+# Cap on the float64 entries of each rows x M temporary in the pairing
+# kernels below (1 MiB), so memory stays bounded at every grid resolution.
+_BLOCK_ELEMS = 1 << 17
+
+
+def _blocks(n_rows: int, n_cols: int):
+    """(row slice, column slice) tiles of an n_rows x n_cols product, each
+    with at most _BLOCK_ELEMS entries."""
+    cols = max(1, min(n_cols, _BLOCK_ELEMS))
+    rows = max(1, _BLOCK_ELEMS // cols)
+    for r0 in range(0, n_rows, rows):
+        for c0 in range(0, n_cols, cols):
+            yield slice(r0, r0 + rows), slice(c0, c0 + cols)
+
+
+def max_pairing_rows(ws: np.ndarray, b: np.ndarray,
+                     zs: np.ndarray) -> np.ndarray:
+    """max over rows w = (u, u*) of ws of z . w + b_w, for every row
+    z = (x, x*) of zs; -inf against no rows.
+
+    Each pairing accumulates coordinate by coordinate with elementwise ops
+    in _dot's order (no matmul), so every value equals the scalar
+    natural_pairing(z, w) + b_w bit for bit.
+    """
+    n = zs.shape[1] // 2
+    out = np.full(zs.shape[0], -INF)
+    for r, c in _blocks(zs.shape[0], ws.shape[0]):
+        z, w = zs[r], ws[c]
+        left = np.zeros((z.shape[0], w.shape[0]))
+        right = np.zeros_like(left)
+        for i in range(n):
+            left += z[:, i, None] * w[None, :, n + i]
+            right += w[None, :, i] * z[:, n + i, None]
+        left += right
+        left += b[None, c]
+        np.maximum(out[r], left.max(axis=1), out=out[r])
+    return out
+
+
+def mr_rows(ws: np.ndarray, zs: np.ndarray, eps: float) -> np.ndarray:
+    """Whether <x - u, x* - u*> >= -eps against every row of ws, for every
+    row of zs; True against no rows. Same summation order as monotone_gap,
+    so the gap is symmetric in z and w bit for bit."""
+    n = zs.shape[1] // 2
+    out = np.ones(zs.shape[0], dtype=bool)
+    for r, c in _blocks(zs.shape[0], ws.shape[0]):
+        z, w = zs[r], ws[c]
+        gap = np.zeros((z.shape[0], w.shape[0]))
+        for i in range(n):
+            gap += ((z[:, i, None] - w[None, :, i])
+                    * (z[:, n + i, None] - w[None, :, n + i]))
+        out[r] &= (gap >= -eps).all(axis=1)
     return out
 
 

@@ -1,15 +1,19 @@
 """Operator graphs in Z = R^n x R^n and their pointwise calculus.
 
-Each handle answers the same questions: domain and graph membership, the dual
-fiber T(x) as a list of boxes, a finite enumeration of its graph at a declared
-sampling density, and the restricted Fitzpatrick value
+Each handle answers the same questions: the dual fiber T(x) as a list of
+boxes (domain and graph membership both derive from it), a finite enumeration
+of its graph at a declared sampling density, and the restricted Fitzpatrick
+value
 
     phi_{T|V}(z) = sup { z . w - <u, u*> : w = (u, u*) in graph(T), u in V }.
 
 Analytic kinds carry closed forms for phi; phi_is_exact reports whether the
 closed form applies for a given window V, and callers fall back to the
-enumerated sup (a lower bound) otherwise. The structural zero of the dust
-tolerance below guards float noise in boundary comparisons, nothing more.
+enumerated sup (a lower bound) otherwise. For the box normal cone N_C the
+closed form is the support function of C-intersect-V. The enumerated sup, the
+monotone-relation test and the pairwise monotone scan all run in core's two
+blocked pairing kernels. The structural zero of the dust tolerance below
+guards float noise in boundary comparisons, nothing more.
 """
 from __future__ import annotations
 
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, as_vector,
-                   coupling, coupling_rows, point_rows, supremum)
+                   coupling, coupling_rows, max_pairing_rows, mr_rows,
+                   point_rows, supremum)
 from .errors import (DimensionMismatch, MonokitError, ValidationError)
 from .regions import (Box, GridSpec, Region, box_from_literal, closed_box,
                       grid_sample, intersect_regions, interval, whole_space)
@@ -68,7 +73,8 @@ class OperatorHandle:
         return None
 
     def domain_contains(self, x, tol: Tolerance) -> bool:
-        raise NotImplementedError
+        """Whether the fiber at x is nonempty."""
+        return bool(self.fiber(x, tol))
 
     def domain_closure_contains(self, x, tol: Tolerance) -> bool:
         region = self.domain_region()
@@ -123,7 +129,7 @@ class OperatorHandle:
             return (self.phi_batch(V, zs, g)
                     <= coupling_rows(rows) + tol.eps_eq)
         graph = point_rows(self.enumerate_graph(V, g), n)
-        return _mr_rows(graph, rows, tol.eps_eq)
+        return mr_rows(graph, rows, tol.eps_eq)
 
     def _phi_enumerated(self, V, zs, g) -> np.ndarray:
         """The sup over the graph enumerated once at g, for every z in zs."""
@@ -131,7 +137,8 @@ class OperatorHandle:
             return np.zeros(0)
         n = zs[0].dimension
         graph = point_rows(self.enumerate_graph(V, g), n)
-        return _phi_rows(graph, point_rows(zs, n))
+        return max_pairing_rows(graph, -coupling_rows(graph),
+                                point_rows(zs, n))
 
     def _phi_sampled(self, V, z, g) -> float:
         return float(self._phi_enumerated(V, [z], g or DEFAULT_GRID)[0])
@@ -166,14 +173,6 @@ class FiniteGraph(OperatorHandle):
     @property
     def enumeration_exact(self) -> bool:
         return True
-
-    def domain_contains(self, x, tol):
-        v = as_vector(x)
-        return any(max(abs(a - b) for a, b in zip(v, p.x)) <= tol.delta_dom
-                   for p in self.points)
-
-    def domain_closure_contains(self, x, tol):
-        return self.domain_contains(x, tol)
 
     def fiber(self, x, tol):
         v = as_vector(x)
@@ -217,9 +216,6 @@ class Flat(OperatorHandle):
 
     def domain_region(self):
         return self.region
-
-    def domain_contains(self, x, tol):
-        return self.region.contains(x)
 
     def fiber(self, x, tol):
         return [(self.wstar, self.wstar)] if self.region.contains(x) else []
@@ -270,9 +266,6 @@ class NormalConeBox(OperatorHandle):
     def domain_region(self):
         return self.box
 
-    def domain_contains(self, x, tol):
-        return self.box.contains(x)
-
     def fiber(self, x, tol):
         """An axis is unbounded below at a lower face and above at an upper
         face, and pinned to 0 elsewhere."""
@@ -305,63 +298,28 @@ class NormalConeBox(OperatorHandle):
         return list(out)
 
     def phi(self, V, z, g=None):
-        """Exact restricted value by scanning the finitely many faces.
+        """Exact restricted value: the support of C-intersect-V at x*.
 
-        On the relative interior of a face the cone is constant, so the sup
-        splits into a support term over face-intersect-V plus per axis terms
-        that are 0 or +inf depending on which side of the pinned bound x sits.
+        The cone is constant on the relative interior of each face, so the
+        sup over the faces that meet V takes each axis's best bound, which
+        is the support of the cut. It is +inf instead when x lies beyond a
+        bound of C that the cut keeps, where the normal ray runs off.
         """
         win = _window(self.dimension, V)
         if not isinstance(win, Box):
             return self._phi_sampled(V, z, g)
-        best = -INF
-        n = self.dimension
-        for tags in itertools.product((0, 1, 2), repeat=n):
-            axes_lo, axes_hi, axes_loo, axes_hio = [], [], [], []
-            blow = False
-            skip = False
-            for i, t in enumerate(tags):
-                lo, hi = self.box.lower[i], self.box.upper[i]
-                if lo == hi:
-                    if t != 1:
-                        skip = True
-                        break
-                    axes_lo.append(lo)
-                    axes_hi.append(lo)
-                    axes_loo.append(False)
-                    axes_hio.append(False)
-                    if abs(z.x[i] - lo) > _DUST:
-                        blow = True
-                elif t == 0:
-                    axes_lo.append(lo)
-                    axes_hi.append(hi)
-                    axes_loo.append(True)
-                    axes_hio.append(True)
-                elif t == 1:
-                    axes_lo.append(lo)
-                    axes_hi.append(lo)
-                    axes_loo.append(False)
-                    axes_hio.append(False)
-                    if z.x[i] < lo - _DUST:
-                        blow = True
-                else:
-                    axes_lo.append(hi)
-                    axes_hi.append(hi)
-                    axes_loo.append(False)
-                    axes_hio.append(False)
-                    if z.x[i] > hi + _DUST:
-                        blow = True
-            if skip:
-                continue
-            face = Box(tuple(axes_lo), tuple(axes_hi),
-                       tuple(axes_loo), tuple(axes_hio))
-            cut = face.intersect(win)
-            if cut.is_empty():
-                continue
-            if blow:
+        box = self.box
+        cut = box.intersect(win)
+        if cut.is_empty():
+            return -INF
+        for i, xi in enumerate(z.x):
+            if (xi < box.lower[i] - _DUST and cut.lower[i] == box.lower[i]
+                    and not cut.lower_open[i]):
                 return INF
-            best = max(best, cut.support(z.xstar))
-        return best
+            if (xi > box.upper[i] + _DUST and cut.upper[i] == box.upper[i]
+                    and not cut.upper_open[i]):
+                return INF
+        return cut.support(z.xstar)
 
     def phi_is_exact(self, V):
         return V is None or isinstance(V, Box)
@@ -386,9 +344,6 @@ class AbsSubdiff(OperatorHandle):
 
     def domain_region(self):
         return whole_space(1)
-
-    def domain_contains(self, x, tol):
-        return True
 
     def fiber(self, x, tol):
         xi, a = as_vector(x)[0], self.slope
@@ -457,9 +412,6 @@ class PointComplement(OperatorHandle):
     def _at_anchor(self, x) -> bool:
         return max(abs(a - b) for a, b in zip(as_vector(x), self.anchor)) <= _DUST
 
-    def domain_contains(self, x, tol):
-        return self._at_anchor(x)
-
     def fiber(self, x, tol):
         # The closure of the dual space minus the origin is the whole space.
         if not self._at_anchor(x):
@@ -518,9 +470,6 @@ class Linear(OperatorHandle):
 
     def domain_region(self):
         return whole_space(self.dimension)
-
-    def domain_contains(self, x, tol):
-        return True
 
     def fiber(self, x, tol):
         mx = tuple(float(c) for c in self._m() @ np.array(as_vector(x)))
@@ -586,9 +535,6 @@ class Restriction(OperatorHandle):
             return None
         return intersect_regions(base, self.window)
 
-    def domain_contains(self, x, tol):
-        return self.window.contains(x) and self.base.domain_contains(x, tol)
-
     def domain_closure_contains(self, x, tol):
         region = self.domain_region()
         if region is None:
@@ -641,10 +587,6 @@ class PairSum(OperatorHandle):
         if ra is None or rb is None:
             return None
         return intersect_regions(ra, rb)
-
-    def domain_contains(self, x, tol):
-        return self.first.domain_contains(x, tol) \
-            and self.second.domain_contains(x, tol)
 
     def fiber(self, x, tol):
         """Pairwise Minkowski sums of the summands' fiber boxes."""
@@ -737,81 +679,33 @@ def restrict(T: OperatorHandle, V: Region) -> OperatorHandle:
     return Restriction(T, V)
 
 
-# Cap on the float64 entries of each rows x M temporary in the scan kernels
-# below (1 MiB), so memory stays bounded at every grid resolution.
-_BLOCK_ELEMS = 1 << 17
-
-
-def _blocks(n_rows: int, n_cols: int):
-    """(row slice, column slice) tiles of an n_rows x n_cols product, each
-    with at most _BLOCK_ELEMS entries."""
-    cols = max(1, min(n_cols, _BLOCK_ELEMS))
-    rows = max(1, _BLOCK_ELEMS // cols)
-    for r0 in range(0, n_rows, rows):
-        for c0 in range(0, n_cols, cols):
-            yield slice(r0, r0 + rows), slice(c0, c0 + cols)
-
-
-def _phi_rows(graph: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """max over graph rows w = (u, u*) of <x, u*> + <u, x*> - <u, u*> for
-    every row z = (x, x*) of zs; -inf against an empty graph.
-
-    Each pairing accumulates coordinate by coordinate with elementwise ops
-    in core._dot's order (no matmul), so every value equals the scalar
-    natural_pairing(z, w) - coupling(w) bit for bit.
-    """
-    n = zs.shape[1] // 2
-    out = np.full(zs.shape[0], -INF)
-    cw = coupling_rows(graph)
-    for r, c in _blocks(zs.shape[0], graph.shape[0]):
-        z, w = zs[r], graph[c]
-        left = np.zeros((z.shape[0], w.shape[0]))
-        right = np.zeros_like(left)
-        for i in range(n):
-            left += z[:, i, None] * w[None, :, n + i]
-            right += w[None, :, i] * z[:, n + i, None]
-        left += right
-        left -= cw[None, c]
-        np.maximum(out[r], left.max(axis=1), out=out[r])
-    return out
-
-
-def _mr_rows(graph: np.ndarray, zs: np.ndarray, eps: float) -> np.ndarray:
-    """Whether <x - u, x* - u*> >= -eps against every graph row, for every
-    row of zs; True against an empty graph. Same summation order as
-    core.monotone_gap."""
-    n = zs.shape[1] // 2
-    out = np.ones(zs.shape[0], dtype=bool)
-    for r, c in _blocks(zs.shape[0], graph.shape[0]):
-        z, w = zs[r], graph[c]
-        gap = np.zeros((z.shape[0], w.shape[0]))
-        for i in range(n):
-            gap += ((z[:, i, None] - w[None, :, i])
-                    * (z[:, n + i, None] - w[None, :, n + i]))
-        out[r] &= (gap >= -eps).all(axis=1)
-    return out
+def meets_domain(T: OperatorHandle, V: Region, g: GridSpec) -> bool:
+    """Whether the window V meets the domain of T: exactly when both are
+    boxes, else on V's lattice or among T's enumerated points."""
+    region = T.domain_region()
+    if region is not None:
+        cut = intersect_regions(region, V)
+        if isinstance(cut, Box):
+            return not cut.is_empty()
+        return bool(grid_sample(cut, g))
+    return any(V.contains(p.x) for p in T.enumerate_graph(None, g))
 
 
 def _pairwise_gap_failures(points, eps):
-    """First lexicographic pair with a negative gap, if any."""
-    n = len(points)
-    if n < 2:
+    """First lexicographic pair with a negative gap, if any.
+
+    The gap kernel is symmetric bit for bit, so the partners that fail the
+    first failing row all come after it; its first one completes the pair.
+    """
+    if len(points) < 2:
         return []
-    xs = np.array([p.x for p in points])
-    ss = np.array([p.xstar for p in points])
-    cps = (xs * ss).sum(axis=1)
-    block = 512
-    for i0 in range(0, n, block):
-        i1 = min(n, i0 + block)
-        cross = xs[i0:i1] @ ss.T + ss[i0:i1] @ xs.T
-        gaps = cps[i0:i1, None] + cps[None, :] - cross
-        for i in range(i0, i1):
-            row = gaps[i - i0]
-            bad = np.nonzero(row[i + 1:] < -eps)[0]
-            if bad.size:
-                j = i + 1 + int(bad[0])
-                return [(points[i], points[j])]
-    return []
+    rows = point_rows(points, points[0].dimension)
+    bad = np.flatnonzero(~mr_rows(rows, rows, eps))
+    if not bad.size:
+        return []
+    i = int(bad[0])
+    j = int(np.flatnonzero(~mr_rows(rows[i:i + 1], rows, eps))[0])
+    return [(points[i], points[j])]
 
 
 def is_monotone(T: OperatorHandle, tol: Tolerance,

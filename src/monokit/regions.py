@@ -27,9 +27,6 @@ class Region:
     def contains(self, x) -> bool:
         raise NotImplementedError
 
-    def interior_contains(self, x) -> bool:
-        raise NotImplementedError
-
     def closure(self) -> "Region":
         raise NotImplementedError
 
@@ -130,12 +127,6 @@ class Box(Region):
             elif not xi <= hi:
                 return False
         return True
-
-    def interior_contains(self, x) -> bool:
-        v = as_vector(x)
-        if len(v) != self.dimension:
-            raise DimensionMismatch("point dimension does not match region")
-        return all(lo < xi < hi for xi, lo, hi in zip(v, self.lower, self.upper))
 
     def closure(self) -> "Box":
         return Box(self.lower, self.upper,
@@ -255,9 +246,6 @@ class HalfSpace(Region):
         val = self._value(x)
         return val <= self.offset if self.closed else val < self.offset
 
-    def interior_contains(self, x) -> bool:
-        return self._value(x) < self.offset
-
     def closure(self) -> "HalfSpace":
         return HalfSpace(self.normal, self.offset, True)
 
@@ -320,9 +308,6 @@ class Intersection(Region):
 
     def contains(self, x) -> bool:
         return self.first.contains(x) and self.second.contains(x)
-
-    def interior_contains(self, x) -> bool:
-        return self.first.interior_contains(x) and self.second.interior_contains(x)
 
     def closure(self) -> "Region":
         return Intersection(self.first.closure(), self.second.closure())

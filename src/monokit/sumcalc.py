@@ -25,7 +25,7 @@ from .core import INF, PrimalDualPoint, Tolerance, coupling
 from .errors import UnsatisfiedHypothesis, ValidationError
 from .fitzpatrick import scan_grid
 from .operators import (NormalConeBox, OperatorHandle, PairSum, is_monotone,
-                        with_defaults)
+                        meets_domain, with_defaults)
 from .regions import Box, GridSpec, Region
 from .verdicts import Property, finish
 
@@ -37,15 +37,7 @@ def add_normal_cone(A: OperatorHandle, C: Box,
     g, tol = with_defaults(g, tol)
     if not isinstance(C, Box):
         raise ValidationError("the constraint set must be a box")
-    probe = A.domain_region()
-    hit = False
-    if probe is not None and isinstance(probe, Box):
-        cut = probe.intersect(C.interior())
-        hit = not cut.is_empty()
-    else:
-        hit = any(C.interior_contains(w.x)
-                  for w in A.enumerate_graph(None, g))
-    if not hit:
+    if not meets_domain(A, C.interior(), g):
         raise UnsatisfiedHypothesis(
             "the summand domain meets the interior of the constraint set")
     return PairSum(A, NormalConeBox(C), match_tol=tol.delta_dom)

@@ -15,6 +15,7 @@ from monokit import (
     DEFAULT_TOL,
     INF,
     AbsSubdiff,
+    Box,
     FiniteGraph,
     Flat,
     GridSpec,
@@ -146,6 +147,42 @@ def vertex_ray_oracle(box, z):
     return best
 
 
+def face_scan_phi(box, win, z):
+    """phi of N_box over win as the sup over the 3^n faces of the box: the
+    cone is constant on each face's relative interior, so a face meeting
+    win adds the support of its cut at x*, or +inf when x lies past a
+    bound the face pins (by more than the 1e-12 dust band)."""
+    win = whole_space(box.dimension) if win is None else win
+    best = -INF
+    for tags in itertools.product(("inside", "lower", "upper"),
+                                  repeat=box.dimension):
+        axes = []  # (lower, upper, lower_open, upper_open) per axis
+        blow = False
+        for i, tag in enumerate(tags):
+            a, b, xi = box.lower[i], box.upper[i], z.x[i]
+            if a == b:
+                if tag != "lower":
+                    break
+                blow = blow or abs(xi - a) > 1e-12
+                axes.append((a, a, False, False))
+            elif tag == "inside":
+                axes.append((a, b, True, True))
+            elif tag == "lower":
+                blow = blow or xi < a - 1e-12
+                axes.append((a, a, False, False))
+            else:
+                blow = blow or xi > b + 1e-12
+                axes.append((b, b, False, False))
+        else:
+            cut = Box(*zip(*axes)).intersect(win)
+            if cut.is_empty():
+                continue
+            if blow:
+                return INF
+            best = max(best, cut.support(z.xstar))
+    return best
+
+
 class TestNormalConeBox:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -179,6 +216,39 @@ class TestNormalConeBox:
                 assert got == INF
             else:
                 assert got == pytest.approx(want, abs=1e-6)
+
+    def test_phi_matches_a_face_scan(self):
+        """The support-function rule against the sup over all 3^n faces,
+        with ==: degenerate axes, open, closed and half-infinite windows
+        whose bounds sit exactly on faces, and x on, just inside and past
+        the dust band around each bound."""
+        rng = np.random.default_rng(17)
+        marks = (-1.0, -0.5, 0.0, 0.5, 1.0)
+        offsets = (-1e-11, -1e-13, 0.0, 1e-13, 1e-11, 0.3, -0.3)
+        for _ in range(4000):
+            n = int(rng.integers(1, 4))
+            lo, hi = [], []
+            for _ in range(n):
+                a, b = sorted(rng.choice(marks, 2))
+                lo.append(float(a))
+                hi.append(float(b))
+            box = closed_box(lo, hi)
+            win = None
+            if rng.random() < 0.9:
+                wl, wh = [], []
+                for i in range(n):
+                    a, b = sorted(rng.choice(marks + (-INF, INF), 2))
+                    wl.append(float(a))
+                    wh.append(float(b))
+                win = Box(tuple(wl), tuple(wh),
+                          tuple(bool(o) for o in rng.random(n) < 0.5),
+                          tuple(bool(o) for o in rng.random(n) < 0.5))
+            x = [float(rng.choice((lo[i], hi[i], rng.uniform(-1.5, 1.5))))
+                 + float(rng.choice(offsets)) for i in range(n)]
+            s = [float(rng.choice((0.0, rng.uniform(-3, 3))))
+                 for _ in range(n)]
+            z = pdp(x, s)
+            assert NormalConeBox(box).phi(win, z) == face_scan_phi(box, win, z)
 
     def test_windowed_phi_vs_dense_sample(self):
         T = NormalConeBox(closed_box([-1.0], [1.0]))

@@ -30,8 +30,6 @@ class TestBoxMembership:
         assert not b.contains([0.0])
         assert b.contains([1.0])
         assert b.contains([0.5])
-        assert b.interior_contains([0.5])
-        assert not b.interior_contains([1.0])
 
     def test_closure_and_interior(self):
         b = interval(0.0, 1.0, lo_open=True, hi_open=True)

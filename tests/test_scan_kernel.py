@@ -3,7 +3,8 @@
 phi_batch must equal the scalar phi with ==, infinities included, and
 mr_batch the scalar mr_test. Where phi is sampled, both must also equal a
 plain Python sup and gap scan over the enumerated graph, so the kernel's
-summation order is checked against core's pairings bit for bit. Every
+summation order is checked against core's pairings bit for bit, and the
+is_monotone witness must be the first pair a scalar gap scan rejects. Every
 enumerated graph point must also pass graph_contains and sit in a box of the
 dual fiber at its primal point.
 """
@@ -30,6 +31,7 @@ from monokit import (
     closed_box,
     interval,
     coupling,
+    is_monotone,
     monotone_gap,
     mr_test,
     natural_pairing,
@@ -38,7 +40,7 @@ from monokit import (
     supremum,
     whole_space,
 )
-from monokit import operators
+from monokit import core
 
 TOL = DEFAULT_TOL
 
@@ -257,25 +259,28 @@ def test_empty_scan_gives_empty_arrays():
         assert T.mr_batch(V, [], TOL, g).shape == (0,)
 
 
-@given(cases(), st.sampled_from((3, 7, 16, 61)))
+# Tiny block constants split an N x M product into many row and column tiles.
+BLOCK_EDGES = (3, 7, 16, 61)
+
+
+@given(cases(), st.sampled_from(BLOCK_EDGES))
 @settings(max_examples=60, deadline=None)
 def test_block_edges(case, block):
-    """A tiny block constant splits the N x M product into many row and
-    column tiles; the answers must not move."""
+    """The answers must not move with the tiling."""
     T, V, g = case
     zs = scan_points(V, T.dimension, g)
     whole_phi = T.phi_batch(V, zs, g).tolist()
     whole_mr = T.mr_batch(V, zs, TOL, g).tolist()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "_BLOCK_ELEMS", block)
+        mp.setattr(core, "_BLOCK_ELEMS", block)
         assert T.phi_batch(V, zs, g).tolist() == whole_phi
         assert T.mr_batch(V, zs, TOL, g).tolist() == whole_mr
 
 
 def test_blocks_cover_the_product_within_the_cap(monkeypatch):
-    monkeypatch.setattr(operators, "_BLOCK_ELEMS", 7)
+    monkeypatch.setattr(core, "_BLOCK_ELEMS", 7)
     seen = np.zeros((10, 12), dtype=int)
-    for r, c in operators._blocks(10, 12):
+    for r, c in core._blocks(10, 12):
         assert seen[r, c].size <= 7
         seen[r, c] += 1
     assert (seen == 1).all()
@@ -288,8 +293,54 @@ def test_large_scan_crosses_blocks():
     g = GridSpec(resolution=13, dual_bound=3.0, dual_resolution=13)
     zs = scan_grid(V, g)
     graph = T.enumerate_graph(V, g)
-    assert len(zs) * len(graph) > operators._BLOCK_ELEMS
+    assert len(zs) * len(graph) > core._BLOCK_ELEMS
     assert_batches_match(T, V, g, zs)
+
+
+def first_failing_pair(points):
+    """The first pair i < j, in lexicographic order, with a scalar gap
+    below -eps_eq."""
+    for i, z in enumerate(points):
+        for w in points[i + 1:]:
+            if monotone_gap(z, w) < -TOL.eps_eq:
+                return (z, w),
+    return ()
+
+
+def near_monotone_graph(rng, n, size):
+    """A constant dual plus noise a little below eps_eq: gaps land within a
+    few eps_eq of zero either way, so some graphs fail by a hair and the
+    first failure can sit deep in the scan."""
+    xs = rng.uniform(-1, 1, (size, n))
+    sigma = rng.choice((2e-10, 4e-10, 8e-10))
+    duals = rng.uniform(-1, 1, n) + rng.normal(0.0, sigma, (size, n))
+    return tuple(pdp(x, s) for x, s in zip(xs, duals))
+
+
+@given(st.integers(1, 3).flatmap(finite_graphs),
+       st.sampled_from((None,) + BLOCK_EDGES))
+@settings(max_examples=100, deadline=None)
+def test_monotone_witness_is_the_first_scalar_pair(T, block):
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(core, "_BLOCK_ELEMS", block)
+        verdict = is_monotone(T, TOL)
+    assert verdict.witnesses == first_failing_pair(T.points)
+    assert bool(verdict.value) == (verdict.witnesses == ())
+
+
+@pytest.mark.parametrize("block", (None,) + BLOCK_EDGES)
+def test_monotone_witness_on_near_ties(block):
+    """Gaps within a few eps_eq of the threshold, over many tiles."""
+    rng = np.random.default_rng(7)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(core, "_BLOCK_ELEMS", block)
+        for _ in range(12):
+            n = int(rng.integers(1, 4))
+            pts = near_monotone_graph(rng, n, int(rng.integers(2, 40)))
+            assert is_monotone(FiniteGraph(pts), TOL).witnesses \
+                == first_failing_pair(pts)
 
 
 def in_fiber(T, w):
