@@ -6,10 +6,12 @@ the first few counterexamples in scan order. Positive answers are statements
 about the grid; they are flagged approximate whenever a consumed value came
 from a sampled rather than closed-form source.
 
-The phi-based checks build the lattice once with scan_grid and hand all of
-it to the operator's phi_batch or mr_batch. On the sampled route that
-enumerates the graph once per check and evaluates the lattice in bounded
-blocks, with values identical to the pointwise phi and mr_test.
+The phi-based checks build the lattice once with scan_grid, turn it into an
+(N, 2n) array of [x, x*] rows with point_rows, and hand the rows to the
+operator's phi_batch or mr_batch; couplings come from coupling_rows. A
+closed form evaluates every row at once; on the sampled route the graph is
+enumerated once per check and the rows run in bounded blocks. Either way a
+row's value is the one-row phi or mr_test would give.
 """
 from __future__ import annotations
 
@@ -30,15 +32,17 @@ from .regions import Box, GridSpec, Region, whole_space
 from .verdicts import Property, Verdict, finish
 
 
-def _couplings(zs: list[PrimalDualPoint], n: int) -> np.ndarray:
-    return coupling_rows(point_rows(zs, n))
+def _scan(V: Region, g: GridSpec) -> tuple[list[PrimalDualPoint], np.ndarray]:
+    """The scan lattice over V, as points and as [x, x*] rows."""
+    zs = scan_grid(V, g)
+    return zs, point_rows(zs, V.dimension)
 
 
-def _strictly_below(T: OperatorHandle, V: Region, zs, g: GridSpec,
-                    tol: Tolerance) -> np.ndarray:
-    """Mask of scan points where phi_{T|V} < coupling - eps_strict."""
-    return (T.phi_batch(V, zs, g)
-            < _couplings(zs, V.dimension) - tol.eps_strict)
+def _strictly_below(T: OperatorHandle, V: Region, rows: np.ndarray,
+                    g: GridSpec, tol: Tolerance) -> np.ndarray:
+    """Mask of scan rows where phi_{T|V} < coupling - eps_strict."""
+    return (T.phi_batch(V, rows, g)
+            < coupling_rows(rows) - tol.eps_strict)
 
 
 def check_vni(T: OperatorHandle, V: Region, g: GridSpec | None = None,
@@ -55,8 +59,8 @@ def check_vni(T: OperatorHandle, V: Region, g: GridSpec | None = None,
         return Verdict(Property.VNI, True, approximate=approx, grid=g,
                        tol=tol, region_ids=ids, vacuous=True,
                        notes=("window does not meet the domain",))
-    zs = scan_grid(V, g)
-    below = _strictly_below(T, V, zs, g, tol)
+    zs, rows = _scan(V, g)
+    below = _strictly_below(T, V, rows, g, tol)
     failures = [z for z, b in zip(zs, below) if b]
     return finish(Property.VNI, failures, approximate=approx, grid=g,
                   tol=tol, region_ids=ids)
@@ -71,9 +75,9 @@ def check_locates(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     membership rule.
     """
     g, tol = with_defaults(g, tol)
-    zs = scan_grid(V, g)
+    zs, rows = _scan(V, g)
     failures = []
-    for z, related in zip(zs, T.mr_batch(V, zs, tol, g)):
+    for z, related in zip(zs, T.mr_batch(V, rows, tol, g)):
         if not related:
             continue
         ok = (T.domain_contains(z.x, tol) if target is None
@@ -89,8 +93,8 @@ def check_identifies(T: OperatorHandle, V: Region, g: GridSpec | None = None,
                      tol: Tolerance | None = None) -> Verdict:
     """Monotonically related grid points over V already lie in the graph."""
     g, tol = with_defaults(g, tol)
-    zs = scan_grid(V, g)
-    failures = [z for z, related in zip(zs, T.mr_batch(V, zs, tol, g))
+    zs, rows = _scan(V, g)
+    failures = [z for z, related in zip(zs, T.mr_batch(V, rows, tol, g))
                 if related and not T.graph_contains(z, tol)]
     return finish(Property.IDENTIFIES, failures,
                   approximate=not T.phi_is_exact(V), grid=g, tol=tol,
@@ -170,9 +174,9 @@ def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
                                     f"witness pair {mono.witnesses[:1]}")
     # The check_vni gate, decided from the same phi sweep as the band.
     meets = meets_domain(T, V, g)
-    zs = scan_grid(V, g)
-    p = T.phi_batch(V, zs, g)
-    c = _couplings(zs, V.dimension)
+    zs, rows = _scan(V, g)
+    p = T.phi_batch(V, rows, g)
+    c = coupling_rows(rows)
     below = np.flatnonzero(p < c - tol.eps_strict)
     if meets and below.size:
         raise UnsatisfiedHypothesis(
@@ -191,8 +195,8 @@ def check_condition_c(T: OperatorHandle, V: Region,
     """Strictly sub-coupling grid points over V project into the domain
     closure; vacuously true when the strict set is empty."""
     g, tol = with_defaults(g, tol)
-    zs = scan_grid(V, g)
-    strict = [z for z, b in zip(zs, _strictly_below(T, V, zs, g, tol)) if b]
+    zs, rows = _scan(V, g)
+    strict = [z for z, b in zip(zs, _strictly_below(T, V, rows, g, tol)) if b]
     failures = [z for z in strict
                 if not T.domain_closure_contains(z.x, tol)]
     return finish(Property.CONDITION_C, failures,

@@ -16,7 +16,7 @@ from .classify import (check_condition_c, check_identifies, check_locates,
                        check_maximal_on_grid, check_v_representable,
                        check_vni, dyadic_open_boxes, family_scan)
 from .convex import envelope_eval
-from .core import Tolerance
+from .core import Tolerance, point_rows
 from .errors import MonokitError, SpecFormatError
 from .fitzpatrick import penot_envelope, scan_grid
 from .gallery import run_gallery
@@ -186,7 +186,7 @@ def _cmd_export(args) -> int:
     window = config.window if config.window is not None else whole_space(n)
     zs = scan_grid(window, g)
     if args.fn == "phi":
-        values = T.phi_batch(config.window, zs, g)
+        values = T.phi_batch(config.window, point_rows(zs, n), g)
     else:
         env, _ = penot_envelope(T, config.window, g)
         values = [envelope_eval(env, z) for z in zs]

@@ -32,7 +32,8 @@ def phi_eval(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
     """sup over graph points w in V of z . w - <u, u*>; -inf when none.
 
     Closed form when the kind provides one for this window, otherwise the
-    sup over the enumerated graph, which only bounds from below.
+    sup over the graph enumerated at g, which must then be given and which
+    only bounds from below.
     """
     return T.phi(V, z, g)
 

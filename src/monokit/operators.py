@@ -7,9 +7,11 @@ value
 
     phi_{T|V}(z) = sup { z . w - <u, u*> : w = (u, u*) in graph(T), u in V }.
 
-Analytic kinds carry closed forms for phi; phi_is_exact reports whether the
-closed form applies for a given window V, and callers fall back to the
-enumerated sup (a lower bound) otherwise. For the box normal cone N_C the
+phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows
+and is the one place that picks the route. When phi_is_exact(V) holds it
+calls the kind's array closed form _phi_closed; otherwise it takes the sup
+over the graph enumerated once at an explicit grid (a lower bound). The
+scalar phi is a one-row call of phi_batch. For the box normal cone N_C the
 closed form is the support function of C-intersect-V. The enumerated sup, the
 monotone-relation test and the pairwise monotone scan all run in core's two
 blocked pairing kernels. The structural zero of the dust tolerance below
@@ -20,12 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, as_vector,
-                   coupling, coupling_rows, max_pairing_rows, mr_rows,
-                   point_rows, supremum)
+                   coupling_rows, max_pairing_rows, mr_rows, point_rows)
 from .errors import (DimensionMismatch, MonokitError, ValidationError)
 from .regions import (Box, GridSpec, Region, box_from_literal, closed_box,
                       grid_sample, intersect_regions, interval, whole_space)
@@ -44,18 +46,6 @@ def with_defaults(g: GridSpec | None,
 
 def _window(n: int, V: Region | None) -> Region:
     return whole_space(n) if V is None else V
-
-
-def _interval_sup(box1d: Box, slope: float) -> float | None:
-    """sup of slope * u over a 1-d box; None when the box is empty."""
-    if box1d.is_empty():
-        return None
-    lo, hi = box1d.lower[0], box1d.upper[0]
-    if slope > 0:
-        return INF if hi == INF else slope * hi
-    if slope < 0:
-        return INF if lo == -INF else slope * lo
-    return 0.0
 
 
 class OperatorHandle:
@@ -101,47 +91,49 @@ class OperatorHandle:
 
     def phi(self, V: Region | None, z: PrimalDualPoint,
             g: GridSpec | None = None) -> float:
-        raise NotImplementedError
+        """phi_{T|V}(z): a one-row call of phi_batch."""
+        return float(self.phi_batch(V, point_rows([z], z.dimension), g)[0])
 
     def phi_is_exact(self, V: Region | None) -> bool:
         return False
 
-    def phi_batch(self, V: Region | None, zs: list[PrimalDualPoint],
-                  g: GridSpec) -> np.ndarray:
-        """phi at every point of zs, as an array in the order of zs.
+    def phi_batch(self, V: Region | None, rows: np.ndarray,
+                  g: GridSpec | None) -> np.ndarray:
+        """phi at every [x, x*] row of an (N, 2n) array, in row order.
 
-        The closed form point by point when it is exact for V; otherwise the
-        graph is enumerated once at g and the sup runs in the blocked kernel.
+        The one place that picks the route: the kind's closed form when it
+        is exact for V; otherwise the graph is enumerated once at g and the
+        sup runs in the blocked kernel.
         """
         if self.phi_is_exact(V):
-            return np.array([self.phi(V, z, g) for z in zs], dtype=float)
-        return self._phi_enumerated(V, zs, g)
+            return self._phi_closed(V, rows)
+        return self._phi_enumerated(V, rows, g)
 
-    def mr_batch(self, V: Region | None, zs: list[PrimalDualPoint],
-                 tol: Tolerance, g: GridSpec) -> np.ndarray:
-        """Boolean mask: which points of zs are monotonically related to
+    def mr_batch(self, V: Region | None, rows: np.ndarray, tol: Tolerance,
+                 g: GridSpec | None) -> np.ndarray:
+        """Boolean mask: which [x, x*] rows are monotonically related to
         every graph point over V (see mr_test)."""
-        if not zs:
-            return np.zeros(0, dtype=bool)
-        n = zs[0].dimension
-        rows = point_rows(zs, n)
         if self.phi_is_exact(V):
-            return (self.phi_batch(V, zs, g)
+            return (self.phi_batch(V, rows, g)
                     <= coupling_rows(rows) + tol.eps_eq)
-        graph = point_rows(self.enumerate_graph(V, g), n)
-        return mr_rows(graph, rows, tol.eps_eq)
+        return mr_rows(self._graph_rows(V, g, rows), rows, tol.eps_eq)
 
-    def _phi_enumerated(self, V, zs, g) -> np.ndarray:
-        """The sup over the graph enumerated once at g, for every z in zs."""
-        if not zs:
-            return np.zeros(0)
-        n = zs[0].dimension
-        graph = point_rows(self.enumerate_graph(V, g), n)
-        return max_pairing_rows(graph, -coupling_rows(graph),
-                                point_rows(zs, n))
+    def _phi_closed(self, V, rows) -> np.ndarray:
+        """The closed form at every row; called only when phi_is_exact(V)."""
+        raise NotImplementedError
 
-    def _phi_sampled(self, V, z, g) -> float:
-        return float(self._phi_enumerated(V, [z], g or DEFAULT_GRID)[0])
+    def _graph_rows(self, V, g, rows) -> np.ndarray:
+        """The graph over V enumerated once at g, as rows of the same width
+        as rows; a sampled enumeration needs an explicit grid."""
+        if g is None and not self.enumeration_exact:
+            raise ValidationError(
+                f"{self.describe()} is sampled on this window: pass a grid")
+        return point_rows(self.enumerate_graph(V, g), rows.shape[1] // 2)
+
+    def _phi_enumerated(self, V, rows, g) -> np.ndarray:
+        """The sup over the graph enumerated once at g, for every row."""
+        graph = self._graph_rows(V, g, rows)
+        return max_pairing_rows(graph, -coupling_rows(graph), rows)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -184,15 +176,12 @@ class FiniteGraph(OperatorHandle):
             return list(self.points)
         return [p for p in self.points if V.contains(p.x)]
 
-    def phi(self, V, z, g=None):
-        return float(self._phi_enumerated(V, [z], g)[0])
-
     def phi_is_exact(self, V):
         return True
 
-    def phi_batch(self, V, zs, g):
-        # Exact, and already a sup over the points themselves.
-        return self._phi_enumerated(V, zs, g)
+    def _phi_closed(self, V, rows):
+        # Already a sup over the points themselves.
+        return self._phi_enumerated(V, rows, None)
 
     def describe(self) -> str:
         return f"finite graph ({len(self.points)} points)"
@@ -224,21 +213,18 @@ class Flat(OperatorHandle):
         dom = self.region if V is None else intersect_regions(self.region, V)
         return [PrimalDualPoint(x, self.wstar) for x in grid_sample(dom, g)]
 
-    def phi(self, V, z, g=None):
-        # sup over u in R and V of <x, w*> + <u, x* - w*>.
-        base = self.region
-        win = _window(self.dimension, V)
-        if isinstance(base, Box) and isinstance(win, Box):
-            dom = base.intersect(win)
-            shifted = tuple(a - b for a, b in zip(z.xstar, self.wstar))
-            sup_val = dom.support(shifted)
-            if sup_val == -INF:
-                return -INF
-            return sum(a * b for a, b in zip(z.x, self.wstar)) + sup_val
-        return self._phi_sampled(V, z, g)
-
     def phi_is_exact(self, V):
         return isinstance(self.region, Box) and (V is None or isinstance(V, Box))
+
+    def _phi_closed(self, V, rows):
+        # sup over u in R and V of <x, w*> + <u, x* - w*>.
+        n = self.dimension
+        sup = self.region.intersect(_window(n, V)).support_rows(
+            rows[:, n:] - np.array(self.wstar))
+        base = np.zeros(rows.shape[0])
+        for i, w in enumerate(self.wstar):
+            base += rows[:, i] * w
+        return base + sup
 
     def describe(self) -> str:
         ws = ", ".join(format(c, ".12g") for c in self.wstar)
@@ -297,7 +283,10 @@ class NormalConeBox(OperatorHandle):
                     PrimalDualPoint(x, tuple(float(c) for c in combo)))
         return list(out)
 
-    def phi(self, V, z, g=None):
+    def phi_is_exact(self, V):
+        return V is None or isinstance(V, Box)
+
+    def _phi_closed(self, V, rows):
         """Exact restricted value: the support of C-intersect-V at x*.
 
         The cone is constant on the relative interior of each face, so the
@@ -305,24 +294,17 @@ class NormalConeBox(OperatorHandle):
         is the support of the cut. It is +inf instead when x lies beyond a
         bound of C that the cut keeps, where the normal ray runs off.
         """
-        win = _window(self.dimension, V)
-        if not isinstance(win, Box):
-            return self._phi_sampled(V, z, g)
-        box = self.box
-        cut = box.intersect(win)
-        if cut.is_empty():
-            return -INF
-        for i, xi in enumerate(z.x):
-            if (xi < box.lower[i] - _DUST and cut.lower[i] == box.lower[i]
-                    and not cut.lower_open[i]):
-                return INF
-            if (xi > box.upper[i] + _DUST and cut.upper[i] == box.upper[i]
-                    and not cut.upper_open[i]):
-                return INF
-        return cut.support(z.xstar)
-
-    def phi_is_exact(self, V):
-        return V is None or isinstance(V, Box)
+        n, box = self.dimension, self.box
+        cut = box.intersect(_window(n, V))
+        runs_off = np.zeros(rows.shape[0], dtype=bool)
+        for i in range(n):
+            if cut.lower[i] == box.lower[i] and not cut.lower_open[i]:
+                runs_off |= rows[:, i] < box.lower[i] - _DUST
+            if cut.upper[i] == box.upper[i] and not cut.upper_open[i]:
+                runs_off |= rows[:, i] > box.upper[i] + _DUST
+        sup = cut.support_rows(rows[:, n:])
+        # An empty cut is -inf on every row, wherever x lies.
+        return np.where(runs_off & (sup > -INF), INF, sup)
 
     def describe(self) -> str:
         return f"normal cone of {self.box.describe()}"
@@ -369,24 +351,25 @@ class AbsSubdiff(OperatorHandle):
                 out.extend(PrimalDualPoint(x, (d,)) for d in sorted(duals))
         return out
 
-    def phi(self, V, z, g=None):
-        win = _window(1, V)
-        if not isinstance(win, Box):
-            return self._phi_sampled(V, z, g)
-        a, x, s = self.slope, z.x[0], z.xstar[0]
-        cands = []
-        pos = _interval_sup(win.intersect(interval(0.0, INF, True, True)), s - a)
-        if pos is not None:
-            cands.append(INF if pos == INF else a * x + pos)
-        neg = _interval_sup(win.intersect(interval(-INF, 0.0, True, True)), s + a)
-        if neg is not None:
-            cands.append(INF if neg == INF else -a * x + neg)
-        if win.contains((0.0,)):
-            cands.append(a * abs(x))
-        return supremum(cands)
-
     def phi_is_exact(self, V):
         return V is None or isinstance(V, Box)
+
+    def _phi_closed(self, V, rows):
+        """The best of the two open half-lines, where the dual is +-a, and
+        the kink at 0, where it spans [-a, a]; ties keep the earlier one."""
+        a, win = self.slope, _window(1, V)
+        x, s = rows[:, 0], rows[:, 1:]
+        cands = [sign * a * x + half.support_rows(s - sign * a)
+                 for sign, half in (
+                     (1.0, win.intersect(interval(0.0, INF, True, True))),
+                     (-1.0, win.intersect(interval(-INF, 0.0, True, True))))
+                 if not half.is_empty()]
+        if win.contains((0.0,)):
+            cands.append(a * np.abs(x))
+        out = np.full(rows.shape[0], -INF)
+        for c in cands:
+            out = np.where(c > out, c, out)
+        return out
 
     def describe(self) -> str:
         return f"subdifferential of {format(self.slope, '.12g')}|x|"
@@ -429,15 +412,15 @@ class PointComplement(OperatorHandle):
         return [PrimalDualPoint(self.anchor, u) for u in
                 g.dual_lattice(self.dimension) if any(c != 0.0 for c in u)]
 
-    def phi(self, V, z, g=None):
-        if V is not None and not V.contains(self.anchor):
-            return -INF
-        if self._at_anchor(z.x):
-            return coupling(z)
-        return INF
-
     def phi_is_exact(self, V):
         return True
+
+    def _phi_closed(self, V, rows):
+        if V is not None and not V.contains(self.anchor):
+            return np.full(rows.shape[0], -INF)
+        n = self.dimension
+        at = np.abs(rows[:, :n] - np.array(self.anchor)).max(axis=1) <= _DUST
+        return np.where(at, coupling_rows(rows), INF)
 
     def describe(self) -> str:
         a = ", ".join(format(c, ".12g") for c in self.anchor)
@@ -465,18 +448,20 @@ class Linear(OperatorHandle):
     def dimension(self) -> int:
         return len(self.matrix)
 
+    @cached_property
     def _m(self) -> np.ndarray:
+        # Kept out of the fields, so equality and hashing stay by value.
         return np.array(self.matrix, dtype=float)
 
     def domain_region(self):
         return whole_space(self.dimension)
 
     def fiber(self, x, tol):
-        mx = tuple(float(c) for c in self._m() @ np.array(as_vector(x)))
+        mx = tuple(float(c) for c in self._m @ np.array(as_vector(x)))
         return [(mx, mx)]
 
     def enumerate_graph(self, V, g):
-        m = self._m()
+        m = self._m
         win = _window(self.dimension, V)
         out = []
         for x in grid_sample(win, g):
@@ -484,24 +469,22 @@ class Linear(OperatorHandle):
             out.append(PrimalDualPoint(x, tuple(float(c) for c in mx)))
         return out
 
-    def phi(self, V, z, g=None):
-        """On the whole space the sup is a quadratic maximization:
-        sup_u <M^T x + x*, u> - <u, M u>, solved by (M + M^T) u = M^T x + x*.
-        An inconsistent system means the sup runs away to +inf."""
-        if not self.phi_is_exact(V):
-            return self._phi_sampled(V, z, g)
-        m = self._m()
-        s = m + m.T
-        b = m.T @ np.array(z.x) + np.array(z.xstar)
-        u, *_ = np.linalg.lstsq(s, b, rcond=None)
-        residual = np.abs(s @ u - b).max() if b.size else 0.0
-        scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-        if residual > 1e-9 * scale:
-            return INF
-        return float(0.5 * b @ u)
-
     def phi_is_exact(self, V):
         return V is None or (isinstance(V, Box) and V.is_whole_space)
+
+    def _phi_closed(self, V, rows):
+        """On the whole space the sup is a quadratic maximization:
+        sup_u <M^T x + x*, u> - <u, M u>, solved by (M + M^T) u = M^T x + x*,
+        one least-squares solve with every row as a right-hand side. A row
+        whose system is inconsistent at its own scale runs away to +inf."""
+        n, m = self.dimension, self._m
+        s = m + m.T
+        b = (rows[:, :n] @ m + rows[:, n:]).T
+        u = np.linalg.lstsq(s, b, rcond=None)[0]
+        residual = np.abs(s @ u - b).max(axis=0)
+        scale = np.maximum(1.0, np.abs(b).max(axis=0))
+        return np.where(residual > 1e-9 * scale, INF,
+                        0.5 * (b * u).sum(axis=0))
 
     def describe(self) -> str:
         return f"linear map of dimension {self.dimension}"
@@ -551,14 +534,11 @@ class Restriction(OperatorHandle):
     def enumerate_graph(self, V, g):
         return self.base.enumerate_graph(self._inner(V), g)
 
-    def phi(self, V, z, g=None):
-        return self.base.phi(self._inner(V), z, g)
-
     def phi_is_exact(self, V):
         return self.base.phi_is_exact(self._inner(V))
 
-    def phi_batch(self, V, zs, g):
-        return self.base.phi_batch(self._inner(V), zs, g)
+    def _phi_closed(self, V, rows):
+        return self.base._phi_closed(self._inner(V), rows)
 
     def describe(self) -> str:
         return f"{self.base.describe()} restricted to {self.window.describe()}"
@@ -641,9 +621,6 @@ class PairSum(OperatorHandle):
                         add(x, a.xstar, b.xstar)
         return list(out)
 
-    def phi(self, V, z, g=None):
-        return self._phi_sampled(V, z, g)
-
     def describe(self) -> str:
         return f"sum of {self.first.describe()} and {self.second.describe()}"
 
@@ -725,11 +702,11 @@ def mr_test(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
     """Whether z is monotonically related to every graph point of T over V.
 
     Uses the closed-form phi when exact for this window (phi <= coupling +
-    eps_eq); otherwise checks pairwise gaps against the enumerated graph.
-    For finite graphs the two routes are algebraically identical. A one-row
-    call of mr_batch.
+    eps_eq); otherwise checks pairwise gaps against the graph enumerated at
+    g, which must then be given. For finite graphs the two routes are
+    algebraically identical. A one-row call of mr_batch.
     """
-    return bool(T.mr_batch(V, [z], tol, g or DEFAULT_GRID)[0])
+    return bool(T.mr_batch(V, point_rows([z], z.dimension), tol, g)[0])
 
 
 def _as_region(value) -> Region:

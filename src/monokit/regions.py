@@ -169,6 +169,18 @@ class Box(Region):
                 total += di * lo
         return total
 
+    def support_rows(self, directions: np.ndarray) -> np.ndarray:
+        """support at every row of an (N, n) array, equal to support with
+        ==: each axis adds d_i times the bound it picks in the same order,
+        and a zero direction adds a zero, which leaves the sum unchanged."""
+        if self.is_empty():
+            return np.full(directions.shape[0], -INF)
+        total = np.zeros(directions.shape[0])
+        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            d = directions[:, i]
+            total += d * np.where(d > 0, hi, np.where(d < 0, lo, 0.0))
+        return total
+
     def distance_inf(self, x) -> float:
         if self.is_empty():
             return INF

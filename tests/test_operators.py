@@ -19,6 +19,7 @@ from monokit import (
     FiniteGraph,
     Flat,
     GridSpec,
+    HalfSpace,
     Linear,
     NormalConeBox,
     PointComplement,
@@ -37,6 +38,8 @@ from monokit import (
     restrict,
     whole_space,
 )
+
+from monokit.core import point_rows
 
 from conftest import random_monotone_graph, shuffle_until_non_monotone
 
@@ -365,6 +368,66 @@ class TestLinear:
         got = T.phi(V, pdp([0.0], [2.0]), GridSpec(resolution=401))
         # sup over [-1,1] of 2u - u^2 is at u=1
         assert got == pytest.approx(1.0, abs=1e-2)
+
+    def test_inconsistency_is_judged_at_each_rows_scale(self):
+        # M + M^T = diag(2, 0): a second dual coordinate makes the system
+        # inconsistent, by 1e-6. Against the first row's own scale (1) that
+        # runs off to +inf; against the second row's (1e4) it is rounding.
+        T = Linear(((1.0, 0.0), (0.0, 0.0)))
+        zs = [pdp([0.0, 0.0], [0.0, 1e-6]), pdp([0.0, 0.0], [1e4, 1e-6])]
+        got = T.phi_batch(None, point_rows(zs, 2), None)
+        assert got[0] == INF
+        assert np.isfinite(got[1])
+        assert got.tolist() == [T.phi(None, z) for z in zs]
+
+    def test_batch_matches_a_least_squares_solve_per_row(self, rng):
+        for n in (1, 2, 3):
+            for _ in range(20):
+                root = rng.integers(-4, 5, (n, n)) / 4.0
+                skew = rng.integers(-4, 5, (n, n)) / 4.0
+                m = root @ root.T + (skew - skew.T)
+                T = Linear(tuple(tuple(float(c) for c in r) for r in m))
+                rows = rng.normal(0.0, 2.0, (30, 2 * n))
+                rows[::3, n:] = rows[::3, :n] @ m.T  # graph points
+                s = m + m.T
+                want = []
+                for row in rows:
+                    b = m.T @ row[:n] + row[n:]
+                    u = np.linalg.lstsq(s, b, rcond=None)[0]
+                    bad = np.abs(s @ u - b).max() > 1e-9 * max(
+                        1.0, np.abs(b).max())
+                    want.append(INF if bad else 0.5 * b @ u)
+                got = T.phi_batch(None, rows, None)
+                assert np.isinf(got).tolist() == np.isinf(want).tolist()
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_cached_matrix_keeps_value_equality(self):
+        a = Linear(((1.0, 0.5), (-0.5, 1.0)))
+        b = Linear(((1.0, 0.5), (-0.5, 1.0)))
+        assert a.fiber((1.0, 2.0), TOL) == [((2.0, 1.5), (2.0, 1.5))]
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+class TestExplicitGrids:
+    def test_sampled_routes_need_a_grid(self):
+        T = Flat(closed_box([0.0], [1.0]), (1.0,))
+        V = HalfSpace((1.0,), 0.5)
+        z = pdp([0.0], [2.0])
+        assert not T.phi_is_exact(V)
+        with pytest.raises(ValidationError):
+            T.phi(V, z)
+        with pytest.raises(ValidationError):
+            mr_test(T, V, z, TOL)
+        g = GridSpec(resolution=5)
+        assert T.phi(V, z, g) == 0.5
+        assert mr_test(T, V, z, TOL, g) is False
+
+    def test_exact_routes_need_none(self):
+        T = Flat(closed_box([0.0], [1.0]), (1.0,))
+        z = pdp([0.0], [2.0])
+        assert T.phi(None, z) == 1.0
+        assert mr_test(T, None, z, TOL) is False
 
 
 class TestRestriction:

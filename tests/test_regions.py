@@ -93,6 +93,41 @@ def test_support_positive_homogeneity(scale, direction):
     assert scaled == pytest.approx(scale * one, rel=1e-9, abs=1e-9)
 
 
+bound = st.sampled_from((-np.inf, -1.5, -0.25, -0.0, 0.0, 0.25, 1.5, np.inf))
+direction = st.sampled_from((-2.0, -0.5, -0.0, 0.0, 0.5, 1.25, 3.0)) \
+    | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def support_cases(draw):
+    n = draw(st.integers(1, 3))
+    lo, hi, opens = [], [], []
+    for _ in range(n):
+        a, b = sorted((draw(bound), draw(bound)))
+        if draw(st.booleans()):
+            b = a  # degenerate axis
+        lo.append(a)
+        hi.append(b)
+        opens.append((draw(st.booleans()), draw(st.booleans())))
+    box = Box(tuple(lo), tuple(hi), tuple(o[0] for o in opens),
+              tuple(o[1] for o in opens))
+    dirs = draw(st.lists(st.tuples(*[direction] * n), min_size=1,
+                         max_size=6))
+    return box, dirs
+
+
+@given(support_cases())
+@settings(max_examples=300, deadline=None)
+def test_support_rows_equal_the_scalar_support(case):
+    """The row form equals Box.support with ==, signed zeros and +-inf
+    included, on degenerate, empty and half-infinite boxes."""
+    box, dirs = case
+    got = box.support_rows(np.array(dirs, dtype=float))
+    want = [box.support(d) for d in dirs]
+    assert got.tolist() == want
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
 class TestHalfSpaceAndPolytope:
     def test_halfspace_membership(self):
         h = HalfSpace(normal=[1.0, 0.0], offset=1.0)

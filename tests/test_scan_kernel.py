@@ -1,12 +1,14 @@
 """The blocked scan kernels against the scalar routes, kind by kind.
 
 phi_batch must equal the scalar phi with ==, infinities included, and
-mr_batch the scalar mr_test. Where phi is sampled, both must also equal a
-plain Python sup and gap scan over the enumerated graph, so the kernel's
-summation order is checked against core's pairings bit for bit, and the
-is_monotone witness must be the first pair a scalar gap scan rejects. Every
-enumerated graph point must also pass graph_contains and sit in a box of the
-dual fiber at its primal point.
+mr_batch the scalar mr_test. The scalar routes are one-row calls of the
+batches, so these checks say that a row's value does not depend on the rows
+beside it. Where phi is sampled, both must also equal a plain Python sup and
+gap scan over the enumerated graph, so the kernel's summation order is
+checked against core's pairings bit for bit, and the is_monotone witness
+must be the first pair a scalar gap scan rejects. Every enumerated graph
+point must also pass graph_contains and sit in a box of the dual fiber at
+its primal point.
 """
 
 import numpy as np
@@ -178,6 +180,10 @@ def scan_points(V, n, g):
     return scan_grid(whole_space(n) if V is None else V, g)
 
 
+def rows_of(T, zs):
+    return core.point_rows(zs, T.dimension)
+
+
 def reference_phi(T, V, zs, g):
     """The enumerated sup written out with core's scalar pairings."""
     pts = T.enumerate_graph(V, g)
@@ -193,8 +199,8 @@ def reference_mr(T, V, zs, g):
 def assert_batches_match(T, V, g, zs):
     """The batch over all of zs, the scalar routes on an even subsample
     (a sampled scalar phi enumerates the graph once per point)."""
-    phis = T.phi_batch(V, zs, g)
-    mask = T.mr_batch(V, zs, TOL, g)
+    phis = T.phi_batch(V, rows_of(T, zs), g)
+    mask = T.mr_batch(V, rows_of(T, zs), TOL, g)
     assert phis.shape == mask.shape == (len(zs),)
     idx = range(0, len(zs), max(1, len(zs) // 40))
     sample = [zs[i] for i in idx]
@@ -225,7 +231,8 @@ def test_finite_graph_phi_is_the_kernel_sup(case):
     T, V, g = case
     zs = scan_points(V, T.dimension, g) + list(T.points)
     assert_batches_match(T, V, g, zs)
-    assert T.mr_batch(V, zs, TOL, g).tolist() == reference_mr(T, V, zs, g)
+    assert T.mr_batch(V, rows_of(T, zs), TOL, g).tolist() \
+        == reference_mr(T, V, zs, g)
 
 
 @pytest.mark.parametrize("T, V", [
@@ -245,9 +252,9 @@ def test_window_missing_the_domain(T, V):
                  ambient_bound=2.0)
     zs = scan_grid(whole_space(T.dimension), g)
     assert zs
-    phis = T.phi_batch(V, zs, g)
+    phis = T.phi_batch(V, rows_of(T, zs), g)
     assert phis.tolist() == [-INF] * len(zs)
-    assert T.mr_batch(V, zs, TOL, g).all()
+    assert T.mr_batch(V, rows_of(T, zs), TOL, g).all()
     assert_batches_match(T, V, g, zs)
 
 
@@ -255,8 +262,8 @@ def test_empty_scan_gives_empty_arrays():
     T = Linear(((1.0,),))
     g = GridSpec(resolution=3)
     for V in (None, closed_box([0.0], [1.0])):
-        assert T.phi_batch(V, [], g).shape == (0,)
-        assert T.mr_batch(V, [], TOL, g).shape == (0,)
+        assert T.phi_batch(V, np.zeros((0, 2)), g).shape == (0,)
+        assert T.mr_batch(V, np.zeros((0, 2)), TOL, g).shape == (0,)
 
 
 # Tiny block constants split an N x M product into many row and column tiles.
@@ -268,13 +275,13 @@ BLOCK_EDGES = (3, 7, 16, 61)
 def test_block_edges(case, block):
     """The answers must not move with the tiling."""
     T, V, g = case
-    zs = scan_points(V, T.dimension, g)
-    whole_phi = T.phi_batch(V, zs, g).tolist()
-    whole_mr = T.mr_batch(V, zs, TOL, g).tolist()
+    rows = rows_of(T, scan_points(V, T.dimension, g))
+    whole_phi = T.phi_batch(V, rows, g).tolist()
+    whole_mr = T.mr_batch(V, rows, TOL, g).tolist()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_ELEMS", block)
-        assert T.phi_batch(V, zs, g).tolist() == whole_phi
-        assert T.mr_batch(V, zs, TOL, g).tolist() == whole_mr
+        assert T.phi_batch(V, rows, g).tolist() == whole_phi
+        assert T.mr_batch(V, rows, TOL, g).tolist() == whole_mr
 
 
 def test_blocks_cover_the_product_within_the_cap(monkeypatch):
@@ -374,7 +381,7 @@ def test_phi_is_the_coupling_at_graph_points(case):
     if built_on_finite_graph(T):
         return
     pts = T.enumerate_graph(V, g)
-    for w, p in zip(pts, T.phi_batch(V, pts, g)):
+    for w, p in zip(pts, T.phi_batch(V, rows_of(T, pts), g)):
         assert p == pytest.approx(coupling(w), rel=1e-9, abs=1e-9), w
 
 
@@ -385,9 +392,9 @@ def test_sampled_phi_stays_below_the_closed_form(case):
     T, V, g = case
     if not T.phi_is_exact(V):
         return
-    zs = scan_points(V, T.dimension, g)
-    exact = T.phi_batch(V, zs, g)
-    sampled = T._phi_enumerated(V, zs, g)
+    rows = rows_of(T, scan_points(V, T.dimension, g))
+    exact = T.phi_batch(V, rows, g)
+    sampled = T._phi_enumerated(V, rows, g)
     assert ((sampled <= exact)
             | np.isclose(sampled, exact, rtol=1e-9, atol=1e-9)).all()
 
