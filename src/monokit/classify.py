@@ -6,12 +6,12 @@ the first few counterexamples in scan order. Positive answers are statements
 about the grid; they are flagged approximate whenever a consumed value came
 from a sampled rather than closed-form source.
 
-The phi-based checks build the lattice once with scan_grid, turn it into an
-(N, 2n) array of [x, x*] rows with point_rows, and hand the rows to the
-operator's phi_batch or mr_batch; couplings come from coupling_rows. A
-closed form evaluates every row at once; on the sampled route the graph is
-enumerated once per check and the rows run in bounded blocks. Either way a
-row's value is the one-row phi or mr_test would give.
+The phi-based checks build the lattice once, as the (N, 2n) array of
+[x, x*] rows from scan_rows, and hand it to the operator's phi_batch or
+mr_batch; couplings come from coupling_rows. A row's value is the one-row
+phi or mr_test would give. Each check selects the related or the strictly
+sub-coupling rows, and only those become points, for the per-point tests
+and the witnesses.
 """
 from __future__ import annotations
 
@@ -22,27 +22,32 @@ import numpy as np
 
 from .convex import Envelope
 from .core import (PrimalDualPoint, Tolerance, coupling, coupling_rows,
-                   point_rows)
+                   row_points)
 from .errors import ToleranceError, UnsatisfiedHypothesis
-from .fitzpatrick import (coupling_band, is_representative, penot_envelope,
-                          scan_grid)
+from .fitzpatrick import (band_points, is_representative, penot_envelope,
+                          scan_rows)
 from .operators import (OperatorHandle, is_monotone, meets_domain,
                         with_defaults)
 from .regions import Box, GridSpec, Region, whole_space
 from .verdicts import Property, Verdict, finish
 
 
-def _scan(V: Region, g: GridSpec) -> tuple[list[PrimalDualPoint], np.ndarray]:
-    """The scan lattice over V, as points and as [x, x*] rows."""
-    zs = scan_grid(V, g)
-    return zs, point_rows(zs, V.dimension)
-
-
-def _strictly_below(T: OperatorHandle, V: Region, rows: np.ndarray,
-                    g: GridSpec, tol: Tolerance) -> np.ndarray:
-    """Mask of scan rows where phi_{T|V} < coupling - eps_strict."""
-    return (T.phi_batch(V, rows, g)
-            < coupling_rows(rows) - tol.eps_strict)
+def _window_verdict(prop: Property, T: OperatorHandle, V: Region,
+                    g: GridSpec, tol: Tolerance, *, related: bool, fails,
+                    vacuous_if_none: bool = False) -> Verdict:
+    """Verdict over the scan rows related to T|V (related) or strictly below
+    the coupling (otherwise): only they become points, and fails(z) picks
+    the failures. vacuous_if_none marks a verdict over no selected row."""
+    rows = scan_rows(V, g)
+    if related:
+        keep = T.mr_batch(V, rows, tol, g)
+    else:
+        keep = T.phi_batch(V, rows, g) < coupling_rows(rows) - tol.eps_strict
+    selected = row_points(rows[keep])
+    return finish(prop, [z for z in selected if fails(z)],
+                  approximate=not T.phi_is_exact(V), grid=g, tol=tol,
+                  region_ids=(V.describe(),),
+                  vacuous=vacuous_if_none and not selected)
 
 
 def check_vni(T: OperatorHandle, V: Region, g: GridSpec | None = None,
@@ -53,17 +58,13 @@ def check_vni(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     restriction is empty and the check ranges over nothing meaningful.
     """
     g, tol = with_defaults(g, tol)
-    approx = not T.phi_is_exact(V)
-    ids = (V.describe(),)
     if not meets_domain(T, V, g):
-        return Verdict(Property.VNI, True, approximate=approx, grid=g,
-                       tol=tol, region_ids=ids, vacuous=True,
+        return Verdict(Property.VNI, True, approximate=not T.phi_is_exact(V),
+                       grid=g, tol=tol, region_ids=(V.describe(),),
+                       vacuous=True,
                        notes=("window does not meet the domain",))
-    zs, rows = _scan(V, g)
-    below = _strictly_below(T, V, rows, g, tol)
-    failures = [z for z, b in zip(zs, below) if b]
-    return finish(Property.VNI, failures, approximate=approx, grid=g,
-                  tol=tol, region_ids=ids)
+    return _window_verdict(Property.VNI, T, V, g, tol, related=False,
+                           fails=lambda z: True)
 
 
 def check_locates(T: OperatorHandle, V: Region, g: GridSpec | None = None,
@@ -75,30 +76,18 @@ def check_locates(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     membership rule.
     """
     g, tol = with_defaults(g, tol)
-    zs, rows = _scan(V, g)
-    failures = []
-    for z, related in zip(zs, T.mr_batch(V, rows, tol, g)):
-        if not related:
-            continue
-        ok = (T.domain_contains(z.x, tol) if target is None
-              else target.contains(z.x))
-        if not ok:
-            failures.append(z)
-    return finish(Property.LOCATES, failures,
-                  approximate=not T.phi_is_exact(V), grid=g, tol=tol,
-                  region_ids=(V.describe(),))
+    inside = (target.contains if target is not None
+              else lambda x: T.domain_contains(x, tol))
+    return _window_verdict(Property.LOCATES, T, V, g, tol, related=True,
+                           fails=lambda z: not inside(z.x))
 
 
 def check_identifies(T: OperatorHandle, V: Region, g: GridSpec | None = None,
                      tol: Tolerance | None = None) -> Verdict:
     """Monotonically related grid points over V already lie in the graph."""
     g, tol = with_defaults(g, tol)
-    zs, rows = _scan(V, g)
-    failures = [z for z, related in zip(zs, T.mr_batch(V, rows, tol, g))
-                if related and not T.graph_contains(z, tol)]
-    return finish(Property.IDENTIFIES, failures,
-                  approximate=not T.phi_is_exact(V), grid=g, tol=tol,
-                  region_ids=(V.describe(),))
+    return _window_verdict(Property.IDENTIFIES, T, V, g, tol, related=True,
+                           fails=lambda z: not T.graph_contains(z, tol))
 
 
 def check_v_representable(T: OperatorHandle, V: Region,
@@ -173,20 +162,19 @@ def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
         raise UnsatisfiedHypothesis("the restriction is monotone",
                                     f"witness pair {mono.witnesses[:1]}")
     # The check_vni gate, decided from the same phi sweep as the band.
-    meets = meets_domain(T, V, g)
-    zs, rows = _scan(V, g)
+    rows = scan_rows(V, g)
     p = T.phi_batch(V, rows, g)
     c = coupling_rows(rows)
-    below = np.flatnonzero(p < c - tol.eps_strict)
-    if meets and below.size:
+    below = rows[p < c - tol.eps_strict]
+    if len(below) and meets_domain(T, V, g):
         raise UnsatisfiedHypothesis(
             "phi stays above coupling on the window",
-            f"witness {(zs[below[0]],)}")
+            f"witness {tuple(row_points(below[:1]))}")
     band = np.abs(p - c) <= tol.eps_eq
     if not np.array_equal(band, p <= c + tol.eps_eq):
         raise ToleranceError(
             "equality band and sublevel trace disagree at these margins")
-    return [z for z, b in zip(zs, band) if b]
+    return row_points(rows[band])
 
 
 def check_condition_c(T: OperatorHandle, V: Region,
@@ -195,13 +183,10 @@ def check_condition_c(T: OperatorHandle, V: Region,
     """Strictly sub-coupling grid points over V project into the domain
     closure; vacuously true when the strict set is empty."""
     g, tol = with_defaults(g, tol)
-    zs, rows = _scan(V, g)
-    strict = [z for z, b in zip(zs, _strictly_below(T, V, rows, g, tol)) if b]
-    failures = [z for z in strict
-                if not T.domain_closure_contains(z.x, tol)]
-    return finish(Property.CONDITION_C, failures,
-                  approximate=not T.phi_is_exact(V), grid=g, tol=tol,
-                  region_ids=(V.describe(),), vacuous=not strict)
+    return _window_verdict(
+        Property.CONDITION_C, T, V, g, tol, related=False,
+        fails=lambda z: not T.domain_closure_contains(z.x, tol),
+        vacuous_if_none=True)
 
 
 @dataclass(frozen=True)
@@ -296,8 +281,7 @@ def _low_representable(T: OperatorHandle, family: RegionFamily, g: GridSpec,
                        notes=("empty graph, empty band",))
     mono = is_monotone(T, tol, g)
     env = Envelope(tuple((w, coupling(w)) for w in pts), n)
-    zs = scan_grid(whole_space(n), g)
-    band = coupling_band(env, zs, tol, monotone_data=mono.value)
+    band = band_points(env, scan_rows(whole_space(n), g), tol, mono.value)
     cache: dict[int, Verdict] = {}
     approx = not T.enumeration_exact
     failures = []

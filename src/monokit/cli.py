@@ -8,6 +8,7 @@ hypothesis-gate errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,9 +17,9 @@ from .classify import (check_condition_c, check_identifies, check_locates,
                        check_maximal_on_grid, check_v_representable,
                        check_vni, dyadic_open_boxes, family_scan)
 from .convex import envelope_eval
-from .core import Tolerance, point_rows
+from .core import Tolerance, row_points
 from .errors import MonokitError, SpecFormatError
-from .fitzpatrick import penot_envelope, scan_grid
+from .fitzpatrick import penot_envelope, scan_rows
 from .gallery import run_gallery
 from .operators import is_monotone
 from .regions import GridSpec, whole_space
@@ -184,24 +185,22 @@ def _cmd_export(args) -> int:
     if args.grid is not None:
         g = replace(g, resolution=args.grid, dual_resolution=args.grid)
     window = config.window if config.window is not None else whole_space(n)
-    zs = scan_grid(window, g)
+    rows = scan_rows(window, g)
     if args.fn == "phi":
-        values = T.phi_batch(config.window, point_rows(zs, n), g)
+        values = T.phi_batch(config.window, rows, g)
     else:
         env, _ = penot_envelope(T, config.window, g)
-        values = [envelope_eval(env, z) for z in zs]
+        values = [envelope_eval(env, z) for z in row_points(rows)]
     header = ",".join([f"x{i + 1}" for i in range(n)]
                       + [f"xstar{i + 1}" for i in range(n)] + ["value"])
-    rows = [header]
-    for z, val in zip(zs, values):
-        cells = [format_scalar(c) for c in z.x + z.xstar]
-        cells.append(format_scalar(val))
-        rows.append(",".join(cells))
-    _write_out("\n".join(rows) + "\n", args.out)
-    print(f"wrote {len(zs)} rows")
+    lines = [header] + [",".join(format_scalar(c) for c in row + [val])
+                        for row, val in zip(rows.tolist(), values)]
+    _write_out("\n".join(lines) + "\n", args.out)
+    print(f"wrote {len(rows)} rows")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monokit",

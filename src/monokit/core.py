@@ -73,6 +73,13 @@ def point_rows(points: Iterable[PrimalDualPoint], n: int) -> np.ndarray:
                     dtype=float).reshape(-1, 2 * n)
 
 
+def row_points(rows: np.ndarray) -> list[PrimalDualPoint]:
+    """The inverse of point_rows: one point per [x, x*] row, in row order."""
+    cols = rows.T.tolist()
+    n = len(cols) // 2
+    return list(map(PrimalDualPoint, zip(*cols[:n]), zip(*cols[n:])))
+
+
 def coupling_rows(rows: np.ndarray) -> np.ndarray:
     """coupling of every [x, x*] row, summed coordinate by coordinate in
     _dot's order so each entry equals the scalar coupling bit for bit."""

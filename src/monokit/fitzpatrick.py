@@ -14,17 +14,25 @@ import numpy as np
 
 from .convex import (Envelope, conjugate, envelope_eval, max_affine_eval_batch)
 from .core import (INF, PrimalDualPoint, Tolerance, coupling, coupling_rows,
-                   point_rows)
+                   point_rows, row_points)
 from .errors import BelowCoupling
-from .operators import DEFAULT_GRID, OperatorHandle
+from .operators import OperatorHandle
 from .regions import GridSpec, Region, grid_sample
 
 
+def scan_rows(V: Region, g: GridSpec) -> np.ndarray:
+    """The lattice over V x (clipped dual box) as an (N, 2n) array of
+    [x, x*] rows, lexicographic in both parts; the one lattice builder."""
+    n = V.dimension
+    primal = np.array(grid_sample(V, g), dtype=float).reshape(-1, n)
+    duals = np.array(g.dual_lattice(n), dtype=float)
+    pairs = np.broadcast_arrays(primal[:, None, :], duals[None, :, :])
+    return np.concatenate(pairs, axis=2).reshape(-1, 2 * n)
+
+
 def scan_grid(V: Region, g: GridSpec) -> list[PrimalDualPoint]:
-    """The lattice over V x (clipped dual box), lexicographic in both parts."""
-    primal = grid_sample(V, g)
-    duals = g.dual_lattice(V.dimension)
-    return [PrimalDualPoint(x, s) for x in primal for s in duals]
+    """The scan lattice as points, in scan_rows order."""
+    return row_points(scan_rows(V, g))
 
 
 def phi_eval(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
@@ -45,7 +53,7 @@ def penot_envelope(T: OperatorHandle, V: Region | None,
     The flag reports exactness: True when the enumeration is the whole
     graph, False when the kind was sampled.
     """
-    pts = T.enumerate_graph(V, g or DEFAULT_GRID)
+    pts = T._enumerate(V, g)
     env = Envelope(tuple((w, coupling(w)) for w in pts), T.dimension)
     return env, T.enumeration_exact
 
@@ -64,25 +72,31 @@ def coupling_band(env: Envelope, zs: list[PrimalDualPoint], tol: Tolerance,
     up to eps_eq, so points with sup > c + 3 eps_eq are discarded without an
     exact evaluation. Without that guarantee every point is evaluated.
     """
-    if not env.points or not zs:
+    if not zs:
         return []
-    candidates = _near_band(env, zs, tol) if monotone_data else zs
-    return [z for z in candidates
-            if abs(envelope_eval(env, z) - coupling(z)) <= tol.eps_eq]
+    return band_points(env, point_rows(zs, zs[0].dimension), tol,
+                       monotone_data)
 
 
-def _near_band(env: Envelope, zs: list[PrimalDualPoint],
-               tol: Tolerance) -> list[PrimalDualPoint]:
-    """The points of a nonempty zs where the affine sup over the envelope
-    data is at most coupling + 3 eps_eq, in scan order.
+def band_points(env: Envelope, rows: np.ndarray, tol: Tolerance,
+                monotone_data: bool) -> list[PrimalDualPoint]:
+    """coupling_band over [x, x*] rows; only the rows that reach the exact
+    evaluation become points."""
+    if monotone_data:
+        rows = rows[_near_band(env, rows, tol)]
+    return [z for z, c in zip(row_points(rows), coupling_rows(rows).tolist())
+            if abs(envelope_eval(env, z) - c) <= tol.eps_eq]
+
+
+def _near_band(env: Envelope, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Mask of the rows where the affine sup over the envelope data is at
+    most coupling + 3 eps_eq.
 
     When the data is a monotone graph with its coupling values that sup
-    minorizes the envelope, so every dropped point is off the band.
+    minorizes the envelope, so every dropped row is off the band.
     """
-    rows = point_rows(zs, zs[0].dimension)
     ell = max_affine_eval_batch(conjugate(env), rows)
-    keep = np.nonzero(ell <= coupling_rows(rows) + 3.0 * tol.eps_eq)[0]
-    return [zs[int(i)] for i in keep]
+    return ell <= coupling_rows(rows) + 3.0 * tol.eps_eq
 
 
 @dataclass(frozen=True)
@@ -112,15 +126,13 @@ def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
     prefilter (the affine sup minorizes the envelope in that case) so only
     near-band points pay for an exact evaluation.
     """
-    zs = scan_grid(V, g)
-    witnesses: list[PrimalDualPoint] = []
-    if (assume_above_coupling and isinstance(h, Envelope) and h.points
-            and zs):
-        zs = _near_band(h, zs, tol)
+    rows = scan_rows(V, g)
+    if assume_above_coupling and isinstance(h, Envelope):
+        rows = rows[_near_band(h, rows, tol)]
 
-    for z in zs:
+    witnesses: list[PrimalDualPoint] = []
+    for z, c in zip(row_points(rows), coupling_rows(rows).tolist()):
         hv = h.evaluate(z)
-        c = coupling(z)
         if hv < c - tol.eps_strict:
             raise BelowCoupling(
                 f"candidate dips to {hv} below coupling {c}", witness=z)

@@ -116,23 +116,22 @@ class OperatorHandle:
         if self.phi_is_exact(V):
             return (self.phi_batch(V, rows, g)
                     <= coupling_rows(rows) + tol.eps_eq)
-        return mr_rows(self._graph_rows(V, g, rows), rows, tol.eps_eq)
+        graph = point_rows(self._enumerate(V, g), rows.shape[1] // 2)
+        return mr_rows(graph, rows, tol.eps_eq)
 
     def _phi_closed(self, V, rows) -> np.ndarray:
         """The closed form at every row; called only when phi_is_exact(V)."""
         raise NotImplementedError
 
-    def _graph_rows(self, V, g, rows) -> np.ndarray:
-        """The graph over V enumerated once at g, as rows of the same width
-        as rows; a sampled enumeration needs an explicit grid."""
+    def _enumerate(self, V, g) -> list[PrimalDualPoint]:
+        """enumerate_graph; a sampled enumeration needs an explicit grid."""
         if g is None and not self.enumeration_exact:
-            raise ValidationError(
-                f"{self.describe()} is sampled on this window: pass a grid")
-        return point_rows(self.enumerate_graph(V, g), rows.shape[1] // 2)
+            raise ValidationError(f"{self.describe()} is sampled: pass a grid")
+        return self.enumerate_graph(V, g)
 
     def _phi_enumerated(self, V, rows, g) -> np.ndarray:
         """The sup over the graph enumerated once at g, for every row."""
-        graph = self._graph_rows(V, g, rows)
+        graph = point_rows(self._enumerate(V, g), rows.shape[1] // 2)
         return max_pairing_rows(graph, -coupling_rows(graph), rows)
 
     def describe(self) -> str:
@@ -689,8 +688,7 @@ def is_monotone(T: OperatorHandle, tol: Tolerance,
                 g: GridSpec | None = None,
                 V: Region | None = None) -> Verdict:
     """Pairwise gap check over the enumerated graph; witness pair on failure."""
-    g = g or DEFAULT_GRID
-    pts = T.enumerate_graph(V, g)
+    pts = T._enumerate(V, g)
     failures = _pairwise_gap_failures(pts, tol.eps_eq)
     return finish(Property.MONOTONE, failures,
                   approximate=not T.enumeration_exact, grid=g, tol=tol,

@@ -447,16 +447,15 @@ def _axis_lattice(lo, hi, lo_open, hi_open, k) -> np.ndarray:
     """k uniform samples of one interval, stepped inward from open ends.
 
     Closed-closed uses the endpoints; each open end shifts the lattice one
-    step inside, so an open span is sampled with step span / (k + 1). A
-    closed upper end is pinned to hi exactly, since the stepped last sample
-    can round past it.
+    step inside, so an open span is sampled with step span / (k + 1).
+    Sample i is lo + span * (i + lo_open) / (k - 1 + open ends), divided
+    last, so a point such as 0 lands exactly. A closed upper end is pinned
+    to hi, which the last sample can round past.
     """
     if lo == hi:
         return np.array([lo])
     n_open = int(lo_open) + int(hi_open)
-    step = (hi - lo) / (k - 1 + n_open)
-    start = lo + step if lo_open else lo
-    out = start + step * np.arange(k)
+    out = lo + (hi - lo) * (np.arange(k) + int(lo_open)) / (k - 1 + n_open)
     if not hi_open:
         out[-1] = hi
     return out

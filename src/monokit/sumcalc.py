@@ -21,9 +21,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .convex import Envelope, envelope_eval
-from .core import INF, PrimalDualPoint, Tolerance, coupling
+from .core import (INF, PrimalDualPoint, Tolerance, coupling, coupling_rows,
+                   row_points)
 from .errors import UnsatisfiedHypothesis, ValidationError
-from .fitzpatrick import scan_grid
+from .fitzpatrick import scan_rows
 from .operators import (NormalConeBox, OperatorHandle, PairSum, is_monotone,
                         meets_domain, with_defaults)
 from .regions import Box, GridSpec, Region
@@ -180,13 +181,11 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
 
     machine = _RhoMachine(A, second, V, g, tol)
     failures = []
-    for z in scan_grid(V, g):
+    rows = scan_rows(V, g)
+    for z, c in zip(row_points(rows), coupling_rows(rows).tolist()):
         rv = machine.value(z)
-        c = coupling(z)
-        if rv.value < c - tol.eps_eq:
-            failures.append(z)
-            continue
-        if abs(rv.value - c) <= tol.eps_eq and not S.graph_contains(z, tol):
+        if rv.value < c - tol.eps_eq or (abs(rv.value - c) <= tol.eps_eq
+                                         and not S.graph_contains(z, tol)):
             failures.append(z)
     for w in S.enumerate_graph(V, g):
         rv = machine.value(w)

@@ -1,5 +1,7 @@
 """Window-local property deciders and family scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from monokit import (
     PointComplement,
     Property,
     RegionFamily,
+    SumNormalCone,
     UnsatisfiedHypothesis,
     check_condition_c,
     check_identifies,
@@ -25,6 +28,7 @@ from monokit import (
     dyadic_open_boxes,
     family_scan,
     interval,
+    open_box,
     pdp,
     phi_eval,
     scan_grid,
@@ -112,6 +116,32 @@ class TestIdentifies:
         w = v.witnesses[0]
         assert w.x[0] == pytest.approx(0.0, abs=1e-12)
         assert w.xstar == (0.0,)
+
+    def test_kink_on_the_open_window_lattice(self):
+        """The lattice sample meant to be 0 is 0 exactly; at -1.11e-16 the
+        related points there fell outside the graph."""
+        T = SumNormalCone(AbsSubdiff(1.0), closed_box([0.0], [2.0]))
+        g = GridSpec(resolution=11, dual_bound=4.0, dual_resolution=9)
+        v = check_identifies(T, interval(-1.0, 3.0, True, True), g, TOL)
+        assert v.value and v.witness_count == 0
+
+
+class TestScanMemory:
+    def test_the_lattice_is_held_as_rows(self):
+        """194,481 scan points: held as rows, with points built only for the
+        selected rows, a check peaks far below a list of all the points."""
+        T = NormalConeBox(closed_box([-1.0, -1.0], [1.0, 1.0]))
+        V = open_box([-1.0, -1.0], [1.0, 1.0])
+        g = GridSpec(resolution=21, dual_bound=4.0, dual_resolution=21)
+        for check in (check_vni, check_identifies):
+            tracemalloc.start()
+            try:
+                v = check(T, V, g, TOL)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert v.value
+            assert peak < 20 * 2 ** 20, (check.__name__, peak / 2 ** 20)
 
 
 class TestVRepresentable:

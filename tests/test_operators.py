@@ -35,6 +35,7 @@ from monokit import (
     mr_test,
     natural_pairing,
     pdp,
+    penot_envelope,
     restrict,
     whole_space,
 )
@@ -428,6 +429,25 @@ class TestExplicitGrids:
         z = pdp([0.0], [2.0])
         assert T.phi(None, z) == 1.0
         assert mr_test(T, None, z, TOL) is False
+
+    def test_sampled_enumerations_need_a_grid(self):
+        T = Flat(closed_box([0.0], [1.0]), (1.0,))
+        with pytest.raises(ValidationError):
+            penot_envelope(T, None)
+        with pytest.raises(ValidationError):
+            is_monotone(T, TOL)
+        g = GridSpec(resolution=5)
+        env, exact = penot_envelope(T, None, g)
+        assert len(env.points) == 5 and not exact
+        verdict = is_monotone(T, TOL, g)
+        assert verdict.value and verdict.grid == g
+
+    def test_finite_graphs_need_none(self):
+        T = FiniteGraph((pdp([0.0], [0.0]), pdp([1.0], [1.0])))
+        env, exact = penot_envelope(T, None)
+        assert [w for w, _ in env.points] == list(T.points) and exact
+        verdict = is_monotone(T, TOL)
+        assert verdict.value and verdict.grid is None
 
 
 class TestRestriction:

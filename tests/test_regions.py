@@ -185,16 +185,37 @@ class TestGridSampling:
         assert pts[-1] == (0.38,)
         assert all(box.contains(p) for p in pts)
 
-    def test_random_closed_boxes_contain_their_samples(self):
-        rng = np.random.default_rng(3)
+    @staticmethod
+    def check_random_boxes(seed, opens):
+        """400 random boxes, with random open ends when opens is set: every
+        axis gets its full count of samples and each lies in the box."""
+        rng = np.random.default_rng(seed)
         for _ in range(400):
             n = int(rng.integers(1, 3))
             lo = np.round(rng.uniform(-2.0, 2.0, n), 2)
             hi = np.round(lo + rng.uniform(0.01, 2.0, n), 2)
-            box = closed_box(lo, hi)
+            flags = (rng.integers(0, 2, (2, n)) if opens
+                     else np.zeros((2, n))).astype(bool)
+            lo_open, hi_open = (tuple(map(bool, f)) for f in flags)
+            box = Box(tuple(map(float, lo)), tuple(map(float, hi)),
+                      lo_open, hi_open)
             g = GridSpec(resolution=int(rng.integers(2, 24)))
-            for p in grid_sample(box, g):
+            pts = grid_sample(box, g)
+            assert len(pts) == g.resolution ** n
+            for p in pts:
                 assert box.contains(p), (box.describe(), p)
+
+    def test_random_closed_boxes_contain_their_samples(self):
+        self.check_random_boxes(3, opens=False)
+
+    def test_random_open_boxes_contain_their_samples(self):
+        self.check_random_boxes(4, opens=True)
+
+    def test_lattice_points_land_exactly(self):
+        # Stepping from the first open sample put the 0 here at -1.11e-16.
+        pts = grid_sample(interval(-1.0, 3.0, True, True),
+                          GridSpec(resolution=11))
+        assert (0.0,) in pts and (1.0,) in pts and (2.0,) in pts
 
     def test_dual_lattice_shape(self):
         g = GridSpec(resolution=41, dual_bound=10.0, dual_resolution=41)

@@ -9,7 +9,12 @@ checked against core's pairings bit for bit, and the is_monotone witness
 must be the first pair a scalar gap scan rejects. Every enumerated graph
 point must also pass graph_contains and sit in a box of the dual fiber at
 its primal point.
+
+The scan lattice is built once as rows. scan_grid must equal the lattice
+built point by point, and each window check, which turns only its selected
+rows into points, must equal a point-by-point scan of that lattice.
 """
+import math
 
 import numpy as np
 import pytest
@@ -29,10 +34,17 @@ from monokit import (
     PointComplement,
     Restriction,
     SumNormalCone,
+    ToleranceError,
+    UnsatisfiedHypothesis,
     Box,
+    check_condition_c,
+    check_identifies,
+    check_locates,
+    check_vni,
     closed_box,
     interval,
     coupling,
+    grid_sample,
     is_monotone,
     monotone_gap,
     mr_test,
@@ -40,9 +52,14 @@ from monokit import (
     pdp,
     scan_grid,
     supremum,
+    unique_extension,
     whole_space,
 )
 from monokit import core
+from monokit.errors import MonokitError
+from monokit.fitzpatrick import scan_rows
+from monokit.operators import meets_domain
+from monokit.verdicts import WITNESS_CAP
 
 TOL = DEFAULT_TOL
 
@@ -479,3 +496,100 @@ def test_normal_cone_fiber_in_one_dimension():
 ])
 def test_fiber_of_each_kind(T, x, expected):
     assert T.fiber(x, TOL) == expected
+
+
+def sign_bits(zs):
+    return [tuple(math.copysign(1.0, c) for c in z.x + z.xstar) for z in zs]
+
+
+def window_of(V, n):
+    return whole_space(n) if V is None else V
+
+
+def point_lattice(V, n, g):
+    """The scan lattice built point by point, the reference for the rows."""
+    return [core.PrimalDualPoint(x, s)
+            for x in grid_sample(V, g) for s in g.dual_lattice(n)]
+
+
+@given(cases())
+@settings(max_examples=150, deadline=None)
+def test_scan_rows_are_the_point_lattice(case):
+    """scan_grid equals the point-by-point comprehension, sign bits
+    included, and scan_rows equals its point_rows."""
+    T, V, g = case
+    n = T.dimension
+    V = window_of(V, n)
+    want = point_lattice(V, n, g)
+    got = scan_grid(V, g)
+    assert got == want
+    assert sign_bits(got) == sign_bits(want)
+    rows = scan_rows(V, g)
+    assert rows.shape == (len(want), 2 * n)
+    assert np.array_equal(rows, core.point_rows(want, n))
+    assert core.row_points(rows) == got
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_empty_window_scans_no_rows(n):
+    V = Box((0.0,) * n, (0.0,) * n, (True,) * n, (False,) * n)
+    g = GridSpec(resolution=3, dual_resolution=3)
+    assert scan_rows(V, g).shape == (0, 2 * n)
+    assert scan_grid(V, g) == []
+
+
+def folded(failures, vacuous=False):
+    """What finish records of a failure list."""
+    return (not failures, tuple(failures[:WITNESS_CAP]), len(failures),
+            vacuous)
+
+
+def recorded(v):
+    return (bool(v.value), v.witnesses, v.witness_count, v.vacuous)
+
+
+def outcome(call):
+    """The result, or the class of the monokit error raised."""
+    try:
+        return call()
+    except MonokitError as exc:
+        return type(exc)
+
+
+def reference_unique_extension(T, V, g, zs, phis):
+    mono = is_monotone(T, TOL, g, V=V)
+    if not mono.value:
+        return UnsatisfiedHypothesis
+    below = [z for z, p in zip(zs, phis) if p < coupling(z) - TOL.eps_strict]
+    if meets_domain(T, V, g) and below:
+        return UnsatisfiedHypothesis
+    band = [abs(p - coupling(z)) <= TOL.eps_eq for z, p in zip(zs, phis)]
+    if band != [p <= coupling(z) + TOL.eps_eq for z, p in zip(zs, phis)]:
+        return ToleranceError
+    return [z for z, b in zip(zs, band) if b]
+
+
+@given(cases())
+@settings(max_examples=30, deadline=None)
+def test_window_checks_equal_the_point_scan(case):
+    """Each window check, and unique_extension, against a loop over the
+    lattice with the one-row phi and mr_test."""
+    T, V, g = case
+    V = window_of(V, T.dimension)
+    zs = point_lattice(V, T.dimension, g)
+    phis = [T.phi(V, z, g) for z in zs]
+    below = [z for z, p in zip(zs, phis) if p < coupling(z) - TOL.eps_strict]
+    related = [z for z in zs if mr_test(T, V, z, TOL, g)]
+
+    vni = folded(below) if meets_domain(T, V, g) else folded([], True)
+    assert recorded(check_vni(T, V, g, TOL)) == vni
+    assert recorded(check_locates(T, V, g, TOL)) == folded(
+        [z for z in related if not T.domain_contains(z.x, TOL)])
+    assert recorded(check_identifies(T, V, g, TOL)) == folded(
+        [z for z in related if not T.graph_contains(z, TOL)])
+    assert recorded(check_condition_c(T, V, g, TOL)) == folded(
+        [z for z in below if not T.domain_closure_contains(z.x, TOL)],
+        vacuous=not below)
+
+    assert outcome(lambda: unique_extension(T, V, g, TOL)) \
+        == reference_unique_extension(T, V, g, zs, phis)
