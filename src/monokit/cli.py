@@ -16,8 +16,8 @@ from pathlib import Path
 from .classify import (check_condition_c, check_identifies, check_locates,
                        check_maximal_on_grid, check_v_representable,
                        check_vni, dyadic_open_boxes, family_scan)
-from .convex import envelope_eval
-from .core import Tolerance, row_points
+from .convex import envelope_rows
+from .core import Tolerance
 from .errors import MonokitError, SpecFormatError
 from .fitzpatrick import penot_envelope, scan_rows
 from .gallery import run_gallery
@@ -190,7 +190,7 @@ def _cmd_export(args) -> int:
         values = T.phi_batch(config.window, rows, g)
     else:
         env, _ = penot_envelope(T, config.window, g)
-        values = [envelope_eval(env, z) for z in row_points(rows)]
+        values = envelope_rows(env, rows)
     header = ",".join([f"x{i + 1}" for i in range(n)]
                       + [f"xstar{i + 1}" for i in range(n)] + ["value"])
     lines = [header] + [",".join(format_scalar(c) for c in row + [val])

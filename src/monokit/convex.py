@@ -8,22 +8,28 @@ conjugate is exact for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from . import lp
+from . import core, lp
 from .core import (INF, PrimalDualPoint, max_pairing_rows, natural_pairing,
                    pdp, point_rows, supremum)
 from .errors import DimensionMismatch, LPNumericalError, MonokitError
 
 
 class ConvexFn:
-    """Interface: evaluate(z) returns an extended-real value."""
+    """Interface: evaluate(z) returns an extended-real value, and
+    evaluate_rows(rows) the same value at every [x, x*] row of an (N, 2n)
+    array."""
 
     dimension: int
 
     def evaluate(self, z: PrimalDualPoint) -> float:
+        raise NotImplementedError
+
+    def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -38,6 +44,9 @@ class MaxAffine(ConvexFn):
         _check_dim(self, z)
         return supremum(natural_pairing(z, w) + b for w, b in self.pieces)
 
+    def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
+        return max_affine_eval_batch(self, rows)
+
 
 @dataclass(frozen=True)
 class Envelope(ConvexFn):
@@ -48,6 +57,21 @@ class Envelope(ConvexFn):
 
     def evaluate(self, z: PrimalDualPoint) -> float:
         return envelope_eval(self, z)
+
+    def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
+        return envelope_rows(self, rows)
+
+    @cached_property
+    def _lp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lower, upper, matrix, values): the data's bounding box widened
+        by the hull slack, and the LP over convex weights. Kept out of the
+        fields, so equality and hashing stay by value."""
+        coords = np.array([list(p.x) + list(p.xstar) for p, _ in self.points])
+        slack = 1e-9
+        matrix = np.vstack([coords.T, np.ones((1, len(self.points)))])
+        values = np.array([v for _, v in self.points])
+        return (coords.min(axis=0) - slack, coords.max(axis=0) + slack,
+                matrix, values)
 
 
 class ConjugateValue(NamedTuple):
@@ -79,31 +103,44 @@ def max_affine_eval_batch(f: MaxAffine, zs: np.ndarray) -> np.ndarray:
     return max_pairing_rows(slopes, intercepts, zs)
 
 
-def envelope_eval(f: Envelope, z: PrimalDualPoint) -> float:
-    """Exact envelope value by LP; +inf outside the convex hull of the data.
+def envelope_rows(f: Envelope, rows: np.ndarray) -> np.ndarray:
+    """Exact envelope value at every [x, x*] row of an (N, 2n) array; +inf
+    outside the convex hull of the data.
 
-    Solver trouble surfaces as LPNumericalError, never as a value.
+    One bounding-box test covers every row, and the rows inside it go
+    through one lockstep LP, so each value is bit for bit the one-row value.
+    Solver trouble surfaces as LPNumericalError, never as a value, raised
+    for the first failing row in row order.
     """
-    _check_dim(f, z)
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 2 * f.dimension:
+        raise DimensionMismatch(
+            f"row shape {rows.shape} != (N, {2 * f.dimension}) for function "
+            f"dimension {f.dimension}")
+    out = np.full(len(rows), INF)
     if not f.points:
-        return INF
-    n = f.dimension
-    coords = np.array([list(p.x) + list(p.xstar) for p, _ in f.points])
-    target = np.array(list(z.x) + list(z.xstar))
-    slack = 1e-9
-    if ((target < coords.min(axis=0) - slack).any()
-            or (target > coords.max(axis=0) + slack).any()):
-        return INF
-    k = len(f.points)
-    mat = np.vstack([coords.T, np.ones((1, k))])
-    rhs = np.concatenate([target, [1.0]])
-    values = np.array([v for _, v in f.points])
-    sol = lp.solve(lp.LPProblem(values, mat, rhs))
-    if sol.status is lp.LPStatus.INFEASIBLE:
-        return INF
-    if sol.status is not lp.LPStatus.OPTIMAL:
-        raise LPNumericalError("envelope program reported unbounded")
-    return sol.value
+        return out
+    lower, upper, matrix, values = f._lp
+    inside = np.flatnonzero(~((rows < lower) | (rows > upper)).any(axis=1))
+    # Chunks bound the solutions (and their x vectors) held at once.
+    step = max(1, core._BLOCK_ELEMS // matrix.size)
+    for s in range(0, inside.size, step):
+        idx = inside[s:s + step]
+        rhs = np.hstack([rows[idx], np.ones((idx.size, 1))])
+        for i, sol in zip(idx, lp.solve_rows(values, matrix, rhs)):
+            if isinstance(sol, LPNumericalError):
+                raise sol
+            if sol.status is lp.LPStatus.OPTIMAL:
+                out[i] = sol.value
+            elif sol.status is not lp.LPStatus.INFEASIBLE:
+                raise LPNumericalError("envelope program reported unbounded")
+    return out
+
+
+def envelope_eval(f: Envelope, z: PrimalDualPoint) -> float:
+    """Exact envelope value by LP; the one-row call of envelope_rows."""
+    _check_dim(f, z)
+    return float(envelope_rows(f, point_rows([z], f.dimension))[0])
 
 
 def conjugate(f: ConvexFn) -> ConvexFn:

@@ -80,6 +80,19 @@ def row_points(rows: np.ndarray) -> list[PrimalDualPoint]:
     return list(map(PrimalDualPoint, zip(*cols[:n]), zip(*cols[n:])))
 
 
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse): the index of each distinct row's first occurrence,
+    in row order, and for every row the position of its own row in first,
+    so rows[first][inverse] == rows. Rows equal under == are one row, as
+    they are one key of a dict of points."""
+    _, index, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(index)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return index[order], rank[inverse.reshape(-1)]
+
+
 def coupling_rows(rows: np.ndarray) -> np.ndarray:
     """coupling of every [x, x*] row, summed coordinate by coordinate in
     _dot's order so each entry equals the scalar coupling bit for bit."""

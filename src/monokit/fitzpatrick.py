@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (Envelope, conjugate, envelope_eval, max_affine_eval_batch)
+from .convex import (Envelope, conjugate, envelope_eval, envelope_rows,
+                     max_affine_eval_batch)
 from .core import (INF, PrimalDualPoint, Tolerance, coupling, coupling_rows,
-                   point_rows, row_points)
+                   distinct_rows, point_rows, row_points)
 from .errors import BelowCoupling
 from .operators import OperatorHandle
 from .regions import GridSpec, Region, grid_sample
@@ -84,8 +85,8 @@ def band_points(env: Envelope, rows: np.ndarray, tol: Tolerance,
     evaluation become points."""
     if monotone_data:
         rows = rows[_near_band(env, rows, tol)]
-    return [z for z, c in zip(row_points(rows), coupling_rows(rows).tolist())
-            if abs(envelope_eval(env, z) - c) <= tol.eps_eq]
+    gap = np.abs(envelope_rows(env, rows) - coupling_rows(rows))
+    return row_points(rows[gap <= tol.eps_eq])
 
 
 def _near_band(env: Envelope, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -119,7 +120,8 @@ def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
     Scans two inclusions: grid points with |h - c| <= eps_eq must be graph
     members within delta_dom, and enumerated graph points in the window must
     sit in that band. A value h < c - eps_strict raises BelowCoupling, a
-    class failure distinct from a false verdict.
+    class failure distinct from a false verdict. h is evaluated once per
+    distinct point of the scan rows and the graph, in one row call.
 
     assume_above_coupling may be set when h is the coupling envelope of a
     point set already verified pairwise monotone; it enables a sound sup
@@ -129,19 +131,22 @@ def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
     rows = scan_rows(V, g)
     if assume_above_coupling and isinstance(h, Envelope):
         rows = rows[_near_band(h, rows, tol)]
+    graph = T.enumerate_graph(V, g)
+    both = np.vstack([rows, point_rows(graph, T.dimension)])
+    first, inverse = distinct_rows(both)
+    values = h.evaluate_rows(both[first])[inverse]
+    hv, c = values[:len(rows)], coupling_rows(rows)
 
-    witnesses: list[PrimalDualPoint] = []
-    for z, c in zip(row_points(rows), coupling_rows(rows).tolist()):
-        hv = h.evaluate(z)
-        if hv < c - tol.eps_strict:
-            raise BelowCoupling(
-                f"candidate dips to {hv} below coupling {c}", witness=z)
-        if abs(hv - c) <= tol.eps_eq and not T.graph_contains(z, tol):
-            witnesses.append(z)
-
-    for w in T.enumerate_graph(V, g):
-        hv = h.evaluate(w)
-        if hv == INF or abs(hv - coupling(w)) > tol.eps_eq:
+    below = hv < c - tol.eps_strict
+    if below.any():
+        i = int(below.argmax())
+        raise BelowCoupling(
+            f"candidate dips to {hv[i].item()} below coupling {c[i].item()}",
+            witness=row_points(rows[i:i + 1])[0])
+    witnesses = [z for z in row_points(rows[np.abs(hv - c) <= tol.eps_eq])
+                 if not T.graph_contains(z, tol)]
+    for w, wv in zip(graph, values[len(rows):].tolist()):
+        if wv == INF or abs(wv - coupling(w)) > tol.eps_eq:
             if w not in witnesses:
                 witnesses.append(w)
 

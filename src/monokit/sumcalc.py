@@ -20,9 +20,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .convex import Envelope, envelope_eval
+import numpy as np
+
+from . import core
+from .convex import Envelope
 from .core import (INF, PrimalDualPoint, Tolerance, coupling, coupling_rows,
-                   row_points)
+                   distinct_rows, point_rows, row_points)
 from .errors import UnsatisfiedHypothesis, ValidationError
 from .fitzpatrick import scan_rows
 from .operators import (NormalConeBox, OperatorHandle, PairSum, is_monotone,
@@ -69,17 +72,18 @@ class RhoValue(NamedTuple):
 
 
 class _RhoMachine:
-    """Shared evaluator with the summand envelope and psi values memoized."""
+    """Shared evaluator over the summand envelope and the candidate duals."""
 
     def __init__(self, A: OperatorHandle, second, V: Region | None,
                  g: GridSpec, tol: Tolerance):
         self.tol = tol
-        n = A.dimension
+        n = self.dimension = A.dimension
         a_pts = A.enumerate_graph(V, g)
         self.env_a = Envelope(tuple((w, coupling(w)) for w in a_pts), n)
         cands = set(g.dual_lattice(n))
         cands.update(w.xstar for w in a_pts)
         self.candidates = sorted(cands)
+        self._cand_rows = np.array(self.candidates, dtype=float).reshape(-1, n)
         self.approximate = not A.enumeration_exact
         if isinstance(second, Box):
             self.cone: Box | None = second
@@ -96,34 +100,55 @@ class _RhoMachine:
         else:
             raise ValidationError(
                 "second summand must be an operator or a closed box")
-        self._psi_a: dict[PrimalDualPoint, float] = {}
 
-    def psi_a(self, w: PrimalDualPoint) -> float:
-        if w not in self._psi_a:
-            self._psi_a[w] = envelope_eval(self.env_a, w)
-        return self._psi_a[w]
+    def values_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The split-dual minimum at every [x, x*] row, and the index into
+        candidates of its first minimizer (-1 where the minimum is +inf).
 
-    def second_value(self, x, rest) -> float:
+        psi_A is evaluated once per distinct (x, u*) pair of the rows whose
+        x lies in the cone, in one row call, in the order a row-by-row scan
+        first meets them.
+        """
+        n, cands = self.dimension, self._cand_rows
+        q = len(cands)
+        values = np.full(len(rows), INF)
+        split = np.full(len(rows), -1)
+        first, inverse = distinct_rows(rows[:, :n])
+        xs = rows[first, :n]
+        keep = np.ones(len(xs), dtype=bool)
         if self.cone is not None:
-            return self.cone.support(rest)
-        return envelope_eval(self.env_b, PrimalDualPoint(x, rest))
+            keep[:] = [self.cone.contains(x) for x in xs.tolist()]
+        pairs = np.hstack([np.repeat(xs[keep], q, axis=0),
+                           np.tile(cands, (int(keep.sum()), 1))])
+        psi = self.env_a.evaluate_rows(pairs).reshape(-1, q)
+        slot = np.cumsum(keep) - 1
+        live = np.flatnonzero(keep[inverse])
+        step = max(1, core._BLOCK_ELEMS // max(1, q * n))
+        for s in range(0, live.size, step):
+            idx = live[s:s + step]
+            a = psi[slot[inverse[idx]]]
+            rest = rows[idx, None, n:] - cands[None, :, :]
+            if self.cone is not None:
+                b = self.cone.support_rows(rest.reshape(-1, n)).reshape(a.shape)
+            else:
+                # The sampled envelope is evaluated only where psi_A is finite.
+                b = np.full(a.shape, INF)
+                hit = np.flatnonzero(a.reshape(-1) != INF)
+                zb = np.hstack([np.repeat(rows[idx, :n], q, axis=0)[hit],
+                                rest.reshape(-1, n)[hit]])
+                b.reshape(-1)[hit] = self.env_b.evaluate_rows(zb)
+            total = np.where((a != INF) & (b != INF), a + b, INF)
+            j = total.argmin(axis=1)
+            best = total[np.arange(idx.size), j]
+            values[idx] = best
+            split[idx] = np.where(best < INF, j, -1)
+        return values, split
 
     def value(self, z: PrimalDualPoint) -> RhoValue:
-        if self.cone is not None and not self.cone.contains(z.x):
-            return RhoValue(INF, None, self.approximate)
-        best, best_split = INF, None
-        for u in self.candidates:
-            a = self.psi_a(PrimalDualPoint(z.x, u))
-            if a == INF:
-                continue
-            rest = tuple(s - t for s, t in zip(z.xstar, u))
-            b = self.second_value(z.x, rest)
-            if b == INF:
-                continue
-            total = a + b
-            if total < best:
-                best, best_split = total, u
-        return RhoValue(best, best_split, self.approximate)
+        values, split = self.values_rows(point_rows([z], self.dimension))
+        j = int(split[0])
+        return RhoValue(float(values[0]), self.candidates[j] if j >= 0 else None,
+                        self.approximate)
 
 
 def rho_square_eval(A: OperatorHandle, second, V: Region | None,
@@ -180,16 +205,18 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
             "second summand must be an operator or a closed box")
 
     machine = _RhoMachine(A, second, V, g, tol)
-    failures = []
     rows = scan_rows(V, g)
-    for z, c in zip(row_points(rows), coupling_rows(rows).tolist()):
-        rv = machine.value(z)
-        if rv.value < c - tol.eps_eq or (abs(rv.value - c) <= tol.eps_eq
-                                         and not S.graph_contains(z, tol)):
-            failures.append(z)
-    for w in S.enumerate_graph(V, g):
-        rv = machine.value(w)
-        if abs(rv.value - coupling(w)) > 10.0 * tol.eps_eq:
+    graph = S.enumerate_graph(V, g)
+    values, _ = machine.values_rows(
+        np.vstack([rows, point_rows(graph, S.dimension)]))
+    rho, c = values[:len(rows)], coupling_rows(rows)
+    below = rho < c - tol.eps_eq
+    band = np.abs(rho - c) <= tol.eps_eq
+    pick = below | band
+    failures = [z for z, low in zip(row_points(rows[pick]), below[pick])
+                if low or not S.graph_contains(z, tol)]
+    for w, wv in zip(graph, values[len(rows):].tolist()):
+        if abs(wv - coupling(w)) > 10.0 * tol.eps_eq:
             if w not in failures:
                 failures.append(w)
     return finish(Property.V_REPRESENTABLE, failures,

@@ -24,7 +24,9 @@ from monokit import (
     square_conjugate_eval,
 )
 from monokit import core
+from monokit.convex import envelope_rows
 from monokit.core import point_rows
+from monokit.errors import LPNumericalError
 
 import numpy as np
 
@@ -173,3 +175,89 @@ def test_envelope_never_exceeds_data(raw):
     f = envelope(pts)
     for p, v in pts:
         assert envelope_eval(f, p) <= v + 1e-7
+
+
+# Near-degenerate envelopes on which the LP's absolute residual bound
+# raises (see test_envelope_never_exceeds_data), with the index of the
+# first data point whose evaluation raises.
+BAD_ENVELOPES = [
+    ([(0.0, 2.0, 0.0), (0.0, 1e-09, 0.0), (0.0, -1.0, -1.0)], 1),
+    ([(-1e-09, 0.0, 0.0), (0.6347615062836858, 0.0, 0.0),
+      (-1.625, 0.0, 0.0)], 0),
+    ([(0.0, 1.0, 0.0), (0.0, 1.2368237147313691e-09, 0.0),
+      (0.0, -1.0, -1.0)], 1),
+    ([(0.0, 0.5, 0.0), (0.0, 1e-09, 0.0), (0.0, -1.0, -1.0)], 1),
+]
+
+
+def _pointwise(f, rows):
+    """[envelope_eval(f, z) for z in rows], and the index and message of
+    the first row that raises instead (None, None when none does)."""
+    n = f.dimension
+    values = []
+    for i, row in enumerate(rows):
+        try:
+            values.append(envelope_eval(f, pdp(row[:n], row[n:])))
+        except LPNumericalError as err:
+            return values, i, str(err)
+    return values, None, None
+
+
+@pytest.mark.parametrize("raw, first_bad", BAD_ENVELOPES)
+def test_envelope_rows_raises_like_the_pointwise_loop(raw, first_bad):
+    """The batch raises the loop's message at the loop's first failing row:
+    the rows before it evaluate, the row itself raises."""
+    f = envelope([(pdp([a], [b]), v) for a, b, v in raw])
+    rows = point_rows((p for p, _ in f.points), 1)
+    before, at, message = _pointwise(f, rows)
+    assert at == first_bad
+    assert envelope_rows(f, rows[:at]).tolist() == before
+    with pytest.raises(LPNumericalError) as err:
+        envelope_rows(f, rows)
+    assert str(err.value) == message
+    with pytest.raises(LPNumericalError) as err:
+        envelope_rows(f, rows[at:at + 1])
+    assert str(err.value) == message
+
+
+_COORD = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -1.5, 1e-9])
+
+
+@st.composite
+def _envelope_and_rows(draw):
+    n = draw(st.integers(1, 2))
+    pts = draw(st.lists(st.tuples(st.lists(_COORD, min_size=2 * n,
+                                           max_size=2 * n),
+                                  st.floats(-2, 2)),
+                        min_size=1, max_size=7))
+    f = envelope([(pdp(c[:n], c[n:]), v) for c, v in pts])
+    data = point_rows((p for p, _ in f.points), n)
+    extra = np.array(draw(st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.75, 1.0, 3.0]),
+                 min_size=2 * n, max_size=2 * n), max_size=8)),
+        dtype=float).reshape(-1, 2 * n)
+    mixed = [(a + b) / 2 for a, b in zip(data, data[::-1])]
+    return f, np.vstack([data, extra, np.array(mixed).reshape(-1, 2 * n)])
+
+
+@given(_envelope_and_rows())
+@settings(max_examples=80, deadline=None)
+def test_envelope_rows_matches_pointwise_bit_for_bit(case):
+    """Data points, their midpoints and lattice-like points in and out of
+    the hull: the batch equals the one-point evaluations bit for bit, or
+    raises the same message where the loop first raises."""
+    f, rows = case
+    values, at, message = _pointwise(f, rows)
+    if at is None:
+        got = envelope_rows(f, rows)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in values]
+    else:
+        with pytest.raises(LPNumericalError) as err:
+            envelope_rows(f, rows)
+        assert str(err.value) == message
+
+
+def test_envelope_rows_checks_the_row_width(stair_env):
+    with pytest.raises(DimensionMismatch):
+        envelope_rows(stair_env, np.zeros((2, 4)))
+    assert envelope_rows(stair_env, np.zeros((0, 2))).shape == (0,)

@@ -1,11 +1,13 @@
 """Affine sup, coupling envelope, and band-vs-graph matching."""
 
+import numpy as np
 import pytest
 
 from monokit import (
     DEFAULT_TOL,
     INF,
     BelowCoupling,
+    ConvexFn,
     FiniteGraph,
     GridSpec,
     PointComplement,
@@ -151,6 +153,29 @@ class TestIsRepresentative:
                                      assume_above_coupling=True)
             assert full.is_representative == fast.is_representative
             assert full.mismatch_witnesses == fast.mismatch_witnesses
+
+    def test_each_distinct_point_is_evaluated_once(self, three_point_graph):
+        """Graph points that are also scan points are not solved twice: one
+        row call gets the distinct union, and the report is unchanged."""
+        g = GridSpec(resolution=5, dual_bound=1.0, dual_resolution=5)
+        V = interval(0.0, 1.0)
+        env, _ = penot_envelope(three_point_graph, V, g)
+        calls = []
+
+        class Counted(ConvexFn):
+            dimension = 1
+
+            def evaluate_rows(self, rows):
+                calls.append(rows.copy())
+                return env.evaluate_rows(rows)
+
+        counted = is_representative(Counted(), three_point_graph, V, g, TOL)
+        (rows,) = calls
+        assert len(rows) == 25  # the graph lies on the 5 x 5 scan lattice
+        assert len(np.unique(rows, axis=0)) == 25
+        plain = is_representative(env, three_point_graph, V, g, TOL)
+        assert counted.mismatch_witnesses == plain.mismatch_witnesses
+        assert counted.is_representative == plain.is_representative
 
     def test_graph_point_outside_band_is_reported(self):
         # an envelope that is correct on the band but too high at a graph

@@ -1,8 +1,13 @@
-"""Equality-form simplex vs a brute-force basic-solution oracle.
+"""Equality-form simplex vs a brute-force basic-solution oracle, and the
+lockstep solver vs the scalar tableau method it replaced.
 
 The oracle enumerates every candidate basis of the constraint matrix,
 solves for the basic variables, and keeps the best feasible objective.
 On bounded instances with at most 8 columns it is exhaustive truth.
+
+reference_solve is the one-right-hand-side tableau simplex, kept verbatim
+as a test-only reference: solve_rows must reproduce it bit for bit on every
+row, errors included.
 """
 
 import itertools
@@ -11,7 +16,123 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monokit.lp import LPProblem, LPStatus, solve
+from monokit import core
+from monokit.errors import LPNumericalError
+from monokit.lp import (_COST_TOL, _FEAS_TOL, _PIVOT_TOL, LPProblem,
+                        LPSolution, LPStatus, solve, solve_rows)
+
+
+def _ref_pivot(tableau, cost, basis, row, col):
+    piv = tableau[row, col]
+    if abs(piv) < _PIVOT_TOL:
+        raise LPNumericalError(f"pivot element {piv:g} below threshold")
+    tableau[row] /= piv
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+    if cost[col] != 0.0:
+        cost -= cost[col] * tableau[row]
+    basis[row] = col
+
+
+def _ref_iterate(tableau, cost, basis, ncols):
+    """Run simplex pivots until optimal or unbounded. Bland's rule throughout."""
+    while True:
+        entering = -1
+        for j in range(ncols):
+            if cost[j] < -_COST_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return LPStatus.OPTIMAL
+        ratios_row = -1
+        best_ratio = np.inf
+        for r in range(tableau.shape[0]):
+            a = tableau[r, entering]
+            if a > _PIVOT_TOL:
+                ratio = tableau[r, -1] / a
+                if ratio < best_ratio - _PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= _PIVOT_TOL
+                    and ratios_row >= 0
+                    and basis[r] < basis[ratios_row]
+                ):
+                    best_ratio = ratio
+                    ratios_row = r
+        if ratios_row < 0:
+            return LPStatus.UNBOUNDED
+        _ref_pivot(tableau, cost, basis, ratios_row, entering)
+
+
+def reference_solve(problem: LPProblem) -> LPSolution:
+    """Two-phase simplex. Infeasibility is a status, numerical trouble raises."""
+    a = np.asarray(problem.eq_matrix, dtype=float)
+    b = np.asarray(problem.eq_rhs, dtype=float).copy()
+    c = np.asarray(problem.objective, dtype=float)
+    if a.ndim != 2:
+        raise LPNumericalError("constraint matrix must be two dimensional")
+    m, k = a.shape
+    if c.shape != (k,) or b.shape != (m,):
+        raise LPNumericalError("inconsistent problem shapes")
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        raise LPNumericalError("nonfinite data in problem")
+
+    a = a.copy()
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+
+    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+
+    # Phase one: [A | I | b], minimize the sum of the artificials.
+    tableau = np.hstack([a, np.eye(m), b[:, None]])
+    basis = [k + i for i in range(m)]
+    cost = np.zeros(k + m + 1)
+    cost[k:k + m] = 1.0
+    for r, bv in enumerate(basis):
+        cost -= cost[bv] * tableau[r]
+    status = _ref_iterate(tableau, cost, basis, k + m)
+    if status is not LPStatus.OPTIMAL:
+        raise LPNumericalError("phase one terminated without an optimum")
+    if -cost[-1] > _FEAS_TOL * scale:
+        return LPSolution(LPStatus.INFEASIBLE, None, None)
+
+    # Drive leftover artificials out of the basis; drop redundant rows.
+    keep = []
+    for r in range(m):
+        if basis[r] < k:
+            keep.append(r)
+            continue
+        swapped = False
+        for j in range(k):
+            if abs(tableau[r, j]) > _PIVOT_TOL:
+                _ref_pivot(tableau, cost, basis, r, j)
+                keep.append(r)
+                swapped = True
+                break
+        if not swapped and abs(tableau[r, -1]) > _FEAS_TOL * scale:
+            raise LPNumericalError("inconsistent redundant row in phase one")
+    tableau = np.hstack([tableau[keep][:, :k], tableau[keep][:, -1:]])
+    basis = [basis[r] for r in keep]
+
+    # Phase two with the real objective.
+    cost = np.zeros(k + 1)
+    cost[:k] = c
+    for r, bv in enumerate(basis):
+        cost -= cost[bv] * tableau[r]
+    status = _ref_iterate(tableau, cost, basis, k)
+    if status is LPStatus.UNBOUNDED:
+        return LPSolution(LPStatus.UNBOUNDED, None, None)
+
+    x = np.zeros(k)
+    for r, bv in enumerate(basis):
+        x[bv] = tableau[r, -1]
+    residual = np.abs(np.asarray(problem.eq_matrix, dtype=float) @ x
+                      - np.asarray(problem.eq_rhs, dtype=float))
+    if residual.size and residual.max() > _FEAS_TOL * scale:
+        raise LPNumericalError(
+            f"solution residual {residual.max():.3e} exceeds {_FEAS_TOL:g}"
+        )
+    return LPSolution(LPStatus.OPTIMAL, x, float(c @ x))
 
 
 def oracle(obj, A, b):
@@ -115,3 +236,114 @@ def test_solution_vector_matches_value():
     sol = solve(LPProblem(obj, A, b))
     if sol.status is LPStatus.OPTIMAL:
         assert float(obj @ sol.x) == pytest.approx(sol.value, abs=1e-8)
+
+
+def _outcome(sol):
+    """Everything a row's result says, down to the bits."""
+    if isinstance(sol, LPNumericalError):
+        return ("error", str(sol))
+    return (sol.status, None if sol.x is None else sol.x.tobytes(),
+            None if sol.value is None else sol.value.hex())
+
+
+def _reference_outcome(obj, A, b):
+    try:
+        return _outcome(reference_solve(LPProblem(obj, A, b)))
+    except LPNumericalError as err:
+        return _outcome(err)
+
+
+# Few distinct magnitudes, so ties, degenerate vertices and near-zero
+# pivots are common; -0.0 makes the sign of a zero in x observable.
+_ENTRY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-9, -0.25])
+
+
+@st.composite
+def _lp_batches(draw):
+    """A shared matrix and objective, and right-hand sides of mixed sign:
+    some feasible by construction, some arbitrary (often infeasible). A
+    duplicated or scaled data row makes the matrix rank deficient, so every
+    feasible row leaves phase one with a row to drop; objectives with
+    negative entries on unbounded feasible sets are unbounded."""
+    m = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 12))
+    A = np.array(draw(st.lists(_ENTRY, min_size=m * k, max_size=m * k)),
+                 dtype=float).reshape(m, k)
+    if m > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(m)))[:2]
+        A[j] = A[i] * draw(st.sampled_from([1.0, -2.0, 0.5]))
+    obj = np.array(draw(st.lists(_ENTRY, min_size=k, max_size=k)), dtype=float)
+    rhs = []
+    for _ in range(draw(st.integers(1, 9))):
+        if draw(st.booleans()):
+            x0 = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                        min_size=k, max_size=k)))
+            rhs.append(A @ x0)
+        else:
+            rhs.append(np.array(draw(st.lists(_ENTRY, min_size=m,
+                                              max_size=m))))
+    return obj, A, np.array(rhs)
+
+
+@given(_lp_batches(), st.sampled_from([None, 1, 40]))
+@settings(max_examples=200, deadline=None)
+def test_solve_rows_matches_reference_bit_for_bit(batch, block):
+    """Each row of one lockstep call gives the scalar method's status, x
+    bytes, value bits and error message, whatever the block size."""
+    obj, A, rhs = batch
+    want = [_reference_outcome(obj, A, b) for b in rhs]
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(core, "_BLOCK_ELEMS", block)
+        got = [_outcome(sol) for sol in solve_rows(obj, A, rhs)]
+    assert got == want
+    for b, w in zip(rhs, want):
+        try:
+            one = _outcome(solve(LPProblem(obj, A, b)))
+        except LPNumericalError as err:
+            one = _outcome(err)
+        assert one == w
+
+
+def test_rows_without_pivot_column_entry_stay_untouched():
+    """Subtracting 0 * (pivot row) would turn a -0.0 entry into +0.0, and
+    here that sign reaches x; only rows with a nonzero entry are updated,
+    as in the scalar method."""
+    obj = np.array([-0.25, 0.0, 0.5, -2.0, 0.5, 0.0])
+    A = np.array([[3.0, 3.0, -0.0, 3.0, 1.0, 0.0],
+                  [-0.0, -0.25, 0.0, 0.0, 0.0, 0.0],
+                  [0.5, 0.5, 1e-09, 0.0, -0.0, 0.0]])
+    rhs = np.array([[3.0, -0.0, 0.0], [0.0, -0.0, -0.0]])
+    got = [_outcome(sol) for sol in solve_rows(obj, A, rhs)]
+    assert got == [_reference_outcome(obj, A, b) for b in rhs]
+
+
+def test_solve_rows_covers_every_outcome():
+    """One batch with a rank-deficient matrix: a feasible row that drops a
+    redundant row in phase one, an infeasible row, and, under a second
+    objective, an unbounded row; all as the reference solves them."""
+    A = np.array([[1.0, 1.0, 0.0, 0.0], [2.0, 2.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, -1.0]])
+    rhs = np.array([[1.0, 2.0, 0.0], [1.0, 3.0, 0.0], [-1.0, -2.0, 0.5]])
+    for obj in (np.array([1.0, 0.0, 1.0, 1.0]),
+                np.array([0.0, 0.0, -1.0, 0.0])):
+        got = solve_rows(obj, A, rhs)
+        assert [_outcome(s) for s in got] == [
+            _reference_outcome(obj, A, b) for b in rhs]
+    bounded = solve_rows(np.array([1.0, 0.0, 1.0, 1.0]), A, rhs)
+    assert [s.status for s in bounded] == [
+        LPStatus.OPTIMAL, LPStatus.INFEASIBLE, LPStatus.INFEASIBLE]
+    ray = solve_rows(np.array([0.0, 0.0, -1.0, 0.0]), A, rhs[:1])
+    assert ray[0].status is LPStatus.UNBOUNDED
+
+
+def test_solve_rows_reports_bad_rows_in_place():
+    A = np.array([[1.0, 1.0]])
+    got = solve_rows(np.zeros(2), A, np.array([[1.0], [np.nan], [-1.0]]))
+    assert got[0].status is LPStatus.OPTIMAL
+    assert isinstance(got[1], LPNumericalError)
+    assert str(got[1]) == "nonfinite data in problem"
+    assert got[2].status is LPStatus.INFEASIBLE
+    assert solve_rows(np.zeros(2), A, np.zeros((0, 1))) == []
+    with pytest.raises(LPNumericalError, match="inconsistent problem shapes"):
+        solve_rows(np.zeros(2), A, np.zeros((2, 2)))

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from monokit import core
+from monokit.fitzpatrick import scan_rows
+from monokit.sumcalc import _RhoMachine
 from monokit import (
     DEFAULT_TOL,
     INF,
@@ -101,6 +104,50 @@ class TestRhoSquare:
                 best = min(best, a + BOX.support((z.xstar[0] - u,)))
             got = rho_square_eval(A, BOX, WINDOW, z, g).value
             assert got == pytest.approx(best, abs=1e-8)
+
+
+def _loop_rho(machine, z):
+    """The split-dual minimum as a loop over the candidates, one envelope
+    value at a time; the first strict improvement wins."""
+    if machine.cone is not None and not machine.cone.contains(z.x):
+        return INF, None
+    best, split = INF, None
+    for u in machine.candidates:
+        a = envelope_eval(machine.env_a, pdp(z.x, u))
+        if a == INF:
+            continue
+        rest = tuple(s - t for s, t in zip(z.xstar, u))
+        if machine.cone is not None:
+            b = machine.cone.support(rest)
+        else:
+            b = envelope_eval(machine.env_b, pdp(z.x, rest))
+        if b == INF:
+            continue
+        if a + b < best:
+            best, split = a + b, u
+    return best, split
+
+
+@pytest.mark.parametrize("second", [BOX, AbsSubdiff(1.0)],
+                         ids=["box", "operator"])
+@pytest.mark.parametrize("block", [None, 5])
+def test_values_rows_match_the_candidate_loop(second, block):
+    """Bit for bit, minimizer included, over a lattice with repeated rows,
+    whole or in blocks of a few rows."""
+    g = GridSpec(resolution=7, dual_bound=3.0, dual_resolution=7)
+    machine = _RhoMachine(AbsSubdiff(1.0), second, WINDOW, g, TOL)
+    rows = scan_rows(WINDOW, g)
+    rows = np.vstack([rows, rows[::7]])
+    want = [_loop_rho(machine, pdp(r[:1], r[1:])) for r in rows]
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(core, "_BLOCK_ELEMS", block)
+        values, split = machine.values_rows(rows)
+    assert [v.hex() for v in values.tolist()] == [v.hex() for v, _ in want]
+    assert [machine.candidates[j] if j >= 0 else None
+            for j in split.tolist()] == [u for _, u in want]
+    assert any(u is not None for _, u in want)
+    assert any(u is None for _, u in want)
 
 
 class TestVerifySum:
