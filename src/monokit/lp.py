@@ -6,13 +6,27 @@ A at every row b of an (N, m) array. Instances here are tiny (a handful of
 rows, up to a few hundred columns), so each right-hand side gets a dense
 tableau of its own, one slice of a 3-D array, and the tableaus pivot
 together: each step picks every active tableau's entering column and
-leaving row, then pivots them all at once. Every rule is applied tableau by
-tableau, in the order and with the arithmetic of a one-tableau simplex, so
-each row's outcome is bit for bit the one it gets when solved alone, and
-never depends on the rows beside it. Bland's rule keeps it deterministic:
-the entering variable is the lowest index with a negative reduced cost, and
-ratio ties pick the leaving row whose basic variable has the lowest index.
-Bland's rule also rules out cycling. `solve` is the one-row call.
+leaving row, then pivots them all at once. Every rule reads one tableau
+only, so each row's outcome is bit for bit the one it gets when solved
+alone, and never depends on the rows beside it. `solve` is the one-row call.
+
+Pricing is Dantzig's: the column with the most negative reduced cost
+enters. A tableau that makes a degenerate pivot (its leaving row's
+right-hand side is at most the pivot threshold) prices by Bland's rule, the
+lowest-index negative reduced cost, for the rest of that phase. Before the
+switch every pivot lowers the objective, so no basis repeats; after it
+Bland's rule rules out cycling. Phase one is bounded below, so it prices
+only columns with an entry above the pivot threshold. The ratio test takes
+the least ratio over rows with an entry above the pivot threshold, and
+ratios within the threshold of it go to the row whose basic variable has
+the lowest index, as Bland's rule needs.
+
+At the optimum, x is read off the tableau and then corrected by one solve
+with the final basis columns of the data, so that the rounding a tableau
+gathers over its pivots does not reach x. A singular basis, a basic
+variable below -_FEAS_TOL * scale or a residual above _FEAS_TOL * scale
+raises LPNumericalError for that row, where scale is the largest of 1 and
+the magnitudes of the row's right-hand side.
 """
 from __future__ import annotations
 
@@ -73,51 +87,100 @@ def _pivot(tab, cost, basis, live, lps, rows, cols):
 
 
 def _leaving_rows(tab, basis, live, lps, cols):
-    """The ratio test of every tableau in lps on its entering column, one
-    row at a time in row order; -1 where no row qualifies."""
+    """The ratio test of every tableau in lps on its entering column: the
+    least ratio over live rows whose entry exceeds the pivot threshold,
+    ties within the threshold to the row whose basic variable has the
+    lowest index; -1 where no row qualifies."""
+    if not tab.shape[1]:  # no equations: every entering column is a ray
+        return np.full(lps.size, -1)
     col = tab[lps, :, cols]
-    bas = basis[lps]
-    # Rows that fail the pivot test get a NaN ratio, which no comparison
-    # takes; while nothing is picked, best is inf and no ratio ties it.
     ok = live[lps] & (col > _PIVOT_TOL)
-    ratio = np.divide(tab[lps, :, -1], col, out=np.full(col.shape, np.nan),
+    ratio = np.divide(tab[lps, :, -1], col, out=np.full(col.shape, np.inf),
                       where=ok)
-    best = np.full(lps.size, np.inf)
-    pick = np.full(lps.size, -1)
-    pick_bas = np.zeros(lps.size, dtype=bas.dtype)
-    for r in np.flatnonzero(ok.any(axis=0)):
-        rr = ratio[:, r]
-        take = (rr < best - _PIVOT_TOL) | (
-            (np.abs(rr - best) <= _PIVOT_TOL) & (bas[:, r] < pick_bas))
-        best = np.where(take, rr, best)
-        pick = np.where(take, r, pick)
-        pick_bas = np.where(take, bas[:, r], pick_bas)
-    return pick
+    tie = ok & (ratio <= ratio.min(axis=1, keepdims=True) + _PIVOT_TOL)
+    pick = np.where(tie, basis[lps], np.iinfo(basis.dtype).max).argmin(axis=1)
+    return np.where(ok.any(axis=1), pick, -1)
 
 
-def _iterate(tab, cost, basis, live, lps, ncols):
+def _iterate(tab, cost, basis, live, lps, ncols, bounded=False):
     """Pivot the tableaus in lps (sorted) until each is optimal or
-    unbounded, Bland's rule throughout; returns the (optimal, unbounded)
-    tableau indices, the optimal ones sorted."""
+    unbounded; returns the (optimal, unbounded) tableau indices, the
+    optimal ones sorted. The most negative reduced cost enters until a
+    tableau makes a degenerate pivot, the lowest-index negative one from
+    then on. A bounded program (phase one) prices only columns with a live
+    entry above the pivot threshold, so none of its tableaus is unbounded."""
+    bland = np.zeros(len(tab), dtype=bool)
     optimal, unbounded = [lps[:0]], [lps[:0]]
     while lps.size:
-        neg = cost[lps, :ncols] < -_COST_TOL
+        red = cost[lps, :ncols]
+        neg = red < -_COST_TOL
+        if bounded:
+            neg &= ((tab[lps, :, :ncols] > _PIVOT_TOL)
+                    & live[lps, :, None]).any(axis=1)
         going = neg.any(axis=1)
         optimal.append(lps[~going])
-        lps, cols = lps[going], neg[going].argmax(axis=1)
+        lps, neg, red = lps[going], neg[going], red[going]
+        if not lps.size:
+            break
+        cols = np.where(bland[lps], neg.argmax(axis=1),
+                        np.where(neg, red, np.inf).argmin(axis=1))
         rows = _leaving_rows(tab, basis, live, lps, cols)
         stuck = rows < 0
         unbounded.append(lps[stuck])
         lps, rows, cols = lps[~stuck], rows[~stuck], cols[~stuck]
         if lps.size:
+            bland[lps] |= tab[lps, rows, -1] <= _PIVOT_TOL
             _pivot(tab, cost, basis, live, lps, rows, cols)
     return np.sort(np.concatenate(optimal)), np.concatenate(unbounded)
 
 
+def _outcomes(c, a, rhs, basis, start, scale) -> list:
+    """The optimal outcome of every row from its final basis and the
+    tableau's basic values (start, 0 at masked rows).
+
+    x is start plus one correction, solved from the basis columns of the
+    data [A | I] against the residual of the rows as given, so that a
+    tableau that drifted from its data is brought back to it. A masked row
+    keeps an artificial column in the basis, whose value stays out of x. A
+    singular basis, a basic variable below zero or a residual beyond the
+    tolerance raises.
+    """
+    n, m = basis.shape
+    k = a.shape[1]
+    at = np.arange(n)[:, None]
+    x = np.zeros((n, k + m))
+    x[at, basis] = start
+    mat = np.hstack([a, np.eye(m)])[:, basis].transpose(1, 0, 2)
+    solvable = np.linalg.slogdet(mat)[0] != 0.0
+    gap = rhs - (a * x[:, None, :k]).sum(axis=2)
+    step = np.zeros((n, m))
+    step[solvable] = np.linalg.solve(mat[solvable],
+                                     gap[solvable, :, None])[:, :, 0]
+    x[at, basis] += step
+    x = np.ascontiguousarray(x[:, :k])
+    low = x.min(axis=1, initial=0.0)
+    residual = np.abs((a * x[:, None, :]).sum(axis=2) - rhs).max(
+        axis=1, initial=0.0)
+    value = (x * c).sum(axis=1)
+    bound = _FEAS_TOL * scale
+    out: list = [LPSolution(LPStatus.OPTIMAL, xi, v)
+                 for xi, v in zip(x, value.tolist())]
+    for i in np.flatnonzero(~(solvable & (low >= -bound)
+                              & (residual <= bound))):
+        if not solvable[i]:
+            out[i] = LPNumericalError("singular final basis")
+        elif low[i] < -bound[i]:
+            out[i] = LPNumericalError(f"basic variable {low[i]:.3e} below zero")
+        else:
+            out[i] = LPNumericalError(
+                f"solution residual {residual[i]:.3e} exceeds {_FEAS_TOL:g}")
+    return out
+
+
 def _solve_block(c, a, rhs) -> list:
     """Two-phase simplex at every row of rhs, one result per row. Equations
-    with a negative right-hand side are negated for phase one; the residual
-    is checked against the rows as given."""
+    with a negative right-hand side are negated for the tableau; x is solved
+    and checked against the rows as given."""
     m, k = a.shape
     out: list = [None] * len(rhs)
     flip = rhs < 0
@@ -135,10 +198,8 @@ def _solve_block(c, a, rhs) -> list:
     cost[:, k:k + m] = 1.0
     for r in range(m):
         cost -= cost[:, k + r, None] * tab[:, r]
-    feasible, stuck = _iterate(tab, cost, basis, live, np.arange(len(b)),
-                               k + m)
-    for i in stuck:
-        out[i] = LPNumericalError("phase one terminated without an optimum")
+    feasible, _ = _iterate(tab, cost, basis, live, np.arange(len(b)), k + m,
+                           bounded=True)
     short = -cost[feasible, -1] > _FEAS_TOL * scale[feasible]
     for i in feasible[short]:
         out[i] = LPSolution(LPStatus.INFEASIBLE, None, None)
@@ -171,16 +232,10 @@ def _solve_block(c, a, rhs) -> list:
     done, rays = _iterate(tab, cost, basis, live, feasible, k)
     for i in rays:
         out[i] = LPSolution(LPStatus.UNBOUNDED, None, None)
-
-    for i in done:
-        x = np.zeros(k)
-        x[basis[i, live[i]]] = tab[i, live[i], -1]
-        residual = np.abs(a @ x - rhs[i])
-        if residual.size and residual.max() > _FEAS_TOL * scale[i]:
-            out[i] = LPNumericalError(
-                f"solution residual {residual.max():.3e} exceeds {_FEAS_TOL:g}")
-        else:
-            out[i] = LPSolution(LPStatus.OPTIMAL, x, float(c @ x))
+    start = np.where(live[done], tab[done, :, -1], 0.0)
+    for i, sol in zip(done, _outcomes(c, a, rhs[done], basis[done], start,
+                                      scale[done])):
+        out[i] = sol
     return out
 
 

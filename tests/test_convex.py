@@ -177,16 +177,41 @@ def test_envelope_never_exceeds_data(raw):
         assert envelope_eval(f, p) <= v + 1e-7
 
 
-# Near-degenerate envelopes on which the LP's absolute residual bound
-# raises (see test_envelope_never_exceeds_data), with the index of the
-# first data point whose evaluation raises.
+# Near-degenerate envelopes on which test_envelope_never_exceeds_data has
+# failed; with x read off the tableau alone, the first five fail its
+# residual check.
+NEAR_DEGENERATE_ENVELOPES = [
+    [(0.0, 2.0, 0.0), (0.0, 1e-09, 0.0), (0.0, -1.0, -1.0)],
+    [(-1e-09, 0.0, 0.0), (0.6347615062836858, 0.0, 0.0), (-1.625, 0.0, 0.0)],
+    [(0.0, 1.0, 0.0), (0.0, 1.2368237147313691e-09, 0.0), (0.0, -1.0, -1.0)],
+    [(0.0, 0.5, 0.0), (0.0, 1e-09, 0.0), (0.0, -1.0, -1.0)],
+    [(0, 1, 0), (1, 8.243130836781013e-08, 0), (0, -1.870360410552597, 0),
+     (1, 0, 0), (2, 1, 0)],
+    [(0, 0.7727510000467528, 0), (1, -2, 0), (-1, 0, 0),
+     (-1.998046875, 5.960464477539063e-08, 0)],
+]
+
+
+@pytest.mark.parametrize("raw", NEAR_DEGENERATE_ENVELOPES)
+def test_near_degenerate_envelope_never_exceeds_data(raw):
+    pts = [(pdp([a], [b]), v) for a, b, v in raw]
+    f = envelope(pts)
+    for p, v in pts:
+        assert envelope_eval(f, p) <= v + 1e-7
+
+
+# Envelopes with data entries near 1e-9 on which the LP still raises, with
+# the index of the first data point whose evaluation raises: two final
+# bases whose data solution has a negative entry, a program reported
+# unbounded, and a singular final basis.
 BAD_ENVELOPES = [
-    ([(0.0, 2.0, 0.0), (0.0, 1e-09, 0.0), (0.0, -1.0, -1.0)], 1),
-    ([(-1e-09, 0.0, 0.0), (0.6347615062836858, 0.0, 0.0),
-      (-1.625, 0.0, 0.0)], 0),
-    ([(0.0, 1.0, 0.0), (0.0, 1.2368237147313691e-09, 0.0),
-      (0.0, -1.0, -1.0)], 1),
-    ([(0.0, 0.5, 0.0), (0.0, 1e-09, 0.0), (0.0, -1.0, -1.0)], 1),
+    ([(0.0, 1.0, 0.0), (-1e-09, 1e-09, 1.0), (-1e-09, -1e-07, 0.0),
+      (1e-09, -1e-07, 0.5)], 1),
+    ([(0.5, 1e-09, 0.5), (1e-08, 1e-08, 0.5), (0.5, 1e-08, 0.0),
+      (0.0, -1.0, 0.5)], 0),
+    ([(0.0, 0.5, -1.0), (1e-09, 0.0, 0.5), (-1.5, 1e-09, -1.0),
+      (0.0, -1.0, 1.0)], 1),
+    ([(2.0, -1e-07, 0.5), (1e-09, -1e-07, 1.0), (1.0, -1e-07, 0.0)], 1),
 ]
 
 

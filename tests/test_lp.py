@@ -1,13 +1,15 @@
-"""Equality-form simplex vs a brute-force basic-solution oracle, and the
-lockstep solver vs the scalar tableau method it replaced.
+"""Equality-form simplex vs a brute-force basic-solution oracle and
+scipy's linprog, and the lockstep solver vs a scalar tableau method.
 
 The oracle enumerates every candidate basis of the constraint matrix,
 solves for the basic variables, and keeps the best feasible objective.
 On bounded instances with at most 8 columns it is exhaustive truth.
+scipy.optimize.linprog (HiGHS) is a second, test-only oracle; its tests skip
+where scipy is not installed.
 
-reference_solve is the one-right-hand-side tableau simplex, kept verbatim
-as a test-only reference: solve_rows must reproduce it bit for bit on every
-row, errors included.
+reference_solve is the one-right-hand-side tableau simplex under the same
+rules: solve_rows must reproduce it bit for bit on every row, errors
+included.
 """
 
 import itertools
@@ -16,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monokit import core
+from monokit import (AbsSubdiff, GridSpec, check_v_representable, core,
+                     interval, lp)
 from monokit.errors import LPNumericalError
 from monokit.lp import (_COST_TOL, _FEAS_TOL, _PIVOT_TOL, LPProblem,
                         LPSolution, LPStatus, solve, solve_rows)
@@ -35,32 +38,35 @@ def _ref_pivot(tableau, cost, basis, row, col):
     basis[row] = col
 
 
-def _ref_iterate(tableau, cost, basis, ncols):
-    """Run simplex pivots until optimal or unbounded. Bland's rule throughout."""
+def _ref_iterate(tableau, cost, basis, ncols, bounded=False):
+    """Run simplex pivots until optimal or unbounded. The most negative
+    reduced cost enters until a pivot is degenerate, the lowest-index
+    negative one from then on; a bounded program prices only columns with
+    an entry above the pivot threshold."""
+    bland = False
     while True:
         entering = -1
         for j in range(ncols):
-            if cost[j] < -_COST_TOL:
-                entering = j
-                break
+            if cost[j] < -_COST_TOL and (
+                    not bounded or (tableau[:, j] > _PIVOT_TOL).any()):
+                if bland:
+                    entering = j
+                    break
+                if entering < 0 or cost[j] < cost[entering]:
+                    entering = j
         if entering < 0:
             return LPStatus.OPTIMAL
-        ratios_row = -1
-        best_ratio = np.inf
-        for r in range(tableau.shape[0]):
-            a = tableau[r, entering]
-            if a > _PIVOT_TOL:
-                ratio = tableau[r, -1] / a
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and ratios_row >= 0
-                    and basis[r] < basis[ratios_row]
-                ):
-                    best_ratio = ratio
-                    ratios_row = r
-        if ratios_row < 0:
+        rows = [r for r in range(tableau.shape[0])
+                if tableau[r, entering] > _PIVOT_TOL]
+        if not rows:
             return LPStatus.UNBOUNDED
-        _ref_pivot(tableau, cost, basis, ratios_row, entering)
+        ratios = {r: tableau[r, -1] / tableau[r, entering] for r in rows}
+        best = min(ratios.values())
+        leaving = min((r for r in rows if ratios[r] <= best + _PIVOT_TOL),
+                      key=lambda r: basis[r])
+        if tableau[leaving, -1] <= _PIVOT_TOL:
+            bland = True
+        _ref_pivot(tableau, cost, basis, leaving, entering)
 
 
 def reference_solve(problem: LPProblem) -> LPSolution:
@@ -90,9 +96,8 @@ def reference_solve(problem: LPProblem) -> LPSolution:
     cost[k:k + m] = 1.0
     for r, bv in enumerate(basis):
         cost -= cost[bv] * tableau[r]
-    status = _ref_iterate(tableau, cost, basis, k + m)
-    if status is not LPStatus.OPTIMAL:
-        raise LPNumericalError("phase one terminated without an optimum")
+    status = _ref_iterate(tableau, cost, basis, k + m, bounded=True)
+    assert status is LPStatus.OPTIMAL
     if -cost[-1] > _FEAS_TOL * scale:
         return LPSolution(LPStatus.INFEASIBLE, None, None)
 
@@ -111,6 +116,7 @@ def reference_solve(problem: LPProblem) -> LPSolution:
                 break
         if not swapped and abs(tableau[r, -1]) > _FEAS_TOL * scale:
             raise LPNumericalError("inconsistent redundant row in phase one")
+    full_basis = list(basis)
     tableau = np.hstack([tableau[keep][:, :k], tableau[keep][:, -1:]])
     basis = [basis[r] for r in keep]
 
@@ -123,16 +129,31 @@ def reference_solve(problem: LPProblem) -> LPSolution:
     if status is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, None, None)
 
+    # The tableau's x, then one correction solved from the basis columns of
+    # [A | I] as given; a dropped row keeps its artificial column.
+    for r, bv in zip(keep, basis):
+        full_basis[r] = bv
+    a = np.asarray(problem.eq_matrix, dtype=float)
+    b = np.asarray(problem.eq_rhs, dtype=float)
     x = np.zeros(k)
     for r, bv in enumerate(basis):
         x[bv] = tableau[r, -1]
-    residual = np.abs(np.asarray(problem.eq_matrix, dtype=float) @ x
-                      - np.asarray(problem.eq_rhs, dtype=float))
+    try:
+        step = np.linalg.solve(np.hstack([a, np.eye(m)])[:, full_basis],
+                               b - (a * x).sum(axis=1))
+    except np.linalg.LinAlgError:
+        raise LPNumericalError("singular final basis") from None
+    for p, bv in enumerate(full_basis):
+        if bv < k:
+            x[bv] += step[p]
+    if x.min(initial=0.0) < -_FEAS_TOL * scale:
+        raise LPNumericalError(f"basic variable {x.min():.3e} below zero")
+    residual = np.abs((a * x).sum(axis=1) - b)
     if residual.size and residual.max() > _FEAS_TOL * scale:
         raise LPNumericalError(
             f"solution residual {residual.max():.3e} exceeds {_FEAS_TOL:g}"
         )
-    return LPSolution(LPStatus.OPTIMAL, x, float(c @ x))
+    return LPSolution(LPStatus.OPTIMAL, x, float((x * c).sum()))
 
 
 def oracle(obj, A, b):
@@ -226,6 +247,32 @@ def test_matches_basis_enumeration(seed):
         # reported point must satisfy the constraints it claims to
         assert np.abs(A @ sol.x - b).max() < 1e-7
         assert (sol.x > -1e-9).all()
+
+
+def test_phase_one_skips_columns_without_a_pivot():
+    """Phase one is bounded below, so a column with a negative reduced cost
+    and no entry above the pivot threshold is not priced: x = 0 is found
+    instead of an unbounded phase one."""
+    A = np.array([[1e-9, 0.0, 1.0, -1.0], [-2.0, 1.0, -2.0, 0.0]])
+    sol = solve(LPProblem(np.zeros(4), A, np.zeros(2)))
+    assert sol.status is LPStatus.OPTIMAL
+    assert sol.value == 0.0
+    assert _outcome(sol) == _reference_outcome(np.zeros(4), A, np.zeros(2))
+
+
+def test_programs_without_rows_or_columns():
+    """With no equations the objective alone decides; with no variables
+    only b = 0 is feasible."""
+    no_rows = np.zeros((0, 1))
+    ray = solve(LPProblem(np.array([-1.0]), no_rows, np.zeros(0)))
+    assert ray.status is LPStatus.UNBOUNDED
+    sol = solve(LPProblem(np.array([1.0]), no_rows, np.zeros(0)))
+    assert sol.status is LPStatus.OPTIMAL and sol.value == 0.0
+    no_cols = np.zeros((2, 0))
+    sol = solve(LPProblem(np.zeros(0), no_cols, np.zeros(2)))
+    assert sol.status is LPStatus.OPTIMAL and sol.x.shape == (0,)
+    gap = solve(LPProblem(np.zeros(0), no_cols, np.array([1.0, 0.0])))
+    assert gap.status is LPStatus.INFEASIBLE
 
 
 def test_solution_vector_matches_value():
@@ -347,3 +394,71 @@ def test_solve_rows_reports_bad_rows_in_place():
     assert solve_rows(np.zeros(2), A, np.zeros((0, 1))) == []
     with pytest.raises(LPNumericalError, match="inconsistent problem shapes"):
         solve_rows(np.zeros(2), A, np.zeros((2, 2)))
+
+
+_LINPROG_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE,
+                   3: LPStatus.UNBOUNDED}
+
+
+def _assert_agrees_with_linprog(obj, A, rhs, seed):
+    """Every row's status equals linprog's, and optimal values agree to
+    1e-9 relative (absolute below 1)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for b, sol in zip(rhs, solve_rows(obj, A, rhs)):
+        assert not isinstance(sol, LPNumericalError), (seed, b, sol)
+        ref = linprog(obj, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert sol.status is _LINPROG_STATUS[ref.status], (seed, b)
+        if sol.status is LPStatus.OPTIMAL:
+            assert abs(sol.value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), (
+                seed, b, sol.value, ref.fun)
+
+
+def test_random_lps_agree_with_linprog():
+    """Rounded data, so ties and degenerate vertices occur; three feasible
+    right-hand sides and three arbitrary ones per matrix."""
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 5))
+        k = int(rng.integers(m, 10))
+        A = rng.uniform(-3, 3, (m, k)).round(2)
+        obj = rng.uniform(-2, 2, k).round(2)
+        feasible = rng.choice([0.0, 0.5, 1.0, 2.0], (3, k)) @ A.T
+        rhs = np.vstack([feasible, rng.uniform(-3, 3, (3, m)).round(2)])
+        _assert_agrees_with_linprog(obj, A, rhs, seed)
+
+
+@pytest.mark.parametrize("dual_bound", [1.0, 1e3])
+def test_envelope_lps_agree_with_linprog(dual_bound):
+    """The envelope program with primal coordinates in [-2, 2] and dual
+    ones up to dual_bound, at points inside the hull of the data and at
+    points drawn from the whole box, most of them outside it."""
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 7])
+        n = int(rng.integers(1, 3))
+        k = int(rng.integers(2, 9))
+        bound = np.r_[np.full(n, 2.0), np.full(n, dual_bound)]
+        pts = rng.uniform(-bound, bound, (k, 2 * n))
+        A = np.vstack([pts.T, np.ones(k)])
+        inside = rng.dirichlet(np.ones(k), 4) @ pts
+        anywhere = rng.uniform(-bound, bound, (4, 2 * n))
+        rhs = np.hstack([np.vstack([inside, anywhere]), np.ones((8, 1))])
+        _assert_agrees_with_linprog(rng.uniform(-2, 2, k), A, rhs, seed)
+
+
+def test_pinned_v_representable_scan_takes_few_lockstep_steps(monkeypatch):
+    """Dantzig pricing keeps the 161 x 161 scan of |x| on (-2, 2) under 80
+    lockstep steps (244 under Bland's rule throughout); the verdict holds."""
+    steps = []
+    pivot = lp._pivot
+
+    def counted(tab, cost, basis, live, lps, rows, cols):
+        steps.append(lps.size)
+        pivot(tab, cost, basis, live, lps, rows, cols)
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    verdict = check_v_representable(
+        AbsSubdiff(1.0), interval(-2, 2, True, True),
+        GridSpec(resolution=161, dual_resolution=161))
+    assert verdict.value is True
+    assert verdict.witnesses == () and verdict.witness_count == 0
+    assert len(steps) <= 80
