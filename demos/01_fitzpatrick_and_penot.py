@@ -49,8 +49,7 @@ for z in probes:
 
 # ---- where does the envelope touch the coupling? ----
 env, exact = penot_envelope(T, V, g)
-band = coupling_band(env, scan_grid(whole_space(1), g), DEFAULT_TOL,
-                     monotone_data=True)
+band = coupling_band(env, scan_grid(whole_space(1), g), DEFAULT_TOL)
 print(f"\nenvelope touches the coupling at {len(band)} grid points")
 segment = [z for z in band if 0.5 < z.x[0] < 1.0]
 print(f"  {len(segment)} of them sit strictly between the last two primals")
@@ -60,16 +59,14 @@ if segment:
           " which is not a graph point")
 
 # the band leaking past the graph is exactly what representability forbids
-report = is_representative(env, T, whole_space(1), g, DEFAULT_TOL,
-                           assume_above_coupling=True)
-print(f"\nenvelope represents the graph: {report.is_representative}")
-if report.mismatch_witnesses:
-    w = report.mismatch_witnesses[0]
+report = is_representative(env, T, whole_space(1), g, DEFAULT_TOL)
+print(f"\nenvelope represents the graph: {report.value}")
+if report.witnesses:
+    w = report.witnesses[0]
     print(f"  first mismatch witness: ({w.x[0]:+.2f}, {w.xstar[0]:+.2f})")
 
 # ---- a two-point diagonal piece, for contrast, is representable ----
 D = FiniteGraph([pdp([0.0], [0.0]), pdp([1.0], [1.0])])
 env_d, _ = penot_envelope(D, V, g)
-report_d = is_representative(env_d, D, whole_space(1), g, DEFAULT_TOL,
-                             assume_above_coupling=True)
-print(f"\ndiagonal pair for comparison: {report_d.is_representative}")
+report_d = is_representative(env_d, D, whole_space(1), g, DEFAULT_TOL)
+print(f"\ndiagonal pair for comparison: {report_d.value}")

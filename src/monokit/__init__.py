@@ -20,9 +20,8 @@ from .operators import (AbsSubdiff, FiniteGraph, Flat, Linear, NormalConeBox,
                         OperatorHandle, PairSum, PointComplement, Restriction,
                         SumNormalCone, build_operator, is_monotone, mr_test,
                         restrict)
-from .fitzpatrick import (RepresentativeReport, coupling_band,
-                          is_representative, penot_envelope, phi_eval,
-                          psi_eval, scan_grid)
+from .fitzpatrick import (coupling_band, is_representative, penot_envelope,
+                          phi_eval, psi_eval, scan_grid)
 from .classify import (RegionFamily, check_condition_c, check_identifies,
                        check_locates, check_maximal_on_grid,
                        check_v_representable, check_vni, dyadic_open_boxes,
@@ -42,8 +41,8 @@ __all__ = [
     "GridSpec", "HalfSpace", "INF", "Intersection", "Linear",
     "LPNumericalError", "MaxAffine", "MonokitError", "NormalConeBox",
     "OperatorHandle", "PairSum", "PointComplement", "PrimalDualPoint",
-    "Property", "Region", "RegionError", "RegionFamily",
-    "RepresentativeReport", "Restriction", "RhoValue", "RunConfig",
+    "Property", "Region", "RegionError", "RegionFamily", "Restriction",
+    "RhoValue", "RunConfig",
     "SpecFormatError", "SumNormalCone", "Tolerance", "ToleranceError",
     "UnsatisfiedHypothesis", "ValidationError", "Verdict", "add_normal_cone",
     "as_vector", "box_from_literal", "build_operator", "check_condition_c",

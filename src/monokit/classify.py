@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import Envelope
-from .core import (PrimalDualPoint, Tolerance, coupling, coupling_rows,
-                   row_points)
+from .core import PrimalDualPoint, Tolerance, coupling_rows, row_points
 from .errors import ToleranceError, UnsatisfiedHypothesis
 from .fitzpatrick import (band_points, is_representative, penot_envelope,
                           scan_rows)
@@ -115,13 +113,7 @@ def check_v_representable(T: OperatorHandle, V: Region,
                        tol=tol, region_ids=ids,
                        witness_count=mono.witness_count,
                        notes=("restriction is not monotone",))
-    env, exact = penot_envelope(T, V, g)
-    report = is_representative(env, T, V, g, tol, assume_above_coupling=True)
-    return Verdict(Property.V_REPRESENTABLE, report.is_representative,
-                   witnesses=report.mismatch_witnesses,
-                   approximate=approx or not exact, grid=g, tol=tol,
-                   region_ids=ids,
-                   witness_count=len(report.mismatch_witnesses))
+    return is_representative(penot_envelope(T, V, g)[0], T, V, g, tol)
 
 
 def check_maximal_on_grid(T: OperatorHandle, ambient: Region | None = None,
@@ -272,18 +264,15 @@ def family_scan(T: OperatorHandle, family: RegionFamily, property: Property,
 
 def _low_representable(T: OperatorHandle, family: RegionFamily, g: GridSpec,
                        tol: Tolerance) -> Verdict:
-    n = T.dimension
-    pts = T.enumerate_graph(None, g)
+    env, exact = penot_envelope(T, None, g)
     ids = (family.rule,)
-    if not pts:
+    if not env.points:
         return Verdict(Property.LOW_REPRESENTABLE, True, grid=g, tol=tol,
                        region_ids=ids, vacuous=True,
                        notes=("empty graph, empty band",))
-    mono = is_monotone(T, tol, g)
-    env = Envelope(tuple((w, coupling(w)) for w in pts), n)
-    band = band_points(env, scan_rows(whole_space(n), g), tol, mono.value)
+    band = band_points(env, scan_rows(whole_space(T.dimension), g), tol)
     cache: dict[int, Verdict] = {}
-    approx = not T.enumeration_exact
+    approx = not exact
     failures = []
     for z in band:
         found = False

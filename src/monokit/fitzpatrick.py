@@ -8,17 +8,16 @@ grid for the equality band [h = c] and compares it with the graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .convex import (Envelope, conjugate, envelope_eval, envelope_rows,
                      max_affine_eval_batch)
 from .core import (INF, PrimalDualPoint, Tolerance, coupling, coupling_rows,
-                   distinct_rows, point_rows, row_points)
+                   distinct_rows, mr_rows, point_rows, row_points)
 from .errors import BelowCoupling
 from .operators import OperatorHandle
 from .regions import GridSpec, Region, grid_sample
+from .verdicts import Property, Verdict, finish
 
 
 def scan_rows(V: Region, g: GridSpec) -> np.ndarray:
@@ -65,71 +64,63 @@ def psi_eval(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
     return envelope_eval(env, z)
 
 
-def coupling_band(env: Envelope, zs: list[PrimalDualPoint], tol: Tolerance,
-                  *, monotone_data: bool = False) -> list[PrimalDualPoint]:
+def coupling_band(env: Envelope, zs: list[PrimalDualPoint],
+                  tol: Tolerance) -> list[PrimalDualPoint]:
     """Grid points where the envelope meets the coupling within eps_eq.
 
-    With monotone_data the affine sup over the data minorizes the envelope
-    up to eps_eq, so points with sup > c + 3 eps_eq are discarded without an
-    exact evaluation. Without that guarantee every point is evaluated.
+    Points that _near_band proves off the band are discarded without an
+    exact evaluation; every other point is evaluated.
     """
     if not zs:
         return []
-    return band_points(env, point_rows(zs, zs[0].dimension), tol,
-                       monotone_data)
+    return band_points(env, point_rows(zs, zs[0].dimension), tol)
 
 
-def band_points(env: Envelope, rows: np.ndarray, tol: Tolerance,
-                monotone_data: bool) -> list[PrimalDualPoint]:
+def band_points(env: Envelope, rows: np.ndarray,
+                tol: Tolerance) -> list[PrimalDualPoint]:
     """coupling_band over [x, x*] rows; only the rows that reach the exact
     evaluation become points."""
-    if monotone_data:
-        rows = rows[_near_band(env, rows, tol)]
+    rows = rows[_near_band(env, rows, tol)]
     gap = np.abs(envelope_rows(env, rows) - coupling_rows(rows))
     return row_points(rows[gap <= tol.eps_eq])
 
 
 def _near_band(env: Envelope, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Mask of the rows where the affine sup over the envelope data is at
-    most coupling + 3 eps_eq.
+    """Mask of the rows that may lie on the band [env = coupling].
 
-    When the data is a monotone graph with its coupling values that sup
-    minorizes the envelope, so every dropped row is off the band.
+    When the data carries its coupling values and is pairwise monotone
+    within eps_eq, the affine sup over it minorizes the envelope up to that
+    margin (Fitzpatrick's phi <= psi), so rows where the sup exceeds
+    coupling + 3 eps_eq are off the band. Both conditions are checked here,
+    with the gap kernel is_monotone runs; when either fails, or there is no
+    data, every row is kept.
     """
+    keep = np.ones(len(rows), dtype=bool)
+    if not env.points:
+        return keep
+    _, _, matrix, values = env._lp
+    data = matrix[:-1].T
+    if not (np.array_equal(values, coupling_rows(data))
+            and mr_rows(data, data, tol.eps_eq).all()):
+        return keep
     ell = max_affine_eval_batch(conjugate(env), rows)
     return ell <= coupling_rows(rows) + 3.0 * tol.eps_eq
 
 
-@dataclass(frozen=True)
-class RepresentativeReport:
-    """Result of matching the [h = c] grid band against a graph."""
-
-    is_representative: bool
-    mismatch_witnesses: tuple[PrimalDualPoint, ...]
-    tolerances: Tolerance
-    grid: GridSpec
-    approximate: bool = False
-
-
 def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
-                      tol: Tolerance, *,
-                      assume_above_coupling: bool = False
-                      ) -> RepresentativeReport:
+                      tol: Tolerance) -> Verdict:
     """Whether the grid trace of [h = c] over V x (dual clip) is the graph.
 
     Scans two inclusions: grid points with |h - c| <= eps_eq must be graph
     members within delta_dom, and enumerated graph points in the window must
-    sit in that band. A value h < c - eps_strict raises BelowCoupling, a
-    class failure distinct from a false verdict. h is evaluated once per
-    distinct point of the scan rows and the graph, in one row call.
-
-    assume_above_coupling may be set when h is the coupling envelope of a
-    point set already verified pairwise monotone; it enables a sound sup
-    prefilter (the affine sup minorizes the envelope in that case) so only
-    near-band points pay for an exact evaluation.
+    sit in that band; the mismatches are the witnesses of a v_representable
+    Verdict. A value h < c - eps_strict raises BelowCoupling, a class
+    failure distinct from a false verdict. An Envelope h drops the rows
+    _near_band proves off the band first. h is evaluated once per distinct
+    point of the remaining scan rows and the graph, in one row call.
     """
     rows = scan_rows(V, g)
-    if assume_above_coupling and isinstance(h, Envelope):
+    if isinstance(h, Envelope):
         rows = rows[_near_band(h, rows, tol)]
     graph = T.enumerate_graph(V, g)
     both = np.vstack([rows, point_rows(graph, T.dimension)])
@@ -149,11 +140,6 @@ def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
         if wv == INF or abs(wv - coupling(w)) > tol.eps_eq:
             if w not in witnesses:
                 witnesses.append(w)
-
-    return RepresentativeReport(
-        is_representative=not witnesses,
-        mismatch_witnesses=tuple(witnesses),
-        tolerances=tol,
-        grid=g,
-        approximate=not T.enumeration_exact,
-    )
+    return finish(Property.V_REPRESENTABLE, witnesses,
+                  approximate=not T.enumeration_exact, grid=g, tol=tol,
+                  region_ids=(V.describe(),))

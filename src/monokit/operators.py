@@ -35,6 +35,9 @@ from .verdicts import Property, Verdict, finish
 
 _DUST = 1e-12
 
+# The primal radius at which PairSum matches the summands' points.
+_MATCH_TOL = DEFAULT_TOL.delta_dom
+
 DEFAULT_GRID = GridSpec()
 
 
@@ -113,7 +116,7 @@ class OperatorHandle:
                  g: GridSpec | None) -> np.ndarray:
         """Boolean mask: which [x, x*] rows are monotonically related to
         every graph point over V (see mr_test)."""
-        if self.phi_is_exact(V):
+        if self.phi_is_exact(V) and not self.enumeration_exact:
             return (self.phi_batch(V, rows, g)
                     <= coupling_rows(rows) + tol.eps_eq)
         graph = point_rows(self._enumerate(V, g), rows.shape[1] // 2)
@@ -545,12 +548,10 @@ class Restriction(OperatorHandle):
 
 @dataclass(frozen=True)
 class PairSum(OperatorHandle):
-    """Pointwise sum of two operators on primal matches within a radius."""
+    """Pointwise sum of two operators on primal matches within _MATCH_TOL."""
 
     first: OperatorHandle
     second: OperatorHandle
-    match_tol: float = 1e-6
-    empty: bool = False
 
     def __post_init__(self):
         if self.first.dimension != self.second.dimension:
@@ -586,12 +587,12 @@ class PairSum(OperatorHandle):
     def _partners(self, x, index, op: OperatorHandle, g: GridSpec):
         """The points of one summand at primal x, and whether they came
         from its enumeration (index, see _by_primal) at x exactly or within
-        match_tol; off that lattice (a point cloud, say) op is sampled at x
+        _MATCH_TOL; off that lattice (a point cloud, say) op is sampled at x
         itself."""
         by_primal, keys = index
         found = by_primal.get(x) or [
             q for key in keys
-            if max(abs(u - v) for u, v in zip(key, x)) <= self.match_tol
+            if max(abs(u - v) for u, v in zip(key, x)) <= _MATCH_TOL
             for q in by_primal[key]]
         if found:
             return found, True
@@ -699,10 +700,12 @@ def mr_test(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
             tol: Tolerance, g: GridSpec | None = None) -> bool:
     """Whether z is monotonically related to every graph point of T over V.
 
-    Uses the closed-form phi when exact for this window (phi <= coupling +
-    eps_eq); otherwise checks pairwise gaps against the graph enumerated at
-    g, which must then be given. For finite graphs the two routes are
-    algebraically identical. A one-row call of mr_batch.
+    Uses the closed-form phi when exact for this window and the graph is
+    not finite (phi <= coupling + eps_eq); otherwise checks pairwise gaps
+    against the graph enumerated at g, which must then be given unless the
+    enumeration is exact. A finite graph is thus judged by the gap kernel,
+    as is_monotone judges it: the pairing form, algebraically the same
+    test, cancels at large coordinates. A one-row call of mr_batch.
     """
     return bool(T.mr_batch(V, point_rows([z], z.dimension), tol, g)[0])
 

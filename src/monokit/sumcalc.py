@@ -23,11 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .convex import Envelope
 from .core import (INF, PrimalDualPoint, Tolerance, coupling, coupling_rows,
                    distinct_rows, point_rows, row_points)
 from .errors import UnsatisfiedHypothesis, ValidationError
-from .fitzpatrick import scan_rows
+from .fitzpatrick import penot_envelope, scan_rows
 from .operators import (NormalConeBox, OperatorHandle, PairSum, is_monotone,
                         meets_domain, with_defaults)
 from .regions import Box, GridSpec, Region
@@ -37,28 +36,33 @@ from .verdicts import Property, finish
 def add_normal_cone(A: OperatorHandle, C: Box,
                     g: GridSpec | None = None,
                     tol: Tolerance | None = None) -> PairSum:
-    """The operator A + N_C; requires the domain of A to reach int C."""
-    g, tol = with_defaults(g, tol)
+    """The operator A + N_C; requires the domain of A to reach int C.
+
+    tol is taken in the checkers' call shape; no margin is compared here,
+    and PairSum matches primals at its own fixed radius.
+    """
+    g, _ = with_defaults(g, tol)
     if not isinstance(C, Box):
         raise ValidationError("the constraint set must be a box")
     if not meets_domain(A, C.interior(), g):
         raise UnsatisfiedHypothesis(
             "the summand domain meets the interior of the constraint set")
-    return PairSum(A, NormalConeBox(C), match_tol=tol.delta_dom)
+    return PairSum(A, NormalConeBox(C))
 
 
 def operator_sum(A: OperatorHandle, B: OperatorHandle,
                  g: GridSpec | None = None,
                  tol: Tolerance | None = None) -> PairSum:
-    """Pointwise sum with primal matching at the domain radius.
+    """The pointwise sum A + B; requires the summands to share a primal
+    point at the sampling density of g, else raises UnsatisfiedHypothesis.
 
-    An empty sum (no primal matches at sampling density) is legal; the
-    handle carries an empty flag rather than raising.
+    tol is taken in the checkers' call shape; no margin is compared here,
+    and PairSum matches primals at its own fixed radius.
     """
-    g, tol = with_defaults(g, tol)
-    out = PairSum(A, B, match_tol=tol.delta_dom)
+    g, _ = with_defaults(g, tol)
+    out = PairSum(A, B)
     if not out.enumerate_graph(None, g):
-        out = PairSum(A, B, match_tol=tol.delta_dom, empty=True)
+        raise UnsatisfiedHypothesis("the summands share a primal point")
     return out
 
 
@@ -75,16 +79,14 @@ class _RhoMachine:
     """Shared evaluator over the summand envelope and the candidate duals."""
 
     def __init__(self, A: OperatorHandle, second, V: Region | None,
-                 g: GridSpec, tol: Tolerance):
-        self.tol = tol
+                 g: GridSpec):
         n = self.dimension = A.dimension
-        a_pts = A.enumerate_graph(V, g)
-        self.env_a = Envelope(tuple((w, coupling(w)) for w in a_pts), n)
+        self.env_a, exact = penot_envelope(A, V, g)
         cands = set(g.dual_lattice(n))
-        cands.update(w.xstar for w in a_pts)
+        cands.update(w.xstar for w, _ in self.env_a.points)
         self.candidates = sorted(cands)
         self._cand_rows = np.array(self.candidates, dtype=float).reshape(-1, n)
-        self.approximate = not A.enumeration_exact
+        self.approximate = not exact
         if isinstance(second, Box):
             self.cone: Box | None = second
             self.env_b = None
@@ -93,9 +95,7 @@ class _RhoMachine:
             self.env_b = None
         elif isinstance(second, OperatorHandle):
             self.cone = None
-            b_pts = second.enumerate_graph(V, g)
-            self.env_b = Envelope(
-                tuple((w, coupling(w)) for w in b_pts), n)
+            self.env_b, _ = penot_envelope(second, V, g)
             self.approximate = True
         else:
             raise ValidationError(
@@ -157,10 +157,11 @@ def rho_square_eval(A: OperatorHandle, second, V: Region | None,
     """One split-dual minimum; see the module docstring for the candidates.
 
     second is either a closed box (exact support term) or an operator
-    (sampled envelope term, flagged approximate).
+    (sampled envelope term, flagged approximate). tol is taken in the
+    checkers' call shape; the minimum compares no margin.
     """
-    g, tol = with_defaults(g, tol)
-    return _RhoMachine(A, second, V, g, tol).value(z)
+    g, _ = with_defaults(g, tol)
+    return _RhoMachine(A, second, V, g).value(z)
 
 
 def verify_sum_representative(A: OperatorHandle, second, V: Region,
@@ -172,8 +173,9 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
     its equality band belong to the sum graph, and (c) enumerated sum graph
     points sit in the band at a 10x widened margin absorbing the stacked LP
     layers. The summand must be monotone; the box construction additionally
-    requires the domain to reach the interior of the box; an empty pair sum
-    cannot be verified. Each gate raises UnsatisfiedHypothesis.
+    requires the domain to reach the interior of the box, and the pair sum
+    a shared primal point. Each gate raises UnsatisfiedHypothesis. A window
+    with no scan row and no sum graph point gives a vacuous verdict.
     """
     g, tol = with_defaults(g, tol)
     mono = is_monotone(A, tol, g)
@@ -188,13 +190,9 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
         notes.append("second term: exact box support")
     elif isinstance(second, NormalConeBox):
         S = operator_sum(A, second, g, tol)
-        if S.empty:
-            raise UnsatisfiedHypothesis("the summands share a primal point")
         notes.append("second term: exact box support")
     elif isinstance(second, OperatorHandle):
         S = operator_sum(A, second, g, tol)
-        if S.empty:
-            raise UnsatisfiedHypothesis("the summands share a primal point")
         duals = [w.xstar for w in second.enumerate_graph(V, g)]
         bound = max((max(abs(c) for c in d) for d in duals), default=0.0)
         if bound > g.dual_bound:
@@ -204,7 +202,7 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
         raise ValidationError(
             "second summand must be an operator or a closed box")
 
-    machine = _RhoMachine(A, second, V, g, tol)
+    machine = _RhoMachine(A, second, V, g)
     rows = scan_rows(V, g)
     graph = S.enumerate_graph(V, g)
     values, _ = machine.values_rows(
@@ -222,4 +220,5 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
     return finish(Property.V_REPRESENTABLE, failures,
                   approximate=machine.approximate or not S.enumeration_exact,
                   grid=g, tol=tol, region_ids=(V.describe(),),
+                  vacuous=not len(rows) and not graph,
                   notes=tuple(notes) or ("sum construction",))

@@ -83,7 +83,7 @@ def test_equality_band_survives_the_square_conjugate(graph_suite):
         g = GRID_1D if n == 1 else GRID_2D
         env, _ = penot_envelope(FiniteGraph(pts), whole_space(n), g)
         zs = scan_grid(g.primal_clip(n), g) + list(pts)
-        band = coupling_band(env, zs, DEFAULT_TOL, monotone_data=True)
+        band = coupling_band(env, zs, DEFAULT_TOL)
         band_total += len(band)
         for z in band:
             gap = abs(square_conjugate_eval(env, z).value - coupling(z))

@@ -8,6 +8,7 @@ from monokit import (
     INF,
     BelowCoupling,
     ConvexFn,
+    Envelope,
     FiniteGraph,
     GridSpec,
     PointComplement,
@@ -22,11 +23,32 @@ from monokit import (
     psi_eval,
     scan_grid,
 )
+from monokit.core import point_rows
+from monokit.fitzpatrick import _near_band, scan_rows
 
 from conftest import random_monotone_graph
 
 TOL = DEFAULT_TOL
 SMALL = GridSpec(resolution=21, dual_bound=4.0, dual_resolution=21)
+
+
+class Unfiltered(ConvexFn):
+    """An envelope's values behind a plain ConvexFn, which no prefilter
+    touches: the full-scan reference."""
+
+    def __init__(self, env):
+        self.env = env
+        self.dimension = env.dimension
+
+    def evaluate_rows(self, rows):
+        return self.env.evaluate_rows(rows)
+
+
+def full_band(env, zs):
+    """The band from an exact evaluation at every point."""
+    values = env.evaluate_rows(point_rows(zs, env.dimension))
+    return [z for z, v in zip(zs, values.tolist())
+            if abs(v - coupling(z)) <= TOL.eps_eq]
 
 
 class TestScanGrid:
@@ -90,9 +112,34 @@ class TestCouplingBand:
             T = FiniteGraph(random_monotone_graph(rng, dimension=1))
             env, _ = penot_envelope(T, None)
             zs = scan_grid(interval(-2.0, 2.0), SMALL)
-            plain = coupling_band(env, zs, TOL)
-            fast = coupling_band(env, zs, TOL, monotone_data=True)
-            assert plain == fast
+            assert coupling_band(env, zs, TOL) == full_band(env, zs)
+
+    def test_monotone_coupling_data_drops_rows(self, three_point_graph):
+        env, _ = penot_envelope(three_point_graph, None)
+        rows = scan_rows(interval(-2.0, 2.0), SMALL)
+        keep = _near_band(env, rows, TOL)
+        assert 0 < keep.sum() < len(rows)
+        zs = scan_grid(interval(-2.0, 2.0), SMALL)
+        assert coupling_band(env, zs, TOL) == full_band(env, zs)
+
+    def test_non_monotone_data_keeps_every_row(self):
+        pts = [pdp([0.0], [1.0]), pdp([1.0], [0.0])]  # gap -1
+        env = envelope([(p, coupling(p)) for p in pts])
+        rows = scan_rows(interval(-2.0, 2.0), SMALL)
+        assert _near_band(env, rows, TOL).all()
+
+    def test_values_off_the_coupling_keep_every_row(self, three_point_graph):
+        env = envelope([(p, coupling(p) + 0.5)
+                        for p in three_point_graph.points])
+        rows = scan_rows(interval(-2.0, 2.0), SMALL)
+        assert _near_band(env, rows, TOL).all()
+
+    def test_empty_data_gives_an_empty_band(self):
+        env = Envelope((), 1)
+        rows = scan_rows(interval(-2.0, 2.0), SMALL)
+        assert _near_band(env, rows, TOL).all()
+        assert coupling_band(env, scan_grid(interval(-2.0, 2.0), SMALL),
+                             TOL) == []
 
     def test_band_contains_data_points(self):
         pts = [pdp([0.0], [0.0]), pdp([1.0], [1.0])]
@@ -110,8 +157,8 @@ class TestIsRepresentative:
         T = FiniteGraph([pdp([0.0], [0.0]), pdp([1.0], [1.0])])
         env, _ = penot_envelope(T, interval(0.0, 1.0), SMALL)
         report = is_representative(env, T, interval(0.0, 1.0), SMALL, TOL)
-        assert report.is_representative
-        assert report.mismatch_witnesses == ()
+        assert report.value
+        assert report.witnesses == ()
         assert not report.approximate
 
     def test_flat_segment_breaks_the_staircase(self, three_point_graph):
@@ -121,18 +168,30 @@ class TestIsRepresentative:
         env, _ = penot_envelope(three_point_graph, interval(0.0, 1.0), g)
         report = is_representative(env, three_point_graph,
                                    interval(0.0, 1.0), g, TOL)
-        assert not report.is_representative
-        w = report.mismatch_witnesses[0]
+        assert not report.value
+        w = report.witnesses[0]
         assert w.xstar == (1.0,)
         assert 0.5 < w.x[0] < 1.0
+
+    def test_witnesses_are_capped_and_fully_counted(self, three_point_graph):
+        # the constant-dual segment holds 39 lattice points off the graph
+        g = GridSpec(resolution=81, dual_bound=1.0, dual_resolution=5)
+        V = interval(0.0, 1.0)
+        env, _ = penot_envelope(three_point_graph, V, g)
+        report = is_representative(env, three_point_graph, V, g, TOL)
+        full = is_representative(Unfiltered(env), three_point_graph, V, g,
+                                 TOL)
+        assert len(report.witnesses) == 12
+        assert report.witness_count == full.witness_count > 12
+        assert report.witnesses == full.witnesses
 
     def test_punctured_vertical_line_fails_at_the_puncture(self):
         T = PointComplement((0.0,))
         g = GridSpec(resolution=9, dual_bound=2.0, dual_resolution=9)
         env, _ = penot_envelope(T, interval(-1.0, 1.0), g)
         report = is_representative(env, T, interval(-1.0, 1.0), g, TOL)
-        assert not report.is_representative
-        assert pdp([0.0], [0.0]) in report.mismatch_witnesses
+        assert not report.value
+        assert pdp([0.0], [0.0]) in report.witnesses
         assert report.approximate  # the dual line was sampled
 
     def test_below_coupling_raises(self):
@@ -148,11 +207,9 @@ class TestIsRepresentative:
             T = FiniteGraph(random_monotone_graph(rng, dimension=1))
             env, _ = penot_envelope(T, None)
             V = interval(-2.0, 2.0)
-            full = is_representative(env, T, V, SMALL, TOL)
-            fast = is_representative(env, T, V, SMALL, TOL,
-                                     assume_above_coupling=True)
-            assert full.is_representative == fast.is_representative
-            assert full.mismatch_witnesses == fast.mismatch_witnesses
+            full = is_representative(Unfiltered(env), T, V, SMALL, TOL)
+            fast = is_representative(env, T, V, SMALL, TOL)
+            assert fast == full
 
     def test_each_distinct_point_is_evaluated_once(self, three_point_graph):
         """Graph points that are also scan points are not solved twice: one
@@ -174,8 +231,7 @@ class TestIsRepresentative:
         assert len(rows) == 25  # the graph lies on the 5 x 5 scan lattice
         assert len(np.unique(rows, axis=0)) == 25
         plain = is_representative(env, three_point_graph, V, g, TOL)
-        assert counted.mismatch_witnesses == plain.mismatch_witnesses
-        assert counted.is_representative == plain.is_representative
+        assert counted == plain
 
     def test_graph_point_outside_band_is_reported(self):
         # an envelope that is correct on the band but too high at a graph
@@ -184,5 +240,5 @@ class TestIsRepresentative:
         high = envelope([(pdp([0.0], [0.0]), 2.0), (pdp([1.0], [1.0]), 3.0)])
         g = GridSpec(resolution=3, dual_bound=1.0, dual_resolution=3)
         report = is_representative(high, T, interval(0.0, 1.0), g, TOL)
-        assert not report.is_representative
-        assert pdp([0.0], [0.0]) in report.mismatch_witnesses
+        assert not report.value
+        assert pdp([0.0], [0.0]) in report.witnesses

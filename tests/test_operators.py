@@ -83,7 +83,7 @@ class TestFiniteGraph:
         assert not three_point_graph.graph_contains(pdp([0.5], [0.9]), TOL)
 
     def test_mr_routes_agree(self, rng):
-        # exact-phi route vs direct pairwise gaps, many random probes
+        # the blocked gap kernel vs scalar pairwise gaps, many random probes
         for _ in range(40):
             T = FiniteGraph(random_monotone_graph(rng))
             n = T.dimension
@@ -97,6 +97,29 @@ class TestFiniteGraph:
             T = FiniteGraph(random_monotone_graph(rng))
             for w in T.points:
                 assert mr_test(T, None, w, TOL)
+
+    def test_related_at_large_coordinates(self):
+        # phi <= coupling + eps_eq cancels at coordinates near 1e3 and
+        # rejects this point; the gap kernel is_monotone runs does not
+        G = FiniteGraph((pdp([744.39093604867], [-997.6006328263427]),
+                         pdp([-962.9655646595785], [-997.600632826343]),
+                         pdp([414.99113467435467], [-997.6006328263437])))
+        assert is_monotone(G, TOL).value
+        assert mr_test(G, None, G.points[2], TOL)
+
+    def test_monotone_graphs_relate_their_own_points(self):
+        # seeded 3-point graphs at coordinates near 1e3 with dual noise
+        # near 1e-12, so pairwise gaps sit near eps_eq
+        rng = np.random.default_rng(5)
+        failures = 0
+        for _ in range(3000):
+            xs = rng.uniform(-1e3, 1e3, 3)
+            duals = rng.uniform(-1e3, 1e3) + rng.uniform(-1e-12, 1e-12, 3)
+            G = FiniteGraph(tuple(pdp([x], [s]) for x, s in zip(xs, duals)))
+            if is_monotone(G, TOL).value:
+                rows = point_rows(G.points, 1)
+                failures += not G.mr_batch(None, rows, TOL, None).all()
+        assert failures == 0
 
 
 class TestFlat:

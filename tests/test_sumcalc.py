@@ -61,10 +61,10 @@ class TestOperatorSum:
         assert a
         assert a == b
 
-    def test_disjoint_summands_carry_the_empty_flag(self):
-        pair = operator_sum(FiniteGraph([pdp([0.0], [0.0])]),
-                            NormalConeBox(closed_box([5.0], [6.0])))
-        assert pair.empty
+    def test_disjoint_summands_raise(self):
+        with pytest.raises(UnsatisfiedHypothesis):
+            operator_sum(FiniteGraph([pdp([0.0], [0.0])]),
+                         NormalConeBox(closed_box([5.0], [6.0])))
 
 
 class TestRhoSquare:
@@ -135,7 +135,7 @@ def test_values_rows_match_the_candidate_loop(second, block):
     """Bit for bit, minimizer included, over a lattice with repeated rows,
     whole or in blocks of a few rows."""
     g = GridSpec(resolution=7, dual_bound=3.0, dual_resolution=7)
-    machine = _RhoMachine(AbsSubdiff(1.0), second, WINDOW, g, TOL)
+    machine = _RhoMachine(AbsSubdiff(1.0), second, WINDOW, g)
     rows = scan_rows(WINDOW, g)
     rows = np.vstack([rows, rows[::7]])
     want = [_loop_rho(machine, pdp(r[:1], r[1:])) for r in rows]
@@ -156,6 +156,7 @@ class TestVerifySum:
         assert bool(v.value)
         assert v.witnesses == ()
         assert v.approximate
+        assert not v.vacuous
         assert "second term: exact box support" in v.notes
 
     def test_cone_operator_route_passes(self):
@@ -185,3 +186,12 @@ class TestVerifySum:
             verify_sum_representative(A, NormalConeBox(closed_box([5.0], [6.0])),
                                       interval(-1.0, 7.0))
         assert err.value.hypothesis == "the summands share a primal point"
+
+    def test_empty_window_is_vacuous(self):
+        g = GridSpec(resolution=5, dual_resolution=5)
+        V = interval(5.0, 5.0, True, True)
+        v = verify_sum_representative(AbsSubdiff(1.0),
+                                      closed_box([0.0], [1.0]), V, g)
+        assert v.value
+        assert v.vacuous
+        assert v.witness_count == 0
