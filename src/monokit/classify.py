@@ -22,10 +22,10 @@ import numpy as np
 
 from .core import PrimalDualPoint, Tolerance, coupling_rows, row_points
 from .errors import ToleranceError, UnsatisfiedHypothesis
-from .fitzpatrick import (band_points, is_representative, penot_envelope,
-                          scan_rows)
-from .operators import (OperatorHandle, is_monotone, meets_domain,
-                        with_defaults)
+from .fitzpatrick import (_coupling_envelope, _representative, band_points,
+                          penot_envelope, scan_rows)
+from .operators import (OperatorHandle, _monotone_verdict, is_monotone,
+                        meets_domain, with_defaults)
 from .regions import Box, GridSpec, Region, whole_space
 from .verdicts import Property, Verdict, finish
 
@@ -95,8 +95,10 @@ def check_v_representable(T: OperatorHandle, V: Region,
 
     Runs the pairwise monotonicity gate first (a non-monotone restriction
     cannot be represented), then matches the [envelope = coupling] band on
-    the grid against the graph. An empty restriction is reported false and
-    vacuous: its envelope is identically +inf, which represents nothing.
+    the grid against the graph. The restricted graph is enumerated once;
+    the gate, the envelope and the band scan all take those points. An
+    empty restriction is reported false and vacuous: its envelope is
+    identically +inf, which represents nothing.
     """
     g, tol = with_defaults(g, tol)
     ids = (V.describe(),)
@@ -106,14 +108,15 @@ def check_v_representable(T: OperatorHandle, V: Region,
         return Verdict(Property.V_REPRESENTABLE, False, approximate=approx,
                        grid=g, tol=tol, region_ids=ids, vacuous=True,
                        notes=("empty restriction",))
-    mono = is_monotone(T, tol, g, V=V)
+    mono = _monotone_verdict(T, pts, tol, g, V)
     if not mono.value:
         return Verdict(Property.V_REPRESENTABLE, False,
                        witnesses=mono.witnesses, approximate=approx, grid=g,
                        tol=tol, region_ids=ids,
                        witness_count=mono.witness_count,
                        notes=("restriction is not monotone",))
-    return is_representative(penot_envelope(T, V, g)[0], T, V, g, tol)
+    return _representative(_coupling_envelope(pts, T.dimension), T, V, g,
+                           tol, pts)
 
 
 def check_maximal_on_grid(T: OperatorHandle, ambient: Region | None = None,

@@ -4,12 +4,15 @@ Points live in Z = R^n x R^n with n <= 3 at the scales this package targets.
 Extended reals are plain floats where +-inf is a legal saturating value.
 Empty suprema are -inf throughout.
 
-Every pairwise scan over point rows runs in one of two blocked kernels:
+Every pairwise scan over point rows runs in one of three blocked kernels:
 max_pairing_rows (the max of z . w + b_w, which gives the sampled and
-finite-graph phi and the max-affine values) and mr_rows (the monotone gap
-test, which gives mr_batch and the pairwise monotone scan). Both sum in the
-scalar pairings' order, so they agree with them bit for bit, and both tile
-the product so no temporary exceeds 1 MiB.
+finite-graph phi and the max-affine values), pairing_below_rows (whether
+every such term stays at or below a per-row threshold, which gives the
+envelope's off-band prefilter and stops on a row at its first term above)
+and mr_rows (the monotone gap test, which gives mr_batch and the pairwise
+monotone scan). All three sum in the scalar pairings' order, so they agree
+with them bit for bit, and all tile the product so no temporary exceeds
+1 MiB.
 """
 from __future__ import annotations
 
@@ -139,6 +142,59 @@ def max_pairing_rows(ws: np.ndarray, b: np.ndarray,
         left += right
         left += b[None, c]
         np.maximum(out[r], left.max(axis=1), out=out[r])
+    return out
+
+
+# Columns in the first chunk of pairing_below_rows; each later chunk is
+# _CHUNK_GROWTH times wider, so rows that fail early cost few terms.
+_FIRST_CHUNK = 8
+_CHUNK_GROWTH = 4
+
+
+def pairing_below_rows(ws: np.ndarray, b: np.ndarray, zs: np.ndarray,
+                       thr: np.ndarray) -> np.ndarray:
+    """Whether z . w + b_w <= thr_z for every row w of ws, for every row z
+    of zs; True against no rows.
+
+    Each term sums in max_pairing_rows' order, so the mask equals
+    max_pairing_rows(ws, b, zs) <= thr bit for bit. The columns are visited
+    in a spread order (every stride-th one first, the stride splitting ws
+    into _FIRST_CHUNK runs), in chunks that grow by _CHUNK_GROWTH, and a
+    row leaves the scan at the first chunk holding a term above its
+    threshold. Three block buffers of at most _BLOCK_ELEMS floats serve
+    every chunk through out=, with one boolean buffer for the comparison.
+    """
+    n = zs.shape[1] // 2
+    m = ws.shape[0]
+    out = np.ones(zs.shape[0], dtype=bool)
+    stride = max(1, -(-m // _FIRST_CHUNK))
+    order = np.argsort(np.arange(m) % stride, kind="stable")
+    live, z, t = np.arange(zs.shape[0]), zs, np.asarray(thr, dtype=float)
+    size = min(_BLOCK_ELEMS, zs.shape[0] * m)
+    left, right, prod = (np.empty(size) for _ in range(3))
+    below = np.empty(size, dtype=bool)
+    start, width = 0, min(_FIRST_CHUNK, _BLOCK_ELEMS)
+    while start < m and live.size:
+        cols = order[start:start + width]
+        w, bw = ws[cols], b[cols]
+        keep = np.empty(live.size, dtype=bool)
+        for r, _ in _blocks(live.size, cols.size):
+            zr = z[r]
+            shape = (zr.shape[0], cols.size)
+            lt, rt, pr, bl = (a[:shape[0] * shape[1]].reshape(shape)
+                              for a in (left, right, prod, below))
+            np.multiply(zr[:, 0, None], w[None, :, n], out=lt)
+            np.multiply(w[None, :, 0], zr[:, n, None], out=rt)
+            for i in range(1, n):
+                lt += np.multiply(zr[:, i, None], w[None, :, n + i], out=pr)
+                rt += np.multiply(w[None, :, i], zr[:, n + i, None], out=pr)
+            lt += rt
+            lt += bw[None, :]
+            keep[r] = np.less_equal(lt, t[r, None], out=bl).all(axis=1)
+        out[live[~keep]] = False
+        live, z, t = live[keep], z[keep], t[keep]
+        start += cols.size
+        width = min(width * _CHUNK_GROWTH, _BLOCK_ELEMS)
     return out
 
 

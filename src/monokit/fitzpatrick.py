@@ -5,15 +5,23 @@ coupling on the graph. For finite graphs both are exact; for analytic kinds
 phi has closed forms per kind while psi is built on the sampled graph and
 reported approximate. The representative test scans the window-times-dual
 grid for the equality band [h = c] and compares it with the graph.
+
+The envelope's LPs are solved only where Fitzpatrick's inequality leaves
+the band open. When the envelope carries the coupling of data that is
+monotone within eps_eq, phi <= psi + eps_eq everywhere, and at a data point
+w also c(w) <= phi(w) and psi(w) <= c(w). So rows where phi exceeds the
+coupling by more than 3 eps_eq are off the band, and rows equal to a data
+point are on it with value c(w); _band_masks decides both, and only the
+other rows are evaluated.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .convex import (Envelope, conjugate, envelope_eval, envelope_rows,
-                     max_affine_eval_batch)
+from .convex import Envelope, envelope_eval
 from .core import (INF, PrimalDualPoint, Tolerance, coupling, coupling_rows,
-                   distinct_rows, mr_rows, point_rows, row_points)
+                   distinct_rows, mr_rows, pairing_below_rows, point_rows,
+                   row_points)
 from .errors import BelowCoupling
 from .operators import OperatorHandle
 from .regions import GridSpec, Region, grid_sample
@@ -54,8 +62,12 @@ def penot_envelope(T: OperatorHandle, V: Region | None,
     graph, False when the kind was sampled.
     """
     pts = T._enumerate(V, g)
-    env = Envelope(tuple((w, coupling(w)) for w in pts), T.dimension)
-    return env, T.enumeration_exact
+    return _coupling_envelope(pts, T.dimension), T.enumeration_exact
+
+
+def _coupling_envelope(points: list[PrimalDualPoint], n: int) -> Envelope:
+    """The envelope of the coupling over the given graph points."""
+    return Envelope(tuple((w, coupling(w)) for w in points), n)
 
 
 def psi_eval(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
@@ -68,8 +80,9 @@ def coupling_band(env: Envelope, zs: list[PrimalDualPoint],
                   tol: Tolerance) -> list[PrimalDualPoint]:
     """Grid points where the envelope meets the coupling within eps_eq.
 
-    Points that _near_band proves off the band are discarded without an
-    exact evaluation; every other point is evaluated.
+    Points that _band_masks proves off the band are discarded and points
+    on its data are kept, both without an exact evaluation; every other
+    point is evaluated.
     """
     if not zs:
         return []
@@ -80,31 +93,55 @@ def band_points(env: Envelope, rows: np.ndarray,
                 tol: Tolerance) -> list[PrimalDualPoint]:
     """coupling_band over [x, x*] rows; only the rows that reach the exact
     evaluation become points."""
-    rows = rows[_near_band(env, rows, tol)]
-    gap = np.abs(envelope_rows(env, rows) - coupling_rows(rows))
+    near, on_data = _band_masks(env, rows, tol)
+    rows = rows[near]
+    gap = np.abs(_values(env, rows, on_data[near]) - coupling_rows(rows))
     return row_points(rows[gap <= tol.eps_eq])
 
 
-def _near_band(env: Envelope, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Mask of the rows that may lie on the band [env = coupling].
+def _band_masks(h, rows: np.ndarray,
+                tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """(near, on_data): the rows that may lie on the band [h = c], and the
+    rows of those equal (==, as in distinct_rows) to a data row of h.
 
-    When the data carries its coupling values and is pairwise monotone
-    within eps_eq, the affine sup over it minorizes the envelope up to that
-    margin (Fitzpatrick's phi <= psi), so rows where the sup exceeds
-    coupling + 3 eps_eq are off the band. Both conditions are checked here,
-    with the gap kernel is_monotone runs; when either fails, or there is no
-    data, every row is kept.
+    Let h be an Envelope psi over data (w_i, c(w_i)) that is pairwise
+    monotone within eps_eq, and phi(z) = max_i (z . w_i - c(w_i)) the
+    affine sup over it. For z = sum_i l_i w_i, each term of phi is
+    sum_i l_i (c(w_i) - gap(w_i, w_j)) <= sum_i l_i c(w_i) + eps_eq, so
+    phi <= psi + eps_eq (Fitzpatrick's inequality) and rows where phi
+    exceeds c + 3 eps_eq are off the band. At a data point w, its own term
+    gives c(w) <= phi(w), and all weight on w gives psi(w) <= c(w), so
+        c(w) <= phi(w) <= psi(w) + eps_eq  and  psi(w) <= c(w):
+    w lies on the band and not below the coupling, and _values gives it
+    c(w) without a solve. Both conditions on the data are checked here,
+    once, with the gap kernel is_monotone runs. When either fails, h is no
+    Envelope or it has no data, every row is near and none is on the data.
     """
-    keep = np.ones(len(rows), dtype=bool)
-    if not env.points:
-        return keep
-    _, _, matrix, values = env._lp
+    near = np.ones(len(rows), dtype=bool)
+    on_data = np.zeros(len(rows), dtype=bool)
+    if not isinstance(h, Envelope) or not h.points:
+        return near, on_data
+    _, _, matrix, values = h._lp
     data = matrix[:-1].T
     if not (np.array_equal(values, coupling_rows(data))
             and mr_rows(data, data, tol.eps_eq).all()):
-        return keep
-    ell = max_affine_eval_batch(conjugate(env), rows)
-    return ell <= coupling_rows(rows) + 3.0 * tol.eps_eq
+        return near, on_data
+    near = pairing_below_rows(data, -values, rows,
+                              coupling_rows(rows) + 3.0 * tol.eps_eq)
+    idx = np.flatnonzero(near)
+    first, inverse = distinct_rows(np.vstack([data, rows[idx]]))
+    on_data[idx] = first[inverse[len(data):]] < len(data)
+    return near, on_data
+
+
+def _values(h, rows: np.ndarray, on_data: np.ndarray) -> np.ndarray:
+    """h at every row: the coupling on the rows on its data (_band_masks),
+    and one row call over the other distinct rows."""
+    out = coupling_rows(rows)
+    rest = rows[~on_data]
+    first, inverse = distinct_rows(rest)
+    out[~on_data] = h.evaluate_rows(rest[first])[inverse]
+    return out
 
 
 def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
@@ -115,17 +152,23 @@ def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
     members within delta_dom, and enumerated graph points in the window must
     sit in that band; the mismatches are the witnesses of a v_representable
     Verdict. A value h < c - eps_strict raises BelowCoupling, a class
-    failure distinct from a false verdict. An Envelope h drops the rows
-    _near_band proves off the band first. h is evaluated once per distinct
-    point of the remaining scan rows and the graph, in one row call.
+    failure distinct from a false verdict. An Envelope h drops the scan
+    rows _band_masks proves off the band, and the rows on its data take
+    the coupling. h is evaluated once per distinct point of the other scan
+    rows and graph points, in one row call.
     """
+    return _representative(h, T, V, g, tol, T.enumerate_graph(V, g))
+
+
+def _representative(h, T: OperatorHandle, V: Region, g: GridSpec,
+                    tol: Tolerance, graph: list[PrimalDualPoint]) -> Verdict:
+    """is_representative against graph, the enumeration of T over V."""
     rows = scan_rows(V, g)
-    if isinstance(h, Envelope):
-        rows = rows[_near_band(h, rows, tol)]
-    graph = T.enumerate_graph(V, g)
     both = np.vstack([rows, point_rows(graph, T.dimension)])
-    first, inverse = distinct_rows(both)
-    values = h.evaluate_rows(both[first])[inverse]
+    near, on_data = _band_masks(h, both, tol)
+    near[len(rows):] = True  # every graph point is checked against the band
+    rows, both = rows[near[:len(rows)]], both[near]
+    values = _values(h, both, on_data[near])
     hv, c = values[:len(rows)], coupling_rows(rows)
 
     below = hv < c - tol.eps_strict

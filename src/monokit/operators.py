@@ -689,7 +689,13 @@ def is_monotone(T: OperatorHandle, tol: Tolerance,
                 g: GridSpec | None = None,
                 V: Region | None = None) -> Verdict:
     """Pairwise gap check over the enumerated graph; witness pair on failure."""
-    pts = T._enumerate(V, g)
+    return _monotone_verdict(T, T._enumerate(V, g), tol, g, V)
+
+
+def _monotone_verdict(T: OperatorHandle, pts: list[PrimalDualPoint],
+                      tol: Tolerance, g: GridSpec | None,
+                      V: Region | None) -> Verdict:
+    """is_monotone over pts, the enumeration of T over V at g."""
     failures = _pairwise_gap_failures(pts, tol.eps_eq)
     return finish(Property.MONOTONE, failures,
                   approximate=not T.enumeration_exact, grid=g, tol=tol,

@@ -171,6 +171,23 @@ class TestVRepresentable:
         assert "restriction is not monotone" in v.notes
         assert v.witnesses
 
+    @pytest.mark.parametrize("T", [
+        FiniteGraph([pdp([0.0], [0.0]), pdp([0.5], [1.0]),
+                     pdp([1.0], [1.0])]),
+        AbsSubdiff(1.0),
+    ], ids=["finite", "sampled"])
+    def test_restricted_graph_is_enumerated_once(self, T, monkeypatch):
+        calls = []
+        real = type(T).enumerate_graph
+
+        def counted(self, V, g):
+            calls.append(V)
+            return real(self, V, g)
+
+        monkeypatch.setattr(type(T), "enumerate_graph", counted)
+        check_v_representable(T, interval(-1.0, 1.0), G, TOL)
+        assert len(calls) == 1
+
 
 class TestMaximalOnGrid:
     def test_non_monotone_input_is_an_error(self):

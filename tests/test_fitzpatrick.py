@@ -6,25 +6,33 @@ import pytest
 from monokit import (
     DEFAULT_TOL,
     INF,
+    AbsSubdiff,
     BelowCoupling,
     ConvexFn,
     Envelope,
     FiniteGraph,
     GridSpec,
+    Linear,
+    NormalConeBox,
     PointComplement,
+    add_normal_cone,
+    check_v_representable,
+    closed_box,
     coupling,
     coupling_band,
     envelope,
     interval,
     is_representative,
+    open_box,
     pdp,
     penot_envelope,
     phi_eval,
     psi_eval,
     scan_grid,
 )
-from monokit.core import point_rows
-from monokit.fitzpatrick import _near_band, scan_rows
+from monokit import lp
+from monokit.core import distinct_rows, point_rows
+from monokit.fitzpatrick import _band_masks, band_points, scan_rows
 
 from conftest import random_monotone_graph
 
@@ -117,7 +125,7 @@ class TestCouplingBand:
     def test_monotone_coupling_data_drops_rows(self, three_point_graph):
         env, _ = penot_envelope(three_point_graph, None)
         rows = scan_rows(interval(-2.0, 2.0), SMALL)
-        keep = _near_band(env, rows, TOL)
+        keep, _ = _band_masks(env, rows, TOL)
         assert 0 < keep.sum() < len(rows)
         zs = scan_grid(interval(-2.0, 2.0), SMALL)
         assert coupling_band(env, zs, TOL) == full_band(env, zs)
@@ -126,18 +134,21 @@ class TestCouplingBand:
         pts = [pdp([0.0], [1.0]), pdp([1.0], [0.0])]  # gap -1
         env = envelope([(p, coupling(p)) for p in pts])
         rows = scan_rows(interval(-2.0, 2.0), SMALL)
-        assert _near_band(env, rows, TOL).all()
+        near, on_data = _band_masks(env, rows, TOL)
+        assert near.all() and not on_data.any()
 
     def test_values_off_the_coupling_keep_every_row(self, three_point_graph):
         env = envelope([(p, coupling(p) + 0.5)
                         for p in three_point_graph.points])
         rows = scan_rows(interval(-2.0, 2.0), SMALL)
-        assert _near_band(env, rows, TOL).all()
+        near, on_data = _band_masks(env, rows, TOL)
+        assert near.all() and not on_data.any()
 
     def test_empty_data_gives_an_empty_band(self):
         env = Envelope((), 1)
         rows = scan_rows(interval(-2.0, 2.0), SMALL)
-        assert _near_band(env, rows, TOL).all()
+        near, on_data = _band_masks(env, rows, TOL)
+        assert near.all() and not on_data.any()
         assert coupling_band(env, scan_grid(interval(-2.0, 2.0), SMALL),
                              TOL) == []
 
@@ -242,3 +253,102 @@ class TestIsRepresentative:
         report = is_representative(high, T, interval(0.0, 1.0), g, TOL)
         assert not report.value
         assert pdp([0.0], [0.0]) in report.witnesses
+
+
+def settled_cases():
+    """(T, V, g) with coupling data: random monotone graphs in the plane,
+    and kinds whose sampled graph lies on the scan lattice."""
+    rng = np.random.default_rng(11)
+    g1 = GridSpec(resolution=17, dual_bound=2.0, dual_resolution=17)
+    V1 = interval(-2.0, 2.0)
+    g2 = GridSpec(resolution=5, dual_bound=2.0, dual_resolution=5)
+    box2 = closed_box([-2.0, -2.0], [2.0, 2.0])
+    graphs = [(f"graph-n2-{i}",
+               (FiniteGraph(random_monotone_graph(rng, dimension=2)), box2,
+                g2)) for i in range(4)]
+    # sorted quarter steps: monotone, and on the 17-point lattice
+    for i in range(2):
+        xs = np.sort(rng.choice(np.arange(-8, 9), 6, replace=False)) / 4.0
+        ss = np.sort(rng.integers(-8, 9, 6)) / 4.0
+        T = FiniteGraph([pdp([x], [s]) for x, s in zip(xs, ss)])
+        graphs.append((f"graph-n1-{i}", (T, V1, g1)))
+    kinds = [("abs", (AbsSubdiff(1.0), V1, g1)),
+             ("cone", (NormalConeBox(closed_box([-1.0], [0.5])), V1, g1)),
+             ("complement", (PointComplement((0.0,)), V1, g1))]
+    return graphs + kinds
+
+
+@pytest.mark.parametrize("T, V, g", [pytest.param(*case, id=name)
+                                     for name, case in settled_cases()])
+def test_settled_route_agrees_with_full_scan(T, V, g):
+    """Rows on the data take the coupling without a solve: the verdict and
+    the band equal the ones from an exact evaluation at every row."""
+    env, _ = penot_envelope(T, V, g)
+    full = is_representative(Unfiltered(env), T, V, g, TOL)
+    assert is_representative(env, T, V, g, TOL) == full
+    assert check_v_representable(T, V, g, TOL) == full
+    zs = scan_grid(V, g)
+    assert band_points(env, scan_rows(V, g), TOL) == full_band(env, zs)
+
+
+class TestLPRows:
+    """Which rows reach the simplex, seen through a counting solve_rows."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        rows = []
+        real = lp.solve_rows
+
+        def solve_rows(objective, matrix, rhs_rows):
+            rows.extend(map(tuple, rhs_rows[:, :-1].tolist()))
+            return real(objective, matrix, rhs_rows)
+
+        monkeypatch.setattr(lp, "solve_rows", solve_rows)
+        return rows
+
+    G = GridSpec(resolution=5, dual_bound=1.0, dual_resolution=5)
+    V = interval(0.0, 1.0)
+
+    def test_no_data_row_on_monotone_coupling_data(self, solved,
+                                                   three_point_graph):
+        # the graph lies on the lattice, so scan rows hit the data too
+        env, _ = penot_envelope(three_point_graph, self.V, self.G)
+        is_representative(env, three_point_graph, self.V, self.G, TOL)
+        band_points(env, scan_rows(self.V, self.G), TOL)
+        data = {p.x + p.xstar for p, _ in env.points}
+        assert solved
+        assert not data & set(solved)
+
+    @pytest.mark.parametrize("points, lift", [
+        ([pdp([0.0], [0.0]), pdp([0.5], [1.0]), pdp([1.0], [1.0])], 0.5),
+        ([pdp([0.0], [1.0]), pdp([1.0], [0.0])], 0.0),  # gap -1
+    ], ids=["off-the-coupling", "non-monotone"])
+    def test_every_row_without_the_precondition(self, solved, points, lift):
+        env = envelope([(p, coupling(p) + lift) for p in points])
+        T = FiniteGraph(points)
+        rows = scan_rows(self.V, self.G)
+        lower, upper = env._lp[:2]
+        inside = rows[~((rows < lower) | (rows > upper)).any(axis=1)]
+        band_points(env, rows, TOL)
+        assert sorted(solved) == sorted(map(tuple, inside.tolist()))
+        solved.clear()
+        try:
+            is_representative(env, T, self.V, self.G, TOL)
+        except BelowCoupling:
+            pass
+        both = np.vstack([inside, point_rows(points, 1)])
+        first, _ = distinct_rows(both)
+        assert sorted(solved) == sorted(map(tuple, both[first].tolist()))
+
+
+def test_two_dim_sum_pinned_against_the_full_scan():
+    T = add_normal_cone(Linear(((1.0, 0.5), (-0.5, 1.0))),
+                        closed_box([-1.0, -1.0], [1.0, 1.0]))
+    V = open_box([-2.0, -2.0], [2.0, 2.0])
+    g = GridSpec(resolution=7, dual_bound=4.0, dual_resolution=7)
+    env, _ = penot_envelope(T, V, g)
+    full = is_representative(Unfiltered(env), T, V, g, TOL)
+    verdict = check_v_representable(T, V, g, TOL)
+    assert verdict == full
+    assert verdict.value and verdict.witness_count == 0
+    assert verdict.approximate

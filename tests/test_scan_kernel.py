@@ -321,6 +321,32 @@ def test_large_scan_crosses_blocks():
     assert_batches_match(T, V, g, zs)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 8, 9, 50, 700])
+@pytest.mark.parametrize("block", [None, 5, 40])
+def test_pairing_below_is_the_max_kernel_thresholded(n, m, block,
+                                                     monkeypatch):
+    """The early-exit mask equals max_pairing_rows(...) <= thr bit for
+    bit: at thresholds on the max itself (terms exactly at it), one ulp
+    below it and on the coupling, with no columns or no rows, and with
+    more columns than the first chunk and than the stride."""
+    if block is not None:
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", block)
+    rng = np.random.default_rng(7 * n + m)
+    ws = rng.integers(-8, 9, (m, 2 * n)) / 4.0
+    b = -core.coupling_rows(ws)
+    # tiny blocks tile one row at a time, so they get fewer rows
+    for nz in (0, 1, 300 if block is None else 30):
+        zs = rng.integers(-8, 9, (nz, 2 * n)) / 4.0
+        top = core.max_pairing_rows(ws, b, zs)
+        mixed = np.where(rng.random(nz) < 0.5, top,
+                         np.nextafter(top, -INF))
+        for thr in (top, np.nextafter(top, -INF),
+                    core.coupling_rows(zs) + 3e-9, mixed):
+            mask = core.pairing_below_rows(ws, b, zs, thr)
+            assert mask.tolist() == (top <= thr).tolist()
+
+
 def first_failing_pair(points):
     """The first pair i < j, in lexicographic order, with a scalar gap
     below -eps_eq."""
