@@ -24,7 +24,7 @@ from .core import PrimalDualPoint, Tolerance, coupling_rows, row_points
 from .errors import ToleranceError, UnsatisfiedHypothesis
 from .fitzpatrick import (_coupling_envelope, _representative, band_points,
                           penot_envelope, scan_rows)
-from .operators import (OperatorHandle, _monotone_verdict, is_monotone,
+from .operators import (OperatorHandle, _pairwise_gap_failures, is_monotone,
                         meets_domain, with_defaults)
 from .regions import Box, GridSpec, Region, whole_space
 from .verdicts import Property, Verdict, finish
@@ -95,28 +95,26 @@ def check_v_representable(T: OperatorHandle, V: Region,
 
     Runs the pairwise monotonicity gate first (a non-monotone restriction
     cannot be represented), then matches the [envelope = coupling] band on
-    the grid against the graph. The restricted graph is enumerated once;
-    the gate, the envelope and the band scan all take those points. An
-    empty restriction is reported false and vacuous: its envelope is
-    identically +inf, which represents nothing.
+    the grid against the graph. The restricted graph's rows are built once,
+    and the gate asks their envelope, whose gap scan the band prefilter
+    reuses. An empty restriction is reported false and vacuous: its
+    envelope is identically +inf, which represents nothing.
     """
     g, tol = with_defaults(g, tol)
     ids = (V.describe(),)
     approx = not T.enumeration_exact
-    pts = T.enumerate_graph(V, g)
-    if not pts:
+    graph = T.graph_rows(V, g)
+    if not len(graph):
         return Verdict(Property.V_REPRESENTABLE, False, approximate=approx,
                        grid=g, tol=tol, region_ids=ids, vacuous=True,
                        notes=("empty restriction",))
-    mono = _monotone_verdict(T, pts, tol, g, V)
-    if not mono.value:
-        return Verdict(Property.V_REPRESENTABLE, False,
-                       witnesses=mono.witnesses, approximate=approx, grid=g,
-                       tol=tol, region_ids=ids,
-                       witness_count=mono.witness_count,
-                       notes=("restriction is not monotone",))
-    return _representative(_coupling_envelope(pts, T.dimension), T, V, g,
-                           tol, pts)
+    env = _coupling_envelope(graph, T.dimension)
+    if not env._monotone_within(tol.eps_eq):
+        return finish(Property.V_REPRESENTABLE,
+                      _pairwise_gap_failures(graph, tol.eps_eq),
+                      approximate=approx, grid=g, tol=tol, region_ids=ids,
+                      notes=("restriction is not monotone",))
+    return _representative(env, T, V, g, tol, graph)
 
 
 def check_maximal_on_grid(T: OperatorHandle, ambient: Region | None = None,

@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core, lp
-from .core import (INF, PrimalDualPoint, max_pairing_rows, natural_pairing,
-                   pdp, point_rows, supremum)
+from .core import (INF, PrimalDualPoint, max_pairing_rows, mr_rows,
+                   natural_pairing, pdp, point_rows, supremum)
 from .errors import DimensionMismatch, LPNumericalError, MonokitError
 
 
@@ -72,6 +72,15 @@ class Envelope(ConvexFn):
         values = np.array([v for _, v in self.points])
         return (coords.min(axis=0) - slack, coords.max(axis=0) + slack,
                 matrix, values)
+
+    def _monotone_within(self, eps: float) -> bool:
+        """Whether the data is pairwise monotone within eps by the gap
+        kernel; one scan per eps, kept with the envelope like _lp."""
+        scans = self.__dict__.setdefault("_gap_scans", {})
+        if eps not in scans:
+            data = self._lp[2][:-1].T
+            scans[eps] = bool(mr_rows(data, data, eps).all())
+        return scans[eps]
 
 
 class ConjugateValue(NamedTuple):

@@ -4,6 +4,10 @@ Points live in Z = R^n x R^n with n <= 3 at the scales this package targets.
 Extended reals are plain floats where +-inf is a legal saturating value.
 Empty suprema are -inf throughout.
 
+Graphs and scan lattices are (N, 2n) float arrays of [x, x*] rows; the
+public API, the envelope's data and the witnesses take PrimalDualPoints.
+row_points and point_rows convert between the two exactly.
+
 Every pairwise scan over point rows runs in one of three blocked kernels:
 max_pairing_rows (the max of z . w + b_w, which gives the sampled and
 finite-graph phi and the max-affine values), pairing_below_rows (whether

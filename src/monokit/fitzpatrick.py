@@ -11,17 +11,16 @@ the band open. When the envelope carries the coupling of data that is
 monotone within eps_eq, phi <= psi + eps_eq everywhere, and at a data point
 w also c(w) <= phi(w) and psi(w) <= c(w). So rows where phi exceeds the
 coupling by more than 3 eps_eq are off the band, and rows equal to a data
-point are on it with value c(w); _band_masks decides both, and only the
-other rows are evaluated.
+point are on it with value c(w); _near_band and _values decide them, and
+only the other rows are evaluated.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .convex import Envelope, envelope_eval
-from .core import (INF, PrimalDualPoint, Tolerance, coupling, coupling_rows,
-                   distinct_rows, mr_rows, pairing_below_rows, point_rows,
-                   row_points)
+from .core import (INF, PrimalDualPoint, Tolerance, coupling_rows,
+                   distinct_rows, pairing_below_rows, point_rows, row_points)
 from .errors import BelowCoupling
 from .operators import OperatorHandle
 from .regions import GridSpec, Region, grid_sample
@@ -56,18 +55,19 @@ def phi_eval(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
 
 def penot_envelope(T: OperatorHandle, V: Region | None,
                    g: GridSpec | None = None) -> tuple[Envelope, bool]:
-    """Envelope data (w, <u, u*>) over the enumerated graph in V.
+    """Envelope data (w, <u, u*>) over the graph rows in V.
 
-    The flag reports exactness: True when the enumeration is the whole
-    graph, False when the kind was sampled.
+    The flag reports exactness: True when the rows are the whole graph,
+    False when the kind was sampled.
     """
-    pts = T._enumerate(V, g)
-    return _coupling_envelope(pts, T.dimension), T.enumeration_exact
+    return _coupling_envelope(T._enumerate(V, g), T.dimension), \
+        T.enumeration_exact
 
 
-def _coupling_envelope(points: list[PrimalDualPoint], n: int) -> Envelope:
-    """The envelope of the coupling over the given graph points."""
-    return Envelope(tuple((w, coupling(w)) for w in points), n)
+def _coupling_envelope(graph: np.ndarray, n: int) -> Envelope:
+    """The envelope of the coupling over the given graph rows."""
+    return Envelope(tuple(zip(row_points(graph),
+                              coupling_rows(graph).tolist())), n)
 
 
 def psi_eval(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
@@ -80,7 +80,7 @@ def coupling_band(env: Envelope, zs: list[PrimalDualPoint],
                   tol: Tolerance) -> list[PrimalDualPoint]:
     """Grid points where the envelope meets the coupling within eps_eq.
 
-    Points that _band_masks proves off the band are discarded and points
+    Points that _near_band proves off the band are discarded and points
     on its data are kept, both without an exact evaluation; every other
     point is evaluated.
     """
@@ -93,54 +93,58 @@ def band_points(env: Envelope, rows: np.ndarray,
                 tol: Tolerance) -> list[PrimalDualPoint]:
     """coupling_band over [x, x*] rows; only the rows that reach the exact
     evaluation become points."""
-    near, on_data = _band_masks(env, rows, tol)
-    rows = rows[near]
-    gap = np.abs(_values(env, rows, on_data[near]) - coupling_rows(rows))
+    rows = rows[_near_band(env, rows, tol)]
+    gap = np.abs(_values(env, rows, tol) - coupling_rows(rows))
     return row_points(rows[gap <= tol.eps_eq])
 
 
-def _band_masks(h, rows: np.ndarray,
-                tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """(near, on_data): the rows that may lie on the band [h = c], and the
-    rows of those equal (==, as in distinct_rows) to a data row of h.
+def _near_band(h, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The rows that may lie on the band [h = c].
 
     Let h be an Envelope psi over data (w_i, c(w_i)) that is pairwise
-    monotone within eps_eq, and phi(z) = max_i (z . w_i - c(w_i)) the
-    affine sup over it. For z = sum_i l_i w_i, each term of phi is
-    sum_i l_i (c(w_i) - gap(w_i, w_j)) <= sum_i l_i c(w_i) + eps_eq, so
-    phi <= psi + eps_eq (Fitzpatrick's inequality) and rows where phi
+    monotone within eps_eq (_coupling_data), and phi(z) the affine sup
+    max_i (z . w_i - c(w_i)) over it. For z = sum_i l_i w_i, each term of
+    phi is sum_i l_i (c(w_i) - gap(w_i, w_j)) <= sum_i l_i c(w_i) + eps_eq,
+    so phi <= psi + eps_eq (Fitzpatrick's inequality) and rows where phi
     exceeds c + 3 eps_eq are off the band. At a data point w, its own term
     gives c(w) <= phi(w), and all weight on w gives psi(w) <= c(w), so
         c(w) <= phi(w) <= psi(w) + eps_eq  and  psi(w) <= c(w):
     w lies on the band and not below the coupling, and _values gives it
-    c(w) without a solve. Both conditions on the data are checked here,
-    once, with the gap kernel is_monotone runs. When either fails, h is no
-    Envelope or it has no data, every row is near and none is on the data.
+    c(w) without a solve. Without that data every row is near.
     """
-    near = np.ones(len(rows), dtype=bool)
-    on_data = np.zeros(len(rows), dtype=bool)
+    data = _coupling_data(h, tol)
+    if data is None:
+        return np.ones(len(rows), dtype=bool)
+    return pairing_below_rows(data, -coupling_rows(data), rows,
+                              coupling_rows(rows) + 3.0 * tol.eps_eq)
+
+
+def _coupling_data(h, tol: Tolerance) -> np.ndarray | None:
+    """The data rows of h when h is an Envelope whose values are the
+    couplings of its data and whose data is pairwise monotone within eps_eq
+    (the envelope's own gap scan, kept per eps_eq); else None."""
     if not isinstance(h, Envelope) or not h.points:
-        return near, on_data
+        return None
     _, _, matrix, values = h._lp
     data = matrix[:-1].T
-    if not (np.array_equal(values, coupling_rows(data))
-            and mr_rows(data, data, tol.eps_eq).all()):
-        return near, on_data
-    near = pairing_below_rows(data, -values, rows,
-                              coupling_rows(rows) + 3.0 * tol.eps_eq)
-    idx = np.flatnonzero(near)
-    first, inverse = distinct_rows(np.vstack([data, rows[idx]]))
-    on_data[idx] = first[inverse[len(data):]] < len(data)
-    return near, on_data
+    if (np.array_equal(values, coupling_rows(data))
+            and h._monotone_within(tol.eps_eq)):
+        return data
+    return None
 
 
-def _values(h, rows: np.ndarray, on_data: np.ndarray) -> np.ndarray:
-    """h at every row: the coupling on the rows on its data (_band_masks),
-    and one row call over the other distinct rows."""
+def _values(h, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """h at every row: the coupling on the rows equal (==, as in
+    distinct_rows) to a row of _coupling_data, and one row call over the
+    other distinct rows."""
     out = coupling_rows(rows)
-    rest = rows[~on_data]
-    first, inverse = distinct_rows(rest)
-    out[~on_data] = h.evaluate_rows(rest[first])[inverse]
+    rest = np.ones(len(rows), dtype=bool)
+    data = _coupling_data(h, tol)
+    if data is not None:
+        first, inverse = distinct_rows(np.vstack([data, rows]))
+        rest = first[inverse[len(data):]] >= len(data)
+    first, inverse = distinct_rows(rows[rest])
+    out[rest] = h.evaluate_rows(rows[rest][first])[inverse]
     return out
 
 
@@ -149,26 +153,23 @@ def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
     """Whether the grid trace of [h = c] over V x (dual clip) is the graph.
 
     Scans two inclusions: grid points with |h - c| <= eps_eq must be graph
-    members within delta_dom, and enumerated graph points in the window must
-    sit in that band; the mismatches are the witnesses of a v_representable
+    members within delta_dom, and the graph rows in the window must sit in
+    that band; the mismatches are the witnesses of a v_representable
     Verdict. A value h < c - eps_strict raises BelowCoupling, a class
     failure distinct from a false verdict. An Envelope h drops the scan
-    rows _band_masks proves off the band, and the rows on its data take
-    the coupling. h is evaluated once per distinct point of the other scan
-    rows and graph points, in one row call.
+    rows _near_band proves off the band, and the rows on its data take the
+    coupling. h is evaluated once per distinct row of the other scan
+    rows and graph rows, in one row call.
     """
-    return _representative(h, T, V, g, tol, T.enumerate_graph(V, g))
+    return _representative(h, T, V, g, tol, T.graph_rows(V, g))
 
 
 def _representative(h, T: OperatorHandle, V: Region, g: GridSpec,
-                    tol: Tolerance, graph: list[PrimalDualPoint]) -> Verdict:
-    """is_representative against graph, the enumeration of T over V."""
+                    tol: Tolerance, graph: np.ndarray) -> Verdict:
+    """is_representative against graph, the rows of T over V."""
     rows = scan_rows(V, g)
-    both = np.vstack([rows, point_rows(graph, T.dimension)])
-    near, on_data = _band_masks(h, both, tol)
-    near[len(rows):] = True  # every graph point is checked against the band
-    rows, both = rows[near[:len(rows)]], both[near]
-    values = _values(h, both, on_data[near])
+    rows = rows[_near_band(h, rows, tol)]
+    values = _values(h, np.vstack([rows, graph]), tol)
     hv, c = values[:len(rows)], coupling_rows(rows)
 
     below = hv < c - tol.eps_strict
@@ -179,10 +180,10 @@ def _representative(h, T: OperatorHandle, V: Region, g: GridSpec,
             witness=row_points(rows[i:i + 1])[0])
     witnesses = [z for z in row_points(rows[np.abs(hv - c) <= tol.eps_eq])
                  if not T.graph_contains(z, tol)]
-    for w, wv in zip(graph, values[len(rows):].tolist()):
-        if wv == INF or abs(wv - coupling(w)) > tol.eps_eq:
-            if w not in witnesses:
-                witnesses.append(w)
+    gv = values[len(rows):]
+    off = (gv == INF) | (np.abs(gv - coupling_rows(graph)) > tol.eps_eq)
+    witnesses += [w for w in dict.fromkeys(row_points(graph[off]))
+                  if w not in witnesses]
     return finish(Property.V_REPRESENTABLE, witnesses,
                   approximate=not T.enumeration_exact, grid=g, tol=tol,
                   region_ids=(V.describe(),))

@@ -1,19 +1,22 @@
 """Operator graphs in Z = R^n x R^n and their pointwise calculus.
 
 Each handle answers the same questions: the dual fiber T(x) as a list of
-boxes (domain and graph membership both derive from it), a finite enumeration
-of its graph at a declared sampling density, and the restricted Fitzpatrick
-value
+boxes (domain and graph membership both derive from it), its graph at a
+declared sampling density, and the restricted Fitzpatrick value
 
     phi_{T|V}(z) = sup { z . w - <u, u*> : w = (u, u*) in graph(T), u in V }.
+
+A graph has one format: graph_rows, an (M, 2n) array of [u, u*] rows that
+each kind builds in its own sampling order. enumerate_graph is those rows
+as points, for the public API and the witnesses; every check reads the rows.
 
 phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows
 and is the one place that picks the route. When phi_is_exact(V) holds it
 calls the kind's array closed form _phi_closed; otherwise it takes the sup
-over the graph enumerated once at an explicit grid (a lower bound). The
+over the graph rows built once at an explicit grid (a lower bound). The
 scalar phi is a one-row call of phi_batch. For the box normal cone N_C the
 closed form is the support function of C-intersect-V. The enumerated sup, the
-monotone-relation test and the pairwise monotone scan all run in core's two
+monotone-relation test and the pairwise monotone scan all run in core's
 blocked pairing kernels. The structural zero of the dust tolerance below
 guards float noise in boundary comparisons, nothing more.
 """
@@ -21,13 +24,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, as_vector,
-                   coupling_rows, max_pairing_rows, mr_rows, point_rows)
+                   coupling_rows, max_pairing_rows, mr_rows, point_rows,
+                   row_points)
 from .errors import (DimensionMismatch, MonokitError, ValidationError)
 from .regions import (Box, GridSpec, Region, box_from_literal, closed_box,
                       grid_sample, intersect_regions, interval, whole_space)
@@ -58,7 +62,7 @@ class OperatorHandle:
 
     @property
     def enumeration_exact(self) -> bool:
-        """True when enumerate_graph returns the whole graph, not a sample."""
+        """True when graph_rows returns the whole graph, not a sample."""
         return False
 
     def domain_region(self) -> Region | None:
@@ -88,9 +92,15 @@ class OperatorHandle:
                        for lo, s, hi in zip(low, z.xstar, up))
                    for low, up in self.fiber(z.x, tol))
 
+    def graph_rows(self, V: Region | None, g: GridSpec) -> np.ndarray:
+        """The graph over V at the density of g as an (M, 2n) array of
+        [u, u*] rows, in the kind's sampling order."""
+        raise NotImplementedError
+
     def enumerate_graph(self, V: Region | None,
                         g: GridSpec) -> list[PrimalDualPoint]:
-        raise NotImplementedError
+        """graph_rows as points, in row order."""
+        return row_points(self.graph_rows(V, g))
 
     def phi(self, V: Region | None, z: PrimalDualPoint,
             g: GridSpec | None = None) -> float:
@@ -119,22 +129,21 @@ class OperatorHandle:
         if self.phi_is_exact(V) and not self.enumeration_exact:
             return (self.phi_batch(V, rows, g)
                     <= coupling_rows(rows) + tol.eps_eq)
-        graph = point_rows(self._enumerate(V, g), rows.shape[1] // 2)
-        return mr_rows(graph, rows, tol.eps_eq)
+        return mr_rows(self._enumerate(V, g), rows, tol.eps_eq)
 
     def _phi_closed(self, V, rows) -> np.ndarray:
         """The closed form at every row; called only when phi_is_exact(V)."""
         raise NotImplementedError
 
-    def _enumerate(self, V, g) -> list[PrimalDualPoint]:
-        """enumerate_graph; a sampled enumeration needs an explicit grid."""
+    def _enumerate(self, V, g) -> np.ndarray:
+        """graph_rows; a sampled graph needs an explicit grid."""
         if g is None and not self.enumeration_exact:
             raise ValidationError(f"{self.describe()} is sampled: pass a grid")
-        return self.enumerate_graph(V, g)
+        return self.graph_rows(V, g)
 
     def _phi_enumerated(self, V, rows, g) -> np.ndarray:
-        """The sup over the graph enumerated once at g, for every row."""
-        graph = point_rows(self._enumerate(V, g), rows.shape[1] // 2)
+        """The sup over the graph rows built once at g, for every row."""
+        graph = self._enumerate(V, g)
         return max_pairing_rows(graph, -coupling_rows(graph), rows)
 
     def describe(self) -> str:
@@ -146,6 +155,8 @@ class FiniteGraph(OperatorHandle):
     """An explicit finite set of graph points."""
 
     points: tuple[PrimalDualPoint, ...]
+    # The dimension of an empty graph, kept by restrict from its source.
+    _n: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = {p.dimension for p in self.points}
@@ -156,13 +167,11 @@ class FiniteGraph(OperatorHandle):
 
     @property
     def dimension(self) -> int:
-        if not self.points:
+        if self.points:
+            return self.points[0].dimension
+        if self._n is None:
             raise MonokitError("empty graph has no dimension")
-        return self.points[0].dimension
-
-    @property
-    def empty(self) -> bool:
-        return not self.points
+        return self._n
 
     @property
     def enumeration_exact(self) -> bool:
@@ -173,10 +182,9 @@ class FiniteGraph(OperatorHandle):
         return [(p.xstar, p.xstar) for p in self.points
                 if max(abs(a - b) for a, b in zip(v, p.x)) <= tol.delta_dom]
 
-    def enumerate_graph(self, V, g):
-        if V is None:
-            return list(self.points)
-        return [p for p in self.points if V.contains(p.x)]
+    def graph_rows(self, V, g):
+        pts = [p for p in self.points if V is None or V.contains(p.x)]
+        return point_rows(pts, self.dimension)
 
     def phi_is_exact(self, V):
         return True
@@ -211,9 +219,10 @@ class Flat(OperatorHandle):
     def fiber(self, x, tol):
         return [(self.wstar, self.wstar)] if self.region.contains(x) else []
 
-    def enumerate_graph(self, V, g):
+    def graph_rows(self, V, g):
         dom = self.region if V is None else intersect_regions(self.region, V)
-        return [PrimalDualPoint(x, self.wstar) for x in grid_sample(dom, g)]
+        return np.array([x + self.wstar for x in grid_sample(dom, g)],
+                        dtype=float).reshape(-1, 2 * self.dimension)
 
     def phi_is_exact(self, V):
         return isinstance(self.region, Box) and (V is None or isinstance(V, Box))
@@ -265,25 +274,21 @@ class NormalConeBox(OperatorHandle):
                  tuple(INF if abs(c - b) <= _DUST else 0.0
                        for c, b in zip(v, self.box.upper)))]
 
-    def enumerate_graph(self, V, g):
+    def graph_rows(self, V, g):
         dom = self.box if V is None else intersect_regions(self.box, V)
         mags = [float(m) for m in
                 np.linspace(0.0, g.dual_bound, g.dual_resolution)]
-        out: dict[PrimalDualPoint, None] = {}
-        for x in grid_sample(dom, g):
-            per_axis = []
-            for i in range(self.dimension):
-                lo, hi = self.box.lower[i], self.box.upper[i]
-                opts = {0.0}
-                if abs(x[i] - lo) <= _DUST:
-                    opts.update(-m for m in mags)
-                if abs(x[i] - hi) <= _DUST:
-                    opts.update(mags)
-                per_axis.append(sorted(opts))
-            for combo in itertools.product(*per_axis):
-                out.setdefault(
-                    PrimalDualPoint(x, tuple(float(c) for c in combo)))
-        return list(out)
+        neg = [-m for m in mags]
+        duals = {(lo, hi): sorted({0.0, *(neg if lo else ()),
+                                   *(mags if hi else ())})
+                 for lo in (False, True) for hi in (False, True)}
+        out = []
+        for x in dict.fromkeys(grid_sample(dom, g)):
+            per_axis = [duals[abs(c - lo) <= _DUST, abs(c - hi) <= _DUST]
+                        for c, lo, hi in zip(x, self.box.lower,
+                                             self.box.upper)]
+            out.extend(x + combo for combo in itertools.product(*per_axis))
+        return np.array(out, dtype=float).reshape(-1, 2 * self.dimension)
 
     def phi_is_exact(self, V):
         return V is None or isinstance(V, Box)
@@ -337,21 +342,16 @@ class AbsSubdiff(OperatorHandle):
             return [((-a,), (-a,))]
         return [((-a,), (a,))]
 
-    def enumerate_graph(self, V, g):
+    def graph_rows(self, V, g):
+        """The sign dual off the kink; at it, +-a and the dual lattice
+        between them, ascending."""
         a = self.slope
-        win = _window(1, V)
-        out = []
-        for x in grid_sample(win, g):
-            xi = x[0]
-            if xi > _DUST:
-                out.append(PrimalDualPoint(x, (a,)))
-            elif xi < -_DUST:
-                out.append(PrimalDualPoint(x, (-a,)))
-            else:
-                duals = {-a, a}
-                duals.update(v[0] for v in g.dual_lattice(1) if -a < v[0] < a)
-                out.extend(PrimalDualPoint(x, (d,)) for d in sorted(duals))
-        return out
+        kink = sorted({-a, a}.union(
+            v[0] for v in g.dual_lattice(1) if -a < v[0] < a))
+        return np.array(
+            [(xi, d) for (xi,) in grid_sample(_window(1, V), g)
+             for d in ((a,) if xi > _DUST else (-a,) if xi < -_DUST else kink)],
+            dtype=float).reshape(-1, 2)
 
     def phi_is_exact(self, V):
         return V is None or isinstance(V, Box)
@@ -408,11 +408,11 @@ class PointComplement(OperatorHandle):
         # The dual must be nonzero exactly: the origin is the excluded point.
         return self._at_anchor(z.x) and any(c != 0.0 for c in z.xstar)
 
-    def enumerate_graph(self, V, g):
-        if V is not None and not V.contains(self.anchor):
-            return []
-        return [PrimalDualPoint(self.anchor, u) for u in
-                g.dual_lattice(self.dimension) if any(c != 0.0 for c in u)]
+    def graph_rows(self, V, g):
+        inside = V is None or V.contains(self.anchor)
+        return np.array([self.anchor + u for u in g.dual_lattice(self.dimension)
+                         if inside and any(c != 0.0 for c in u)],
+                        dtype=float).reshape(-1, 2 * self.dimension)
 
     def phi_is_exact(self, V):
         return True
@@ -462,14 +462,11 @@ class Linear(OperatorHandle):
         mx = tuple(float(c) for c in self._m @ np.array(as_vector(x)))
         return [(mx, mx)]
 
-    def enumerate_graph(self, V, g):
-        m = self._m
-        win = _window(self.dimension, V)
-        out = []
-        for x in grid_sample(win, g):
-            mx = m @ np.array(x)
-            out.append(PrimalDualPoint(x, tuple(float(c) for c in mx)))
-        return out
+    def graph_rows(self, V, g):
+        n = self.dimension
+        xs = np.array(grid_sample(_window(n, V), g), dtype=float).reshape(-1, n)
+        # Stacked, each product sums as m @ x does; xs @ m.T may not.
+        return np.hstack([xs, (self._m[None] @ xs[:, :, None])[:, :, 0]])
 
     def phi_is_exact(self, V):
         return V is None or (isinstance(V, Box) and V.is_whole_space)
@@ -533,8 +530,8 @@ class Restriction(OperatorHandle):
     def graph_contains(self, z, tol):
         return self.window.contains(z.x) and self.base.graph_contains(z, tol)
 
-    def enumerate_graph(self, V, g):
-        return self.base.enumerate_graph(self._inner(V), g)
+    def graph_rows(self, V, g):
+        return self.base.graph_rows(self._inner(V), g)
 
     def phi_is_exact(self, V):
         return self.base.phi_is_exact(self._inner(V))
@@ -584,53 +581,55 @@ class PairSum(OperatorHandle):
                 win = r if win is None else intersect_regions(win, r)
         return win
 
-    def _partners(self, x, index, op: OperatorHandle, g: GridSpec):
-        """The points of one summand at primal x, and whether they came
-        from its enumeration (index, see _by_primal) at x exactly or within
-        _MATCH_TOL; off that lattice (a point cloud, say) op is sampled at x
-        itself."""
-        by_primal, keys = index
-        found = by_primal.get(x) or [
-            q for key in keys
-            if max(abs(u - v) for u, v in zip(key, x)) <= _MATCH_TOL
-            for q in by_primal[key]]
-        if found:
-            return found, True
-        return op.enumerate_graph(closed_box(x, x), g), False
-
-    def enumerate_graph(self, V, g):
+    def graph_rows(self, V, g):
+        """Each first-summand row plus the second's partners at its primal
+        (_Pool.partners), then each unmatched second-summand primal plus the
+        first summand sampled there. Equal sums keep their first row."""
+        n = self.dimension
         win = self._joint_window(V)
-        pa = self.first.enumerate_graph(win, g)
-        pb = self.second.enumerate_graph(win, g)
-        index_a, index_b = _by_primal(pa), _by_primal(pb)
-        out: dict[PrimalDualPoint, None] = {}
-
-        def add(x, astar, bstar):
-            s = tuple(u + v for u, v in zip(astar, bstar))
-            out.setdefault(PrimalDualPoint(x, s))
-
-        for a in pa:
-            for b in self._partners(a.x, index_b, self.second, g)[0]:
-                add(a.x, a.xstar, b.xstar)
+        a, b = _Pool(self.first, win, g), _Pool(self.second, win, g)
+        at = {x: b.partners(x, g)[0] for x in dict.fromkeys(a.primals)}
+        picks = [(x, i, j) for i, x in enumerate(a.primals) for j in at[x]]
         # Second-summand primals that matched were summed above.
-        for x, bs in index_b[0].items():
-            found, matched = self._partners(x, index_a, self.first, g)
+        for x, js in b.groups.items():
+            found, matched = a.partners(x, g)
             if not matched:
-                for b in bs:
-                    for a in found:
-                        add(x, a.xstar, b.xstar)
-        return list(out)
+                picks += [(x, i, j) for j in js for i in found]
+        xs, ia, ib = (list(c) for c in zip(*picks)) if picks else ([],) * 3
+        out = np.hstack([np.reshape(xs, (-1, n)),
+                         a.rows[ia, n:] + b.rows[ib, n:]])
+        firsts = dict.fromkeys(map(tuple, out.tolist()))
+        return np.array(list(firsts), dtype=float).reshape(-1, 2 * n)
 
     def describe(self) -> str:
         return f"sum of {self.first.describe()} and {self.second.describe()}"
 
 
-def _by_primal(points: list[PrimalDualPoint]):
-    """Points grouped by primal part, with the sorted primal keys."""
-    by_primal: dict[tuple[float, ...], list[PrimalDualPoint]] = {}
-    for p in points:
-        by_primal.setdefault(p.x, []).append(p)
-    return by_primal, sorted(by_primal)
+class _Pool:
+    """One summand's graph rows over a window, grouped by primal for
+    PairSum's matching; rows it samples off that lattice are appended."""
+
+    def __init__(self, op: OperatorHandle, V: Region | None, g: GridSpec):
+        self.op, self.rows = op, op.graph_rows(V, g)
+        self.primals = list(map(tuple, self.rows[:, :op.dimension].tolist()))
+        self.groups: dict[tuple[float, ...], list[int]] = {}
+        for j, x in enumerate(self.primals):
+            self.groups.setdefault(x, []).append(j)
+        self.keys = sorted(self.groups)
+
+    def partners(self, x, g: GridSpec) -> tuple[list[int], bool]:
+        """The rows at primal x, and whether they are the pool's own: at x
+        exactly, else at every primal within _MATCH_TOL in sorted order.
+        Off that lattice (a point cloud, say) op is sampled at x itself."""
+        found = self.groups.get(x) or [
+            j for key in self.keys
+            if max(abs(u - v) for u, v in zip(key, x)) <= _MATCH_TOL
+            for j in self.groups[key]]
+        if found:
+            return found, True
+        extra = self.op.graph_rows(closed_box(x, x), g)
+        self.rows = np.vstack([self.rows, extra])
+        return list(range(len(self.rows) - len(extra), len(self.rows))), False
 
 
 def SumNormalCone(summand: OperatorHandle, box: Box) -> PairSum:
@@ -641,14 +640,16 @@ def SumNormalCone(summand: OperatorHandle, box: Box) -> PairSum:
 def restrict(T: OperatorHandle, V: Region) -> OperatorHandle:
     """T viewed through the primal window V.
 
-    Finite graphs filter eagerly (an empty result is legal and flagged via
-    the handle's empty property); a flat piece over a box shrinks its region;
-    everything else wraps in a Restriction. Restricting twice intersects.
+    Finite graphs filter eagerly (an empty result is legal and keeps the
+    dimension); a flat piece over a box shrinks its region; everything else
+    wraps in a Restriction. Restricting twice intersects.
     """
     if T.dimension != V.dimension:
         raise DimensionMismatch("window dimension does not match operator")
     if isinstance(T, FiniteGraph):
-        return FiniteGraph(tuple(p for p in T.points if V.contains(p.x)))
+        out = FiniteGraph(tuple(p for p in T.points if V.contains(p.x)))
+        object.__setattr__(out, "_n", T.dimension)
+        return out
     if isinstance(T, Flat) and isinstance(T.region, Box) and isinstance(V, Box):
         return Flat(T.region.intersect(V), T.wstar)
     if isinstance(T, Restriction):
@@ -658,45 +659,36 @@ def restrict(T: OperatorHandle, V: Region) -> OperatorHandle:
 
 def meets_domain(T: OperatorHandle, V: Region, g: GridSpec) -> bool:
     """Whether the window V meets the domain of T: exactly when both are
-    boxes, else on V's lattice or among T's enumerated points."""
+    boxes, else on V's lattice or among T's graph rows."""
     region = T.domain_region()
     if region is not None:
         cut = intersect_regions(region, V)
         if isinstance(cut, Box):
             return not cut.is_empty()
         return bool(grid_sample(cut, g))
-    return any(V.contains(p.x) for p in T.enumerate_graph(None, g))
+    xs = T.graph_rows(None, g)[:, :T.dimension]
+    return any(map(V.contains, xs.tolist()))
 
 
-def _pairwise_gap_failures(points, eps):
-    """First lexicographic pair with a negative gap, if any.
+def _pairwise_gap_failures(rows: np.ndarray, eps: float):
+    """First lexicographic pair of graph rows with a negative gap, if any.
 
     The gap kernel is symmetric bit for bit, so the partners that fail the
     first failing row all come after it; its first one completes the pair.
     """
-    if len(points) < 2:
-        return []
-    rows = point_rows(points, points[0].dimension)
     bad = np.flatnonzero(~mr_rows(rows, rows, eps))
     if not bad.size:
         return []
     i = int(bad[0])
     j = int(np.flatnonzero(~mr_rows(rows[i:i + 1], rows, eps))[0])
-    return [(points[i], points[j])]
+    return [tuple(row_points(rows[[i, j]]))]
 
 
 def is_monotone(T: OperatorHandle, tol: Tolerance,
                 g: GridSpec | None = None,
                 V: Region | None = None) -> Verdict:
-    """Pairwise gap check over the enumerated graph; witness pair on failure."""
-    return _monotone_verdict(T, T._enumerate(V, g), tol, g, V)
-
-
-def _monotone_verdict(T: OperatorHandle, pts: list[PrimalDualPoint],
-                      tol: Tolerance, g: GridSpec | None,
-                      V: Region | None) -> Verdict:
-    """is_monotone over pts, the enumeration of T over V at g."""
-    failures = _pairwise_gap_failures(pts, tol.eps_eq)
+    """Pairwise gap check over the graph rows; witness pair on failure."""
+    failures = _pairwise_gap_failures(T._enumerate(V, g), tol.eps_eq)
     return finish(Property.MONOTONE, failures,
                   approximate=not T.enumeration_exact, grid=g, tol=tol,
                   region_ids=() if V is None else (V.describe(),))

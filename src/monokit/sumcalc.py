@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .core import (INF, PrimalDualPoint, Tolerance, coupling, coupling_rows,
+from .core import (INF, PrimalDualPoint, Tolerance, coupling_rows,
                    distinct_rows, point_rows, row_points)
 from .errors import UnsatisfiedHypothesis, ValidationError
 from .fitzpatrick import penot_envelope, scan_rows
@@ -61,7 +61,7 @@ def operator_sum(A: OperatorHandle, B: OperatorHandle,
     """
     g, _ = with_defaults(g, tol)
     out = PairSum(A, B)
-    if not out.enumerate_graph(None, g):
+    if not len(out.graph_rows(None, g)):
         raise UnsatisfiedHypothesis("the summands share a primal point")
     return out
 
@@ -87,19 +87,16 @@ class _RhoMachine:
         self.candidates = sorted(cands)
         self._cand_rows = np.array(self.candidates, dtype=float).reshape(-1, n)
         self.approximate = not exact
-        if isinstance(second, Box):
-            self.cone: Box | None = second
-            self.env_b = None
-        elif isinstance(second, NormalConeBox):
-            self.cone = second.box
-            self.env_b = None
-        elif isinstance(second, OperatorHandle):
+        self.cone: Box | None = (second.box if isinstance(second, NormalConeBox)
+                                 else second)
+        self.env_b = None
+        if not isinstance(self.cone, Box):
+            if not isinstance(second, OperatorHandle):
+                raise ValidationError(
+                    "second summand must be an operator or a closed box")
             self.cone = None
             self.env_b, _ = penot_envelope(second, V, g)
             self.approximate = True
-        else:
-            raise ValidationError(
-                "second summand must be an operator or a closed box")
 
     def values_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The split-dual minimum at every [x, x*] row, and the index into
@@ -193,9 +190,8 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
         notes.append("second term: exact box support")
     elif isinstance(second, OperatorHandle):
         S = operator_sum(A, second, g, tol)
-        duals = [w.xstar for w in second.enumerate_graph(V, g)]
-        bound = max((max(abs(c) for c in d) for d in duals), default=0.0)
-        if bound > g.dual_bound:
+        duals = second.graph_rows(V, g)[:, second.dimension:]
+        if (np.abs(duals) > g.dual_bound).any():
             notes.append("second summand duals exceed the dual clip")
         notes.append("second term: sampled envelope")
     else:
@@ -204,21 +200,19 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
 
     machine = _RhoMachine(A, second, V, g)
     rows = scan_rows(V, g)
-    graph = S.enumerate_graph(V, g)
-    values, _ = machine.values_rows(
-        np.vstack([rows, point_rows(graph, S.dimension)]))
+    graph = S.graph_rows(V, g)
+    values, _ = machine.values_rows(np.vstack([rows, graph]))
     rho, c = values[:len(rows)], coupling_rows(rows)
     below = rho < c - tol.eps_eq
     band = np.abs(rho - c) <= tol.eps_eq
     pick = below | band
     failures = [z for z, low in zip(row_points(rows[pick]), below[pick])
                 if low or not S.graph_contains(z, tol)]
-    for w, wv in zip(graph, values[len(rows):].tolist()):
-        if abs(wv - coupling(w)) > 10.0 * tol.eps_eq:
-            if w not in failures:
-                failures.append(w)
+    off = np.abs(values[len(rows):] - coupling_rows(graph)) > 10.0 * tol.eps_eq
+    failures += [w for w in dict.fromkeys(row_points(graph[off]))
+                 if w not in failures]
     return finish(Property.V_REPRESENTABLE, failures,
                   approximate=machine.approximate or not S.enumeration_exact,
                   grid=g, tol=tol, region_ids=(V.describe(),),
-                  vacuous=not len(rows) and not graph,
+                  vacuous=not len(rows) and not len(graph),
                   notes=tuple(notes) or ("sum construction",))

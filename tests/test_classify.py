@@ -178,13 +178,13 @@ class TestVRepresentable:
     ], ids=["finite", "sampled"])
     def test_restricted_graph_is_enumerated_once(self, T, monkeypatch):
         calls = []
-        real = type(T).enumerate_graph
+        real = type(T).graph_rows
 
         def counted(self, V, g):
             calls.append(V)
             return real(self, V, g)
 
-        monkeypatch.setattr(type(T), "enumerate_graph", counted)
+        monkeypatch.setattr(type(T), "graph_rows", counted)
         check_v_representable(T, interval(-1.0, 1.0), G, TOL)
         assert len(calls) == 1
 

@@ -30,9 +30,10 @@ from monokit import (
     psi_eval,
     scan_grid,
 )
-from monokit import lp
+from monokit import fitzpatrick, lp
 from monokit.core import distinct_rows, point_rows
-from monokit.fitzpatrick import _band_masks, band_points, scan_rows
+from monokit.fitzpatrick import (_coupling_data, _near_band, band_points,
+                                  scan_rows)
 
 from conftest import random_monotone_graph
 
@@ -125,7 +126,7 @@ class TestCouplingBand:
     def test_monotone_coupling_data_drops_rows(self, three_point_graph):
         env, _ = penot_envelope(three_point_graph, None)
         rows = scan_rows(interval(-2.0, 2.0), SMALL)
-        keep, _ = _band_masks(env, rows, TOL)
+        keep = _near_band(env, rows, TOL)
         assert 0 < keep.sum() < len(rows)
         zs = scan_grid(interval(-2.0, 2.0), SMALL)
         assert coupling_band(env, zs, TOL) == full_band(env, zs)
@@ -134,21 +135,21 @@ class TestCouplingBand:
         pts = [pdp([0.0], [1.0]), pdp([1.0], [0.0])]  # gap -1
         env = envelope([(p, coupling(p)) for p in pts])
         rows = scan_rows(interval(-2.0, 2.0), SMALL)
-        near, on_data = _band_masks(env, rows, TOL)
-        assert near.all() and not on_data.any()
+        assert _near_band(env, rows, TOL).all()
+        assert _coupling_data(env, TOL) is None
 
     def test_values_off_the_coupling_keep_every_row(self, three_point_graph):
         env = envelope([(p, coupling(p) + 0.5)
                         for p in three_point_graph.points])
         rows = scan_rows(interval(-2.0, 2.0), SMALL)
-        near, on_data = _band_masks(env, rows, TOL)
-        assert near.all() and not on_data.any()
+        assert _near_band(env, rows, TOL).all()
+        assert _coupling_data(env, TOL) is None
 
     def test_empty_data_gives_an_empty_band(self):
         env = Envelope((), 1)
         rows = scan_rows(interval(-2.0, 2.0), SMALL)
-        near, on_data = _band_masks(env, rows, TOL)
-        assert near.all() and not on_data.any()
+        assert _near_band(env, rows, TOL).all()
+        assert _coupling_data(env, TOL) is None
         assert coupling_band(env, scan_grid(interval(-2.0, 2.0), SMALL),
                              TOL) == []
 
@@ -289,6 +290,27 @@ def test_settled_route_agrees_with_full_scan(T, V, g):
     assert check_v_representable(T, V, g, TOL) == full
     zs = scan_grid(V, g)
     assert band_points(env, scan_rows(V, g), TOL) == full_band(env, zs)
+
+
+def test_prefilter_sees_only_scan_rows(three_point_graph, monkeypatch):
+    """Graph rows are checked against the band whatever phi says, so the
+    off-band kernel runs over the scan rows alone."""
+    seen = []
+    real = fitzpatrick.pairing_below_rows
+
+    def counted(ws, b, zs, thr):
+        seen.append(zs.copy())
+        return real(ws, b, zs, thr)
+
+    monkeypatch.setattr(fitzpatrick, "pairing_below_rows", counted)
+    V = interval(0.0, 1.0)
+    g = GridSpec(resolution=5, dual_bound=1.0, dual_resolution=5)
+    env, _ = penot_envelope(three_point_graph, V, g)
+    is_representative(env, three_point_graph, V, g, TOL)
+    check_v_representable(three_point_graph, V, g, TOL)
+    assert len(seen) == 2
+    for zs in seen:
+        assert np.array_equal(zs, scan_rows(V, g))
 
 
 class TestLPRows:
