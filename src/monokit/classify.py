@@ -10,8 +10,10 @@ The phi-based checks build the lattice once, as the (N, 2n) array of
 [x, x*] rows from scan_rows, and hand it to the operator's phi_batch or
 mr_batch; couplings come from coupling_rows. A row's value is the one-row
 phi or mr_test would give. Each check selects the related or the strictly
-sub-coupling rows, and only those become points, for the per-point tests
-and the witnesses.
+sub-coupling rows and asks the operator's row membership tests of them
+(graph_contains_rows, domain_contains_rows, domain_closure_contains_rows)
+or the target's contains_rows; only the failing rows become points, as the
+witnesses.
 """
 from __future__ import annotations
 
@@ -20,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PrimalDualPoint, Tolerance, coupling_rows, row_points
+from .core import (PrimalDualPoint, Tolerance, coupling_rows, point_rows,
+                   row_points)
 from .errors import ToleranceError, UnsatisfiedHypothesis
 from .fitzpatrick import (_coupling_envelope, _representative, band_points,
                           penot_envelope, scan_rows)
-from .operators import (OperatorHandle, _pairwise_gap_failures, is_monotone,
-                        meets_domain, with_defaults)
+from .operators import (OperatorHandle, _monotone_verdict,
+                        _pairwise_gap_failures, is_monotone, meets_domain,
+                        with_defaults)
 from .regions import Box, GridSpec, Region, whole_space
 from .verdicts import Property, Verdict, finish
 
@@ -34,18 +38,19 @@ def _window_verdict(prop: Property, T: OperatorHandle, V: Region,
                     g: GridSpec, tol: Tolerance, *, related: bool, fails,
                     vacuous_if_none: bool = False) -> Verdict:
     """Verdict over the scan rows related to T|V (related) or strictly below
-    the coupling (otherwise): only they become points, and fails(z) picks
-    the failures. vacuous_if_none marks a verdict over no selected row."""
+    the coupling (otherwise): fails(rows) masks the failures among them,
+    and only those become points. vacuous_if_none marks a verdict over no
+    selected row."""
     rows = scan_rows(V, g)
     if related:
         keep = T.mr_batch(V, rows, tol, g)
     else:
         keep = T.phi_batch(V, rows, g) < coupling_rows(rows) - tol.eps_strict
-    selected = row_points(rows[keep])
-    return finish(prop, [z for z in selected if fails(z)],
+    selected = rows[keep]
+    return finish(prop, row_points(selected[fails(selected)]),
                   approximate=not T.phi_is_exact(V), grid=g, tol=tol,
                   region_ids=(V.describe(),),
-                  vacuous=vacuous_if_none and not selected)
+                  vacuous=vacuous_if_none and not len(selected))
 
 
 def check_vni(T: OperatorHandle, V: Region, g: GridSpec | None = None,
@@ -62,7 +67,7 @@ def check_vni(T: OperatorHandle, V: Region, g: GridSpec | None = None,
                        vacuous=True,
                        notes=("window does not meet the domain",))
     return _window_verdict(Property.VNI, T, V, g, tol, related=False,
-                           fails=lambda z: True)
+                           fails=lambda rows: np.ones(len(rows), dtype=bool))
 
 
 def check_locates(T: OperatorHandle, V: Region, g: GridSpec | None = None,
@@ -74,10 +79,13 @@ def check_locates(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     membership rule.
     """
     g, tol = with_defaults(g, tol)
-    inside = (target.contains if target is not None
-              else lambda x: T.domain_contains(x, tol))
+    n = T.dimension
+    if target is not None:
+        fails = lambda rows: ~target.contains_rows(rows[:, :n])
+    else:
+        fails = lambda rows: ~T.domain_contains_rows(rows[:, :n], tol)
     return _window_verdict(Property.LOCATES, T, V, g, tol, related=True,
-                           fails=lambda z: not inside(z.x))
+                           fails=fails)
 
 
 def check_identifies(T: OperatorHandle, V: Region, g: GridSpec | None = None,
@@ -85,7 +93,7 @@ def check_identifies(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     """Monotonically related grid points over V already lie in the graph."""
     g, tol = with_defaults(g, tol)
     return _window_verdict(Property.IDENTIFIES, T, V, g, tol, related=True,
-                           fails=lambda z: not T.graph_contains(z, tol))
+                           fails=lambda rows: ~T.graph_contains_rows(rows, tol))
 
 
 def check_v_representable(T: OperatorHandle, V: Region,
@@ -150,13 +158,16 @@ def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     sets and is raised rather than silently picking one.
     """
     g, tol = with_defaults(g, tol)
-    mono = is_monotone(T, tol, g, V=V)
+    # The graph over V is built once, for the gate and a sampled phi.
+    graph = T._enumerate(V, g)
+    mono = _monotone_verdict(T, graph, tol, g, V)
     if not mono.value:
         raise UnsatisfiedHypothesis("the restriction is monotone",
                                     f"witness pair {mono.witnesses[:1]}")
     # The check_vni gate, decided from the same phi sweep as the band.
     rows = scan_rows(V, g)
-    p = T.phi_batch(V, rows, g)
+    p = (T.phi_batch(V, rows, g) if T.phi_is_exact(V)
+         else T._phi_enumerated(V, rows, g, graph))
     c = coupling_rows(rows)
     below = rows[p < c - tol.eps_strict]
     if len(below) and meets_domain(T, V, g):
@@ -176,9 +187,10 @@ def check_condition_c(T: OperatorHandle, V: Region,
     """Strictly sub-coupling grid points over V project into the domain
     closure; vacuously true when the strict set is empty."""
     g, tol = with_defaults(g, tol)
+    n = T.dimension
     return _window_verdict(
         Property.CONDITION_C, T, V, g, tol, related=False,
-        fails=lambda z: not T.domain_closure_contains(z.x, tol),
+        fails=lambda rows: ~T.domain_closure_contains_rows(rows[:, :n], tol),
         vacuous_if_none=True)
 
 
@@ -271,14 +283,17 @@ def _low_representable(T: OperatorHandle, family: RegionFamily, g: GridSpec,
         return Verdict(Property.LOW_REPRESENTABLE, True, grid=g, tol=tol,
                        region_ids=ids, vacuous=True,
                        notes=("empty graph, empty band",))
-    band = band_points(env, scan_rows(whole_space(T.dimension), g), tol)
+    n = T.dimension
+    band = band_points(env, scan_rows(whole_space(n), g), tol)
+    xs = point_rows(band, n)[:, :n]
+    inside = [region.contains_rows(xs).tolist() for region in family.regions]
     cache: dict[int, Verdict] = {}
     approx = not exact
     failures = []
-    for z in band:
+    for b, z in enumerate(band):
         found = False
         for idx, region in enumerate(family.regions):
-            if not region.contains(z.x):
+            if not inside[idx][b]:
                 continue
             if idx not in cache:
                 cache[idx] = check_v_representable(T, region, g, tol)

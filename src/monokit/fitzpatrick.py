@@ -23,7 +23,7 @@ from .core import (INF, PrimalDualPoint, Tolerance, coupling_rows,
                    distinct_rows, pairing_below_rows, point_rows, row_points)
 from .errors import BelowCoupling
 from .operators import OperatorHandle
-from .regions import GridSpec, Region, grid_sample
+from .regions import GridSpec, Region, lattice_rows
 from .verdicts import Property, Verdict, finish
 
 
@@ -31,10 +31,12 @@ def scan_rows(V: Region, g: GridSpec) -> np.ndarray:
     """The lattice over V x (clipped dual box) as an (N, 2n) array of
     [x, x*] rows, lexicographic in both parts; the one lattice builder."""
     n = V.dimension
-    primal = np.array(grid_sample(V, g), dtype=float).reshape(-1, n)
-    duals = np.array(g.dual_lattice(n), dtype=float)
-    pairs = np.broadcast_arrays(primal[:, None, :], duals[None, :, :])
-    return np.concatenate(pairs, axis=2).reshape(-1, 2 * n)
+    primal = lattice_rows(V, g, g.resolution)
+    duals = g.dual_rows(n)
+    out = np.empty((len(primal), len(duals), 2 * n))
+    out[:, :, :n] = primal[:, None, :]
+    out[:, :, n:] = duals[None, :, :]
+    return out.reshape(-1, 2 * n)
 
 
 def scan_grid(V: Region, g: GridSpec) -> list[PrimalDualPoint]:
@@ -178,8 +180,8 @@ def _representative(h, T: OperatorHandle, V: Region, g: GridSpec,
         raise BelowCoupling(
             f"candidate dips to {hv[i].item()} below coupling {c[i].item()}",
             witness=row_points(rows[i:i + 1])[0])
-    witnesses = [z for z in row_points(rows[np.abs(hv - c) <= tol.eps_eq])
-                 if not T.graph_contains(z, tol)]
+    band = rows[np.abs(hv - c) <= tol.eps_eq]
+    witnesses = row_points(band[~T.graph_contains_rows(band, tol)])
     gv = values[len(rows):]
     off = (gv == INF) | (np.abs(gv - coupling_rows(graph)) > tol.eps_eq)
     witnesses += [w for w in dict.fromkeys(row_points(graph[off]))

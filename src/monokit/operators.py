@@ -1,14 +1,22 @@
 """Operator graphs in Z = R^n x R^n and their pointwise calculus.
 
-Each handle answers the same questions: the dual fiber T(x) as a list of
-boxes (domain and graph membership both derive from it), its graph at a
-declared sampling density, and the restricted Fitzpatrick value
+Each handle answers the same questions: the dual fiber T(x) as dual boxes,
+its graph at a declared sampling density, and the restricted Fitzpatrick
+value
 
     phi_{T|V}(z) = sup { z . w - <u, u*> : w = (u, u*) in graph(T), u in V }.
 
 A graph has one format: graph_rows, an (M, 2n) array of [u, u*] rows that
-each kind builds in its own sampling order. enumerate_graph is those rows
-as points, for the public API and the witnesses; every check reads the rows.
+each kind builds from the lattice arrays in its own sampling order.
+enumerate_graph is those rows as points, for the public API and the
+witnesses; every check reads the rows.
+
+Membership is asked of many rows at once. Each kind answers fiber_rows, its
+fiber boxes at an (N, n) array of primals; graph_contains_rows,
+domain_contains_rows and domain_closure_contains_rows derive from it, and
+the point and the restriction override the graph test where the closure of
+a fiber says too much. The scalar fiber, graph_contains, domain_contains
+and domain_closure_contains are one-row calls.
 
 phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows
 and is the one place that picks the route. When phi_is_exact(V) holds it
@@ -29,12 +37,13 @@ from functools import cached_property
 
 import numpy as np
 
+from . import core
 from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, as_vector,
                    coupling_rows, max_pairing_rows, mr_rows, point_rows,
                    row_points)
 from .errors import (DimensionMismatch, MonokitError, ValidationError)
 from .regions import (Box, GridSpec, Region, box_from_literal, closed_box,
-                      grid_sample, intersect_regions, interval, whole_space)
+                      intersect_regions, interval, lattice_rows, whole_space)
 from .verdicts import Property, Verdict, finish
 
 _DUST = 1e-12
@@ -55,6 +64,35 @@ def _window(n: int, V: Region | None) -> Region:
     return whole_space(n) if V is None else V
 
 
+def _one_row(x) -> np.ndarray:
+    return np.array([as_vector(x)])
+
+
+def _constant_boxes(owner: np.ndarray, low, up):
+    """One box (low, up) for every row in owner, as fiber_rows returns."""
+    shape = (len(owner), len(low))
+    return (owner, np.broadcast_to(np.array(low, dtype=float), shape),
+            np.broadcast_to(np.array(up, dtype=float), shape))
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs starts[k], ..., starts[k] + counts[k] - 1 for every k,
+    concatenated."""
+    ends = np.cumsum(counts)
+    return (np.repeat(starts - (ends - counts), counts)
+            + np.arange(ends[-1] if len(ends) else 0))
+
+
+def _expand(lists, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(take, values): each position k of pick repeated once for every
+    value of lists[pick[k]], and those values in turn."""
+    sizes = np.array([len(v) for v in lists])
+    counts = sizes[pick]
+    values = np.concatenate(lists).astype(float)
+    return (np.repeat(np.arange(len(pick)), counts),
+            values[_runs((np.cumsum(sizes) - sizes)[pick], counts)])
+
+
 class OperatorHandle:
     """Common query surface for every operator kind."""
 
@@ -69,28 +107,66 @@ class OperatorHandle:
         """The domain as a region when it has one; None for point clouds."""
         return None
 
-    def domain_contains(self, x, tol: Tolerance) -> bool:
-        """Whether the fiber at x is nonempty."""
-        return bool(self.fiber(x, tol))
-
-    def domain_closure_contains(self, x, tol: Tolerance) -> bool:
-        region = self.domain_region()
-        if region is None:
-            return self.domain_contains(x, tol)
-        return region.distance_inf(x) <= tol.delta_dom
+    def fiber_rows(self, xs: np.ndarray, tol: Tolerance
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """T at every row of an (N, n) array of primals, up to closure, as
+        dual boxes (owner, lower, upper): box k belongs to row owner[k] and
+        spans lower[k] to upper[k]. Bounds may be +-inf, and a point is a
+        box with lower == upper. owner ascends, and a row's boxes come in
+        the kind's order."""
+        raise NotImplementedError
 
     def fiber(self, x, tol: Tolerance) -> list[tuple[tuple[float, ...],
                                                      tuple[float, ...]]]:
-        """T(x), up to closure, as dual boxes (lower, upper); bounds may be
-        +-inf and a point is a box with lower == upper."""
-        raise NotImplementedError
+        """T(x) as a list of (lower, upper) boxes: a one-row call of
+        fiber_rows."""
+        _, low, up = self.fiber_rows(_one_row(x), tol)
+        return list(zip(map(tuple, low.tolist()), map(tuple, up.tolist())))
+
+    def graph_contains_rows(self, rows: np.ndarray,
+                            tol: Tolerance) -> np.ndarray:
+        """Boolean mask over [x, x*] rows: whether some box of the fiber at
+        x holds x* within delta_dom on every axis."""
+        n = rows.shape[1] // 2
+        owner, low, up = self.fiber_rows(rows[:, :n], tol)
+        s = rows[owner, n:]
+        with np.errstate(invalid="ignore"):
+            below, above = low - s, s - up
+        # max(below, above) as Python takes it, so a nan excess fails.
+        near = (np.where(above > below, above, below)
+                <= tol.delta_dom).all(axis=1)
+        out = np.zeros(len(rows), dtype=bool)
+        out[owner[near]] = True
+        return out
+
+    def domain_contains_rows(self, xs: np.ndarray,
+                             tol: Tolerance) -> np.ndarray:
+        """Boolean mask over primal rows: whether the fiber is nonempty."""
+        out = np.zeros(len(xs), dtype=bool)
+        out[self.fiber_rows(xs, tol)[0]] = True
+        return out
+
+    def domain_closure_contains_rows(self, xs: np.ndarray,
+                                     tol: Tolerance) -> np.ndarray:
+        """Boolean mask over primal rows: within delta_dom of the domain
+        region, or in the domain when there is no region."""
+        region = self.domain_region()
+        if region is None:
+            return self.domain_contains_rows(xs, tol)
+        return region.distance_inf_rows(xs) <= tol.delta_dom
 
     def graph_contains(self, z: PrimalDualPoint, tol: Tolerance) -> bool:
-        """Whether some box of the fiber at z.x holds z.xstar within
-        delta_dom on every axis."""
-        return any(all(max(lo - s, s - hi) <= tol.delta_dom
-                       for lo, s, hi in zip(low, z.xstar, up))
-                   for low, up in self.fiber(z.x, tol))
+        """A one-row call of graph_contains_rows."""
+        return bool(self.graph_contains_rows(
+            point_rows([z], z.dimension), tol)[0])
+
+    def domain_contains(self, x, tol: Tolerance) -> bool:
+        """A one-row call of domain_contains_rows."""
+        return bool(self.domain_contains_rows(_one_row(x), tol)[0])
+
+    def domain_closure_contains(self, x, tol: Tolerance) -> bool:
+        """A one-row call of domain_closure_contains_rows."""
+        return bool(self.domain_closure_contains_rows(_one_row(x), tol)[0])
 
     def graph_rows(self, V: Region | None, g: GridSpec) -> np.ndarray:
         """The graph over V at the density of g as an (M, 2n) array of
@@ -141,9 +217,11 @@ class OperatorHandle:
             raise ValidationError(f"{self.describe()} is sampled: pass a grid")
         return self.graph_rows(V, g)
 
-    def _phi_enumerated(self, V, rows, g) -> np.ndarray:
-        """The sup over the graph rows built once at g, for every row."""
-        graph = self._enumerate(V, g)
+    def _phi_enumerated(self, V, rows, g, graph=None) -> np.ndarray:
+        """The sup over the graph rows, built once at g unless given, for
+        every row."""
+        if graph is None:
+            graph = self._enumerate(V, g)
         return max_pairing_rows(graph, -coupling_rows(graph), rows)
 
     def describe(self) -> str:
@@ -177,14 +255,34 @@ class FiniteGraph(OperatorHandle):
     def enumeration_exact(self) -> bool:
         return True
 
-    def fiber(self, x, tol):
-        v = as_vector(x)
-        return [(p.xstar, p.xstar) for p in self.points
-                if max(abs(a - b) for a, b in zip(v, p.x)) <= tol.delta_dom]
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        # The points as read-only rows, kept out of the fields like _m.
+        rows = point_rows(self.points, self.dimension)
+        rows.flags.writeable = False
+        return rows
+
+    def fiber_rows(self, xs, tol):
+        """Every point whose primal lies within delta_dom of the row's,
+        in point order, the rows taken in 1 MiB blocks."""
+        n = xs.shape[1]
+        hits = np.empty((0, 2), dtype=int)
+        if self.points:
+            pts = self._rows[:, :n]
+            step = max(1, core._BLOCK_ELEMS // pts.size)
+            hits = np.concatenate([hits] + [
+                np.argwhere(np.abs(xs[s:s + step, None] - pts).max(axis=2)
+                            <= tol.delta_dom) + (s, 0)
+                for s in range(0, len(xs), step)])
+        duals = self._rows[hits[:, 1], n:] if self.points else \
+            np.empty((0, n))
+        return hits[:, 0], duals, duals
 
     def graph_rows(self, V, g):
-        pts = [p for p in self.points if V is None or V.contains(p.x)]
-        return point_rows(pts, self.dimension)
+        rows = self._rows
+        if V is not None:
+            rows = rows[V.contains_rows(rows[:, :self.dimension])]
+        return np.array(rows)
 
     def phi_is_exact(self, V):
         return True
@@ -216,13 +314,14 @@ class Flat(OperatorHandle):
     def domain_region(self):
         return self.region
 
-    def fiber(self, x, tol):
-        return [(self.wstar, self.wstar)] if self.region.contains(x) else []
+    def fiber_rows(self, xs, tol):
+        return _constant_boxes(np.flatnonzero(self.region.contains_rows(xs)),
+                               self.wstar, self.wstar)
 
     def graph_rows(self, V, g):
         dom = self.region if V is None else intersect_regions(self.region, V)
-        return np.array([x + self.wstar for x in grid_sample(dom, g)],
-                        dtype=float).reshape(-1, 2 * self.dimension)
+        xs = lattice_rows(dom, g, g.resolution)
+        return np.hstack([xs, np.broadcast_to(self.wstar, xs.shape)])
 
     def phi_is_exact(self, V):
         return isinstance(self.region, Box) and (V is None or isinstance(V, Box))
@@ -263,32 +362,40 @@ class NormalConeBox(OperatorHandle):
     def domain_region(self):
         return self.box
 
-    def fiber(self, x, tol):
+    def _faces(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each row lies on the lower and on the upper face of each
+        axis, as two (N, n) masks."""
+        return (np.abs(xs - np.array(self.box.lower)) <= _DUST,
+                np.abs(xs - np.array(self.box.upper)) <= _DUST)
+
+    def fiber_rows(self, xs, tol):
         """An axis is unbounded below at a lower face and above at an upper
         face, and pinned to 0 elsewhere."""
-        v = as_vector(x)
-        if not self.box.contains(v):
-            return []
-        return [(tuple(-INF if abs(c - b) <= _DUST else 0.0
-                       for c, b in zip(v, self.box.lower)),
-                 tuple(INF if abs(c - b) <= _DUST else 0.0
-                       for c, b in zip(v, self.box.upper)))]
+        owner = np.flatnonzero(self.box.contains_rows(xs))
+        at_lo, at_hi = self._faces(xs[owner])
+        return (owner, np.where(at_lo, -INF, 0.0),
+                np.where(at_hi, INF, 0.0))
 
     def graph_rows(self, V, g):
+        """Each distinct lattice primal, in order, with the product of its
+        axes' duals, first axis slowest: 0, plus the sampled magnitudes
+        below at a lower face and above at an upper face, ascending. Each
+        face pattern's products are formed once; a lattice has few."""
+        n = self.dimension
         dom = self.box if V is None else intersect_regions(self.box, V)
-        mags = [float(m) for m in
-                np.linspace(0.0, g.dual_bound, g.dual_resolution)]
+        # The distinct primals as dict keys, the first of equal rows kept.
+        xs = dict.fromkeys(map(tuple, lattice_rows(dom, g,
+                                                   g.resolution).tolist()))
+        mags = np.linspace(0.0, g.dual_bound, g.dual_resolution).tolist()
         neg = [-m for m in mags]
-        duals = {(lo, hi): sorted({0.0, *(neg if lo else ()),
-                                   *(mags if hi else ())})
-                 for lo in (False, True) for hi in (False, True)}
-        out = []
-        for x in dict.fromkeys(grid_sample(dom, g)):
-            per_axis = [duals[abs(c - lo) <= _DUST, abs(c - hi) <= _DUST]
-                        for c, lo, hi in zip(x, self.box.lower,
-                                             self.box.upper)]
-            out.extend(x + combo for combo in itertools.product(*per_axis))
-        return np.array(out, dtype=float).reshape(-1, 2 * self.dimension)
+        duals = [sorted({0.0, *(neg if lo else ()), *(mags if hi else ())})
+                 for lo in (False, True) for hi in (False, True)]
+        at_lo, at_hi = self._faces(np.array(list(xs)).reshape(-1, n))
+        faces = list(map(tuple, (2 * at_lo + at_hi).tolist()))
+        combos = {f: list(itertools.product(*(duals[k] for k in f)))
+                  for f in set(faces)}
+        return np.array([x + c for x, f in zip(xs, faces) for c in combos[f]],
+                        dtype=float).reshape(-1, 2 * n)
 
     def phi_is_exact(self, V):
         return V is None or isinstance(V, Box)
@@ -334,24 +441,22 @@ class AbsSubdiff(OperatorHandle):
     def domain_region(self):
         return whole_space(1)
 
-    def fiber(self, x, tol):
-        xi, a = as_vector(x)[0], self.slope
-        if xi > _DUST:
-            return [((a,), (a,))]
-        if xi < -_DUST:
-            return [((-a,), (-a,))]
-        return [((-a,), (a,))]
+    def fiber_rows(self, xs, tol):
+        """a right of the kink, -a left of it, [-a, a] at it."""
+        x, a = xs[:, :1], self.slope
+        return (np.arange(len(xs)), np.where(x > _DUST, a, -a),
+                np.where(x < -_DUST, -a, a))
 
     def graph_rows(self, V, g):
         """The sign dual off the kink; at it, +-a and the dual lattice
         between them, ascending."""
         a = self.slope
         kink = sorted({-a, a}.union(
-            v[0] for v in g.dual_lattice(1) if -a < v[0] < a))
-        return np.array(
-            [(xi, d) for (xi,) in grid_sample(_window(1, V), g)
-             for d in ((a,) if xi > _DUST else (-a,) if xi < -_DUST else kink)],
-            dtype=float).reshape(-1, 2)
+            v for v in g.dual_rows(1)[:, 0].tolist() if -a < v < a))
+        x = lattice_rows(_window(1, V), g, g.resolution)[:, 0]
+        pick = np.where(x > _DUST, 2, np.where(x < -_DUST, 0, 1))
+        take, duals = _expand([[-a], kink, [a]], pick)
+        return np.stack([x[take], duals], axis=1)
 
     def phi_is_exact(self, V):
         return V is None or isinstance(V, Box)
@@ -394,25 +499,26 @@ class PointComplement(OperatorHandle):
         n = self.dimension
         return Box(self.anchor, self.anchor, (False,) * n, (False,) * n)
 
-    def _at_anchor(self, x) -> bool:
-        return max(abs(a - b) for a, b in zip(as_vector(x), self.anchor)) <= _DUST
+    def _at_anchor(self, xs: np.ndarray) -> np.ndarray:
+        return np.abs(xs - np.array(self.anchor)).max(axis=1) <= _DUST
 
-    def fiber(self, x, tol):
+    def fiber_rows(self, xs, tol):
         # The closure of the dual space minus the origin is the whole space.
-        if not self._at_anchor(x):
-            return []
         n = self.dimension
-        return [((-INF,) * n, (INF,) * n)]
+        return _constant_boxes(np.flatnonzero(self._at_anchor(xs)),
+                               (-INF,) * n, (INF,) * n)
 
-    def graph_contains(self, z, tol):
+    def graph_contains_rows(self, rows, tol):
         # The dual must be nonzero exactly: the origin is the excluded point.
-        return self._at_anchor(z.x) and any(c != 0.0 for c in z.xstar)
+        n = self.dimension
+        return self._at_anchor(rows[:, :n]) & (rows[:, n:] != 0.0).any(axis=1)
 
     def graph_rows(self, V, g):
-        inside = V is None or V.contains(self.anchor)
-        return np.array([self.anchor + u for u in g.dual_lattice(self.dimension)
-                         if inside and any(c != 0.0 for c in u)],
-                        dtype=float).reshape(-1, 2 * self.dimension)
+        duals = g.dual_rows(self.dimension)
+        if V is not None and not V.contains(self.anchor):
+            duals = duals[:0]
+        duals = duals[(duals != 0.0).any(axis=1)]
+        return np.hstack([np.broadcast_to(self.anchor, duals.shape), duals])
 
     def phi_is_exact(self, V):
         return True
@@ -420,8 +526,7 @@ class PointComplement(OperatorHandle):
     def _phi_closed(self, V, rows):
         if V is not None and not V.contains(self.anchor):
             return np.full(rows.shape[0], -INF)
-        n = self.dimension
-        at = np.abs(rows[:, :n] - np.array(self.anchor)).max(axis=1) <= _DUST
+        at = self._at_anchor(rows[:, :self.dimension])
         return np.where(at, coupling_rows(rows), INF)
 
     def describe(self) -> str:
@@ -458,15 +563,17 @@ class Linear(OperatorHandle):
     def domain_region(self):
         return whole_space(self.dimension)
 
-    def fiber(self, x, tol):
-        mx = tuple(float(c) for c in self._m @ np.array(as_vector(x)))
-        return [(mx, mx)]
+    def _images(self, xs: np.ndarray) -> np.ndarray:
+        # Stacked, each product sums as m @ x does; xs @ m.T may not.
+        return (self._m[None] @ xs[:, :, None])[:, :, 0]
+
+    def fiber_rows(self, xs, tol):
+        mx = self._images(xs)
+        return np.arange(len(xs)), mx, mx
 
     def graph_rows(self, V, g):
-        n = self.dimension
-        xs = np.array(grid_sample(_window(n, V), g), dtype=float).reshape(-1, n)
-        # Stacked, each product sums as m @ x does; xs @ m.T may not.
-        return np.hstack([xs, (self._m[None] @ xs[:, :, None])[:, :, 0]])
+        xs = lattice_rows(_window(self.dimension, V), g, g.resolution)
+        return np.hstack([xs, self._images(xs)])
 
     def phi_is_exact(self, V):
         return V is None or (isinstance(V, Box) and V.is_whole_space)
@@ -517,18 +624,24 @@ class Restriction(OperatorHandle):
             return None
         return intersect_regions(base, self.window)
 
-    def domain_closure_contains(self, x, tol):
+    def domain_closure_contains_rows(self, xs, tol):
         region = self.domain_region()
         if region is None:
-            return self.window.closure().contains(x) \
-                and self.base.domain_closure_contains(x, tol)
-        return region.distance_inf(x) <= tol.delta_dom
+            out = self.window.closure().contains_rows(xs)
+            out[out] = self.base.domain_closure_contains_rows(xs[out], tol)
+            return out
+        return region.distance_inf_rows(xs) <= tol.delta_dom
 
-    def fiber(self, x, tol):
-        return self.base.fiber(x, tol) if self.window.contains(x) else []
+    def fiber_rows(self, xs, tol):
+        inside = np.flatnonzero(self.window.contains_rows(xs))
+        owner, low, up = self.base.fiber_rows(xs[inside], tol)
+        return inside[owner], low, up
 
-    def graph_contains(self, z, tol):
-        return self.window.contains(z.x) and self.base.graph_contains(z, tol)
+    def graph_contains_rows(self, rows, tol):
+        # The base's own test, which may exclude more than its fibers do.
+        out = self.window.contains_rows(rows[:, :self.dimension])
+        out[out] = self.base.graph_contains_rows(rows[out], tol)
+        return out
 
     def graph_rows(self, V, g):
         return self.base.graph_rows(self._inner(V), g)
@@ -565,12 +678,15 @@ class PairSum(OperatorHandle):
             return None
         return intersect_regions(ra, rb)
 
-    def fiber(self, x, tol):
-        """Pairwise Minkowski sums of the summands' fiber boxes."""
-        return [(tuple(p + q for p, q in zip(la, lb)),
-                 tuple(p + q for p, q in zip(ua, ub)))
-                for la, ua in self.first.fiber(x, tol)
-                for lb, ub in self.second.fiber(x, tol)]
+    def fiber_rows(self, xs, tol):
+        """Minkowski sums of each row's first-summand boxes with its
+        second-summand boxes, first-summand box by box."""
+        oa, la, ua = self.first.fiber_rows(xs, tol)
+        ob, lb, ub = self.second.fiber_rows(xs, tol)
+        nb = np.bincount(ob, minlength=len(xs))[oa]
+        ia = np.repeat(np.arange(len(oa)), nb)
+        ib = _runs(np.searchsorted(ob, oa), nb)
+        return oa[ia], la[ia] + lb[ib], ua[ia] + ub[ib]
 
     def _joint_window(self, V: Region | None) -> Region | None:
         """The window cut down to both domains, so the summands sample one
@@ -647,7 +763,8 @@ def restrict(T: OperatorHandle, V: Region) -> OperatorHandle:
     if T.dimension != V.dimension:
         raise DimensionMismatch("window dimension does not match operator")
     if isinstance(T, FiniteGraph):
-        out = FiniteGraph(tuple(p for p in T.points if V.contains(p.x)))
+        keep = V.contains_rows(T._rows[:, :T.dimension]).tolist()
+        out = FiniteGraph(tuple(p for p, k in zip(T.points, keep) if k))
         object.__setattr__(out, "_n", T.dimension)
         return out
     if isinstance(T, Flat) and isinstance(T.region, Box) and isinstance(V, Box):
@@ -665,9 +782,9 @@ def meets_domain(T: OperatorHandle, V: Region, g: GridSpec) -> bool:
         cut = intersect_regions(region, V)
         if isinstance(cut, Box):
             return not cut.is_empty()
-        return bool(grid_sample(cut, g))
+        return len(lattice_rows(cut, g, g.resolution)) > 0
     xs = T.graph_rows(None, g)[:, :T.dimension]
-    return any(map(V.contains, xs.tolist()))
+    return bool(V.contains_rows(xs).any())
 
 
 def _pairwise_gap_failures(rows: np.ndarray, eps: float):
@@ -688,7 +805,13 @@ def is_monotone(T: OperatorHandle, tol: Tolerance,
                 g: GridSpec | None = None,
                 V: Region | None = None) -> Verdict:
     """Pairwise gap check over the graph rows; witness pair on failure."""
-    failures = _pairwise_gap_failures(T._enumerate(V, g), tol.eps_eq)
+    return _monotone_verdict(T, T._enumerate(V, g), tol, g, V)
+
+
+def _monotone_verdict(T: OperatorHandle, graph: np.ndarray, tol: Tolerance,
+                      g: GridSpec | None, V: Region | None) -> Verdict:
+    """is_monotone over graph, the rows of T over V."""
+    failures = _pairwise_gap_failures(graph, tol.eps_eq)
     return finish(Property.MONOTONE, failures,
                   approximate=not T.enumeration_exact, grid=g, tol=tol,
                   region_ids=() if V is None else (V.describe(),))

@@ -5,10 +5,16 @@ Boxes carry per-axis open/closed flags so the difference between (0,1) and
 Infinite bounds are allowed and are treated as open; sampling clips them to a
 configured ambient box. Half-spaces and symbolic intersections cover the
 remaining shapes the calculus needs.
+
+Points are (N, n) float arrays of rows. Each shape answers membership and
+the Chebyshev distance to its closure for many rows at once (contains_rows,
+distance_inf_rows); the scalar contains and distance_inf are one-row calls.
+Every lattice is built as rows by lattice_rows, and grid_sample and
+GridSpec.dual_lattice are tuple views of those arrays. The dual lattice is
+built once per (GridSpec, n) and kept, read-only, in a small bounded memo.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -25,7 +31,18 @@ class Region:
     dimension: int
 
     def contains(self, x) -> bool:
+        """Membership of one point: a one-row call of contains_rows."""
+        return bool(self.contains_rows(self._point_row(x))[0])
+
+    def contains_rows(self, xs: np.ndarray) -> np.ndarray:
+        """Boolean mask: which rows of an (N, n) array lie in the region."""
         raise NotImplementedError
+
+    def _point_row(self, x) -> np.ndarray:
+        v = as_vector(x)
+        if len(v) != self.dimension:
+            raise DimensionMismatch("point dimension does not match region")
+        return np.array([v])
 
     def closure(self) -> "Region":
         raise NotImplementedError
@@ -41,7 +58,12 @@ class Region:
         raise NotImplementedError
 
     def distance_inf(self, x) -> float:
-        """Chebyshev distance from x to the closure; +inf when empty."""
+        """Chebyshev distance from x to the closure; +inf when empty. A
+        one-row call of distance_inf_rows."""
+        return float(self.distance_inf_rows(self._point_row(x))[0])
+
+    def distance_inf_rows(self, xs: np.ndarray) -> np.ndarray:
+        """distance_inf at every row of an (N, n) array."""
         raise NotImplementedError
 
     def bounding_box(self, clip: "Box") -> "Box":
@@ -110,23 +132,14 @@ class Box(Region):
                 self.lower, self.upper, self.lower_open, self.upper_open)
         )
 
-    def contains(self, x) -> bool:
-        v = as_vector(x)
-        if len(v) != self.dimension:
-            raise DimensionMismatch("point dimension does not match region")
-        for xi, lo, hi, lo_o, hi_o in zip(
-                v, self.lower, self.upper, self.lower_open, self.upper_open):
-            if lo_o:
-                if not xi > lo:
-                    return False
-            elif not xi >= lo:
-                return False
-            if hi_o:
-                if not xi < hi:
-                    return False
-            elif not xi <= hi:
-                return False
-        return True
+    def contains_rows(self, xs):
+        out = np.ones(len(xs), dtype=bool)
+        for i, (lo, hi, lo_o, hi_o) in enumerate(zip(
+                self.lower, self.upper, self.lower_open, self.upper_open)):
+            x = xs[:, i]
+            out &= (x > lo) if lo_o else (x >= lo)
+            out &= (x < hi) if hi_o else (x <= hi)
+        return out
 
     def closure(self) -> "Box":
         return Box(self.lower, self.upper,
@@ -181,16 +194,16 @@ class Box(Region):
             total += d * np.where(d > 0, hi, np.where(d < 0, lo, 0.0))
         return total
 
-    def distance_inf(self, x) -> float:
+    def distance_inf_rows(self, xs):
+        """The largest excess over a bound, axis by axis; 0 inside."""
         if self.is_empty():
-            return INF
-        v = as_vector(x)
-        worst = 0.0
-        for xi, lo, hi in zip(v, self.lower, self.upper):
-            if xi < lo:
-                worst = max(worst, lo - xi)
-            elif xi > hi:
-                worst = max(worst, xi - hi)
+            return np.full(len(xs), INF)
+        worst = np.zeros(len(xs))
+        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            x, gap = xs[:, i], np.zeros(len(xs))
+            np.subtract(lo, x, out=gap, where=x < lo)
+            np.subtract(x, hi, out=gap, where=x > hi)
+            np.maximum(worst, gap, out=worst)
         return worst
 
     def intersect(self, other: "Box") -> "Box":
@@ -248,14 +261,15 @@ class HalfSpace(Region):
     def is_empty(self) -> bool:
         return False
 
-    def _value(self, x) -> float:
-        v = as_vector(x)
-        if len(v) != self.dimension:
-            raise DimensionMismatch("point dimension does not match region")
-        return sum(a * b for a, b in zip(self.normal, v))
+    def _values(self, xs: np.ndarray) -> np.ndarray:
+        """<normal, x> at every row, summed axis by axis."""
+        out = np.zeros(len(xs))
+        for i, a in enumerate(self.normal):
+            out += a * xs[:, i]
+        return out
 
-    def contains(self, x) -> bool:
-        val = self._value(x)
+    def contains_rows(self, xs):
+        val = self._values(xs)
         return val <= self.offset if self.closed else val < self.offset
 
     def closure(self) -> "HalfSpace":
@@ -285,11 +299,10 @@ class HalfSpace(Region):
             return s * self.offset
         return INF
 
-    def distance_inf(self, x) -> float:
-        excess = self._value(x) - self.offset
-        if excess <= 0:
-            return 0.0
-        return excess / sum(abs(c) for c in self.normal)
+    def distance_inf_rows(self, xs):
+        excess = self._values(xs) - self.offset
+        return np.where(excess <= 0, 0.0,
+                        excess / sum(abs(c) for c in self.normal))
 
     def bounding_box(self, clip: "Box") -> "Box":
         return clip.closure()
@@ -318,8 +331,8 @@ class Intersection(Region):
     def is_empty(self) -> bool:
         return self.first.is_empty() or self.second.is_empty()
 
-    def contains(self, x) -> bool:
-        return self.first.contains(x) and self.second.contains(x)
+    def contains_rows(self, xs):
+        return self.first.contains_rows(xs) & self.second.contains_rows(xs)
 
     def closure(self) -> "Region":
         return Intersection(self.first.closure(), self.second.closure())
@@ -338,9 +351,10 @@ class Intersection(Region):
     def support(self, direction) -> float:
         raise RegionError("support of a symbolic intersection is not closed form")
 
-    def distance_inf(self, x) -> float:
+    def distance_inf_rows(self, xs):
         # Lower bound: the true distance to the intersection can be larger.
-        return max(self.first.distance_inf(x), self.second.distance_inf(x))
+        return np.maximum(self.first.distance_inf_rows(xs),
+                          self.second.distance_inf_rows(xs))
 
     def bounding_box(self, clip: "Box") -> "Box":
         return self.first.bounding_box(clip).intersect(
@@ -439,8 +453,36 @@ class GridSpec:
     def dual_box(self, n: int) -> Box:
         return closed_box((-self.dual_bound,) * n, (self.dual_bound,) * n)
 
+    def dual_rows(self, n: int) -> np.ndarray:
+        """The dual lattice as a read-only (D, n) array, built once per
+        (grid, n) and shared by every caller."""
+        return _dual_rows(self, n)
+
     def dual_lattice(self, n: int) -> list[tuple[float, ...]]:
-        return grid_sample(self.dual_box(n), self, resolution=self.dual_resolution)
+        return list(map(tuple, self.dual_rows(n).tolist()))
+
+
+# The (GridSpec, n) values whose dual lattice is kept, the least recently
+# used dropped first: a classify spec asks several properties on one grid,
+# and a family scan many windows. A dual lattice of more than _MEMO_ELEMS
+# floats (1 MiB) is rebuilt at every call instead, so the memo holds at most
+# 16 MiB.
+_MEMO_SIZE = 16
+_MEMO_ELEMS = 1 << 17
+_DUAL_MEMO: dict[tuple[GridSpec, int], np.ndarray] = {}
+
+
+def _dual_rows(g: GridSpec, n: int) -> np.ndarray:
+    rows = _DUAL_MEMO.pop((g, n), None)
+    if rows is None:
+        rows = lattice_rows(g.dual_box(n), g, g.dual_resolution)
+        rows.flags.writeable = False
+        if rows.size > _MEMO_ELEMS:
+            return rows
+    _DUAL_MEMO[g, n] = rows
+    if len(_DUAL_MEMO) > _MEMO_SIZE:
+        del _DUAL_MEMO[next(iter(_DUAL_MEMO))]
+    return rows
 
 
 def _axis_lattice(lo, hi, lo_open, hi_open, k) -> np.ndarray:
@@ -461,33 +503,51 @@ def _axis_lattice(lo, hi, lo_open, hi_open, k) -> np.ndarray:
     return out
 
 
-def grid_sample(region: Region, spec: GridSpec,
-                resolution: int | None = None) -> list[tuple[float, ...]]:
-    """Deterministic lattice over a region, lexicographic in the axes.
+def _product_rows(axes) -> np.ndarray:
+    """The product of per-axis values as float rows, first axis slowest,
+    the order of itertools.product."""
+    sizes = [len(a) for a in axes]
+    out = np.empty((math.prod(sizes), len(axes)))
+    inner = out.shape[0]
+    for i, a in enumerate(axes):
+        inner //= sizes[i]
+        # Splitting the one axis of a column is always a view.
+        out[:, i].reshape(-1, sizes[i], inner)[...] = \
+            np.asarray(a, dtype=float)[:, None]
+    return out
+
+
+def lattice_rows(region: Region, g: GridSpec, k: int) -> np.ndarray:
+    """The lattice over a region with k samples per axis, as an (N, n)
+    array of rows, lexicographic in the axes; the one lattice builder.
 
     Boxes are sampled per axis with the open-end offset rule; unbounded axes
     are clipped to the ambient box first. Other shapes sample their clipped
-    bounding box and filter by membership. Every returned point satisfies
-    contains().
+    bounding box and keep the rows that contains_rows admits.
     """
-    k = resolution if resolution is not None else spec.resolution
     n = region.dimension
+    empty = np.empty((0, n))
     if region.is_empty():
-        return []
+        return empty
     if isinstance(region, Box):
-        box = region.intersect(spec.primal_clip(n))
+        box = region.intersect(g.primal_clip(n))
         if box.is_empty():
-            return []
-        axes = []
-        for i in range(n):
-            axes.append(_axis_lattice(box.lower[i], box.upper[i],
-                                      box.lower_open[i], box.upper_open[i], k))
-        return [tuple(float(c) for c in p) for p in itertools.product(*axes)]
-    bbox = region.bounding_box(spec.primal_clip(n))
+            return empty
+        return _product_rows([
+            _axis_lattice(box.lower[i], box.upper[i], box.lower_open[i],
+                          box.upper_open[i], k) for i in range(n)])
+    bbox = region.bounding_box(g.primal_clip(n))
     if bbox.is_empty():
-        return []
-    axes = [_axis_lattice(bbox.lower[i], bbox.upper[i], False, False, k)
-            for i in range(n)]
-    return [tuple(float(c) for c in p) for p in itertools.product(*axes)
-            if region.contains(p)]
+        return empty
+    rows = _product_rows([_axis_lattice(bbox.lower[i], bbox.upper[i],
+                                        False, False, k) for i in range(n)])
+    return rows[region.contains_rows(rows)]
+
+
+def grid_sample(region: Region, spec: GridSpec,
+                resolution: int | None = None) -> list[tuple[float, ...]]:
+    """lattice_rows as point tuples, at spec.resolution unless a
+    resolution is given. Every returned point satisfies contains()."""
+    k = resolution if resolution is not None else spec.resolution
+    return list(map(tuple, lattice_rows(region, spec, k).tolist()))
 

@@ -114,7 +114,7 @@ class _RhoMachine:
         xs = rows[first, :n]
         keep = np.ones(len(xs), dtype=bool)
         if self.cone is not None:
-            keep[:] = [self.cone.contains(x) for x in xs.tolist()]
+            keep = self.cone.contains_rows(xs)
         pairs = np.hstack([np.repeat(xs[keep], q, axis=0),
                            np.tile(cands, (int(keep.sum()), 1))])
         psi = self.env_a.evaluate_rows(pairs).reshape(-1, q)
@@ -179,35 +179,38 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
     if not mono.value:
         raise UnsatisfiedHypothesis("the summand is monotone",
                                     f"witness pair {mono.witnesses[:1]}")
-    notes = []
     if isinstance(second, Region):
         if not isinstance(second, Box):
             raise ValidationError("the constraint set must be a box")
         S: OperatorHandle = add_normal_cone(A, second, g, tol)
-        notes.append("second term: exact box support")
+        term = "second term: exact box support"
     elif isinstance(second, NormalConeBox):
         S = operator_sum(A, second, g, tol)
-        notes.append("second term: exact box support")
+        term = "second term: exact box support"
     elif isinstance(second, OperatorHandle):
         S = operator_sum(A, second, g, tol)
-        duals = second.graph_rows(V, g)[:, second.dimension:]
-        if (np.abs(duals) > g.dual_bound).any():
-            notes.append("second summand duals exceed the dual clip")
-        notes.append("second term: sampled envelope")
+        term = "second term: sampled envelope"
     else:
         raise ValidationError(
             "second summand must be an operator or a closed box")
 
     machine = _RhoMachine(A, second, V, g)
+    notes = []
+    if machine.env_b is not None:
+        # The sampled envelope's data is the second summand's graph over V.
+        duals = np.array([w.xstar for w, _ in machine.env_b.points])
+        if (np.abs(duals) > g.dual_bound).any():
+            notes.append("second summand duals exceed the dual clip")
+    notes.append(term)
     rows = scan_rows(V, g)
     graph = S.graph_rows(V, g)
     values, _ = machine.values_rows(np.vstack([rows, graph]))
     rho, c = values[:len(rows)], coupling_rows(rows)
     below = rho < c - tol.eps_eq
     band = np.abs(rho - c) <= tol.eps_eq
-    pick = below | band
-    failures = [z for z, low in zip(row_points(rows[pick]), below[pick])
-                if low or not S.graph_contains(z, tol)]
+    pick = rows[below | band]
+    fail = below[below | band] | ~S.graph_contains_rows(pick, tol)
+    failures = row_points(pick[fail])
     off = np.abs(values[len(rows):] - coupling_rows(graph)) > 10.0 * tol.eps_eq
     failures += [w for w in dict.fromkeys(row_points(graph[off]))
                  if w not in failures]

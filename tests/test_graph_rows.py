@@ -38,6 +38,8 @@ from monokit import (
     penot_envelope,
     psi_eval,
     restrict,
+    unique_extension,
+    verify_sum_representative,
     whole_space,
 )
 import monokit
@@ -318,3 +320,33 @@ def test_v_representable_scans_the_graph_pairs_once(T, monkeypatch):
     verdict = check_v_representable(T, W, G9, TOL)
     assert "restriction is not monotone" not in verdict.notes
     assert scans == [True]
+
+
+def test_unique_extension_builds_the_restriction_once(rows_calls):
+    """On the sampled route the monotone gate and phi share one graph."""
+    T, V = AbsSubdiff(1.0), HalfSpace((1.0,), 0.5, True)
+    assert not T.phi_is_exact(V)
+    unique_extension(T, V, G9, TOL)
+    assert [w for i, w in rows_calls if i == id(T)] == [V]
+
+
+def test_sum_verification_builds_each_summand_twice(rows_calls):
+    """Over the window: the first summand for the monotone gate and the
+    pair sum, the second for its envelope and the pair sum; the dual-clip
+    note reads the envelope's data."""
+    A, B = AbsSubdiff(1.0), AbsSubdiff(1.0)
+    verdict = verify_sum_representative(A, B, W, G9, TOL)
+    over_w = [i for i, V in rows_calls if V == W]
+    assert over_w.count(id(A)) == 2 and over_w.count(id(B)) == 2
+    assert verdict.notes == ("second term: sampled envelope",)
+
+
+@pytest.mark.parametrize("slope, notes", [
+    (3.0, ("second summand duals exceed the dual clip",
+           "second term: sampled envelope")),
+    (1.5, ("second term: sampled envelope",)),
+])
+def test_dual_clip_note_reads_the_second_summand(slope, notes):
+    verdict = verify_sum_representative(AbsSubdiff(1.0), Linear(((slope,),)),
+                                        W, G9, TOL)
+    assert verdict.notes == notes
