@@ -166,8 +166,7 @@ def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
                                     f"witness pair {mono.witnesses[:1]}")
     # The check_vni gate, decided from the same phi sweep as the band.
     rows = scan_rows(V, g)
-    p = (T.phi_batch(V, rows, g) if T.phi_is_exact(V)
-         else T._phi_enumerated(V, rows, g, graph))
+    p = T._phi_routed(V, rows, g, graph)
     c = coupling_rows(rows)
     below = rows[p < c - tol.eps_strict]
     if len(below) and meets_domain(T, V, g):

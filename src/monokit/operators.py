@@ -16,12 +16,14 @@ fiber boxes at an (N, n) array of primals; graph_contains_rows,
 domain_contains_rows and domain_closure_contains_rows derive from it, and
 the point and the restriction override the graph test where the closure of
 a fiber says too much. The scalar fiber, graph_contains, domain_contains
-and domain_closure_contains are one-row calls.
+and domain_closure_contains are one-row calls, which reject a point whose
+dimension differs from the operator's.
 
-phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows
-and is the one place that picks the route. When phi_is_exact(V) holds it
-calls the kind's array closed form _phi_closed; otherwise it takes the sup
-over the graph rows built once at an explicit grid (a lower bound). The
+phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows,
+and its _phi_routed is the one place that picks the route. When
+phi_is_exact(V) holds it calls the kind's array closed form _phi_closed;
+otherwise it takes the sup over the graph rows built once at an explicit
+grid, or handed in by a caller that holds them (a lower bound). The
 scalar phi is a one-row call of phi_batch. For the box normal cone N_C the
 closed form is the support function of C-intersect-V. The enumerated sup, the
 monotone-relation test and the pairwise monotone scan all run in core's
@@ -62,10 +64,6 @@ def with_defaults(g: GridSpec | None,
 
 def _window(n: int, V: Region | None) -> Region:
     return whole_space(n) if V is None else V
-
-
-def _one_row(x) -> np.ndarray:
-    return np.array([as_vector(x)])
 
 
 def _constant_boxes(owner: np.ndarray, low, up):
@@ -116,11 +114,18 @@ class OperatorHandle:
         the kind's order."""
         raise NotImplementedError
 
+    def _one_row(self, x) -> np.ndarray:
+        """x as a (1, n) array, checked against the operator's dimension."""
+        v = as_vector(x)
+        if len(v) != self.dimension:
+            raise DimensionMismatch("point dimension does not match operator")
+        return np.array([v])
+
     def fiber(self, x, tol: Tolerance) -> list[tuple[tuple[float, ...],
                                                      tuple[float, ...]]]:
         """T(x) as a list of (lower, upper) boxes: a one-row call of
         fiber_rows."""
-        _, low, up = self.fiber_rows(_one_row(x), tol)
+        _, low, up = self.fiber_rows(self._one_row(x), tol)
         return list(zip(map(tuple, low.tolist()), map(tuple, up.tolist())))
 
     def graph_contains_rows(self, rows: np.ndarray,
@@ -157,16 +162,17 @@ class OperatorHandle:
 
     def graph_contains(self, z: PrimalDualPoint, tol: Tolerance) -> bool:
         """A one-row call of graph_contains_rows."""
-        return bool(self.graph_contains_rows(
-            point_rows([z], z.dimension), tol)[0])
+        row = np.hstack([self._one_row(z.x), self._one_row(z.xstar)])
+        return bool(self.graph_contains_rows(row, tol)[0])
 
     def domain_contains(self, x, tol: Tolerance) -> bool:
         """A one-row call of domain_contains_rows."""
-        return bool(self.domain_contains_rows(_one_row(x), tol)[0])
+        return bool(self.domain_contains_rows(self._one_row(x), tol)[0])
 
     def domain_closure_contains(self, x, tol: Tolerance) -> bool:
         """A one-row call of domain_closure_contains_rows."""
-        return bool(self.domain_closure_contains_rows(_one_row(x), tol)[0])
+        return bool(self.domain_closure_contains_rows(self._one_row(x),
+                                                     tol)[0])
 
     def graph_rows(self, V: Region | None, g: GridSpec) -> np.ndarray:
         """The graph over V at the density of g as an (M, 2n) array of
@@ -190,13 +196,18 @@ class OperatorHandle:
                   g: GridSpec | None) -> np.ndarray:
         """phi at every [x, x*] row of an (N, 2n) array, in row order.
 
-        The one place that picks the route: the kind's closed form when it
+        The route is picked by _phi_routed: the kind's closed form when it
         is exact for V; otherwise the graph is enumerated once at g and the
         sup runs in the blocked kernel.
         """
+        return self._phi_routed(V, rows, g)
+
+    def _phi_routed(self, V, rows, g, graph=None) -> np.ndarray:
+        """phi_batch, the one place that picks the route; a caller that
+        already holds the graph rows over V hands them to a sampled phi."""
         if self.phi_is_exact(V):
             return self._phi_closed(V, rows)
-        return self._phi_enumerated(V, rows, g)
+        return self._phi_enumerated(V, rows, g, graph)
 
     def mr_batch(self, V: Region | None, rows: np.ndarray, tol: Tolerance,
                  g: GridSpec | None) -> np.ndarray:

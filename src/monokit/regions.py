@@ -8,10 +8,12 @@ remaining shapes the calculus needs.
 
 Points are (N, n) float arrays of rows. Each shape answers membership and
 the Chebyshev distance to its closure for many rows at once (contains_rows,
-distance_inf_rows); the scalar contains and distance_inf are one-row calls.
+distance_inf_rows), which reject rows of another width than the region's
+dimension; the scalar contains and distance_inf are one-row calls.
 Every lattice is built as rows by lattice_rows, and grid_sample and
-GridSpec.dual_lattice are tuple views of those arrays. The dual lattice is
-built once per (GridSpec, n) and kept, read-only, in a small bounded memo.
+GridSpec.dual_lattice are tuple views of those arrays. GridSpec.dual_rows
+builds the clipped dual box's lattice from its one axis, as lattice_rows
+would, at each call; nothing is kept between calls.
 """
 from __future__ import annotations
 
@@ -36,13 +38,19 @@ class Region:
 
     def contains_rows(self, xs: np.ndarray) -> np.ndarray:
         """Boolean mask: which rows of an (N, n) array lie in the region."""
+        return self._contains_rows(self._checked(xs))
+
+    def _contains_rows(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _point_row(self, x) -> np.ndarray:
-        v = as_vector(x)
-        if len(v) != self.dimension:
+    def _checked(self, xs: np.ndarray) -> np.ndarray:
+        if xs.shape[1] != self.dimension:
             raise DimensionMismatch("point dimension does not match region")
-        return np.array([v])
+        return xs
+
+    @staticmethod
+    def _point_row(x) -> np.ndarray:
+        return np.array([as_vector(x)])
 
     def closure(self) -> "Region":
         raise NotImplementedError
@@ -64,6 +72,9 @@ class Region:
 
     def distance_inf_rows(self, xs: np.ndarray) -> np.ndarray:
         """distance_inf at every row of an (N, n) array."""
+        return self._distance_inf_rows(self._checked(xs))
+
+    def _distance_inf_rows(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def bounding_box(self, clip: "Box") -> "Box":
@@ -132,7 +143,7 @@ class Box(Region):
                 self.lower, self.upper, self.lower_open, self.upper_open)
         )
 
-    def contains_rows(self, xs):
+    def _contains_rows(self, xs):
         out = np.ones(len(xs), dtype=bool)
         for i, (lo, hi, lo_o, hi_o) in enumerate(zip(
                 self.lower, self.upper, self.lower_open, self.upper_open)):
@@ -194,7 +205,7 @@ class Box(Region):
             total += d * np.where(d > 0, hi, np.where(d < 0, lo, 0.0))
         return total
 
-    def distance_inf_rows(self, xs):
+    def _distance_inf_rows(self, xs):
         """The largest excess over a bound, axis by axis; 0 inside."""
         if self.is_empty():
             return np.full(len(xs), INF)
@@ -268,7 +279,7 @@ class HalfSpace(Region):
             out += a * xs[:, i]
         return out
 
-    def contains_rows(self, xs):
+    def _contains_rows(self, xs):
         val = self._values(xs)
         return val <= self.offset if self.closed else val < self.offset
 
@@ -299,7 +310,7 @@ class HalfSpace(Region):
             return s * self.offset
         return INF
 
-    def distance_inf_rows(self, xs):
+    def _distance_inf_rows(self, xs):
         excess = self._values(xs) - self.offset
         return np.where(excess <= 0, 0.0,
                         excess / sum(abs(c) for c in self.normal))
@@ -331,7 +342,7 @@ class Intersection(Region):
     def is_empty(self) -> bool:
         return self.first.is_empty() or self.second.is_empty()
 
-    def contains_rows(self, xs):
+    def _contains_rows(self, xs):
         return self.first.contains_rows(xs) & self.second.contains_rows(xs)
 
     def closure(self) -> "Region":
@@ -351,7 +362,7 @@ class Intersection(Region):
     def support(self, direction) -> float:
         raise RegionError("support of a symbolic intersection is not closed form")
 
-    def distance_inf_rows(self, xs):
+    def _distance_inf_rows(self, xs):
         # Lower bound: the true distance to the intersection can be larger.
         return np.maximum(self.first.distance_inf_rows(xs),
                           self.second.distance_inf_rows(xs))
@@ -454,35 +465,15 @@ class GridSpec:
         return closed_box((-self.dual_bound,) * n, (self.dual_bound,) * n)
 
     def dual_rows(self, n: int) -> np.ndarray:
-        """The dual lattice as a read-only (D, n) array, built once per
-        (grid, n) and shared by every caller."""
-        return _dual_rows(self, n)
+        """The dual lattice as a (D, n) array: lattice_rows of the dual
+        box, which the ambient box clips, taken straight from the one
+        closed axis [-c, c] that clipping leaves."""
+        c = min(self.dual_bound, self.ambient_bound)
+        axis = _axis_lattice(-c, c, False, False, self.dual_resolution)
+        return _product_rows([axis] * n)
 
     def dual_lattice(self, n: int) -> list[tuple[float, ...]]:
         return list(map(tuple, self.dual_rows(n).tolist()))
-
-
-# The (GridSpec, n) values whose dual lattice is kept, the least recently
-# used dropped first: a classify spec asks several properties on one grid,
-# and a family scan many windows. A dual lattice of more than _MEMO_ELEMS
-# floats (1 MiB) is rebuilt at every call instead, so the memo holds at most
-# 16 MiB.
-_MEMO_SIZE = 16
-_MEMO_ELEMS = 1 << 17
-_DUAL_MEMO: dict[tuple[GridSpec, int], np.ndarray] = {}
-
-
-def _dual_rows(g: GridSpec, n: int) -> np.ndarray:
-    rows = _DUAL_MEMO.pop((g, n), None)
-    if rows is None:
-        rows = lattice_rows(g.dual_box(n), g, g.dual_resolution)
-        rows.flags.writeable = False
-        if rows.size > _MEMO_ELEMS:
-            return rows
-    _DUAL_MEMO[g, n] = rows
-    if len(_DUAL_MEMO) > _MEMO_SIZE:
-        del _DUAL_MEMO[next(iter(_DUAL_MEMO))]
-    return rows
 
 
 def _axis_lattice(lo, hi, lo_open, hi_open, k) -> np.ndarray:

@@ -96,6 +96,22 @@ def test_classify_hypothesis_gate_is_exit_2(tmp_path, capsys):
     assert "monotone" in out  # names the failed hypothesis
 
 
+@pytest.mark.parametrize("operator, window, target", [
+    ("  kind: finite_graph\n  points:\n    - [0, 0, 0, 0]\n",
+     "[-1, 1] x [-1, 1]", "[-0.5, 0.5]"),
+    ("  kind: abs_subdiff\n  slope: 1\n", "[-1, 1]", "[-0.5, 0.5] x [0, 1]"),
+], ids=["1d-target-2d-operator", "2d-target-1d-operator"])
+def test_target_of_another_dimension_is_exit_2(tmp_path, capsys, operator,
+                                               window, target):
+    spec = write(tmp_path, (
+        "operator:\n" + operator + f"window: {window}\ntarget: {target}\n"
+        "properties:\n  - locates\n") + SMALL_GRID)
+    code = main(["classify", "--spec", spec])
+    assert code == 2
+    assert "locates: error (point dimension does not match region)" \
+        in capsys.readouterr().out
+
+
 def test_spec_error_rendering(tmp_path, capsys):
     spec = write(tmp_path, (
         "operator:\n"

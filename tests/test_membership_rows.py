@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from monokit import (
     INF,
     AbsSubdiff,
+    DimensionMismatch,
     Box,
     FiniteGraph,
     Flat,
@@ -42,8 +43,7 @@ from monokit import (
 from monokit.core import as_vector, row_points
 from monokit.fitzpatrick import scan_rows
 from monokit.operators import _DUST
-from monokit.regions import (Intersection, _DUAL_MEMO, _MEMO_ELEMS,
-                             _MEMO_SIZE, _axis_lattice, lattice_rows)
+from monokit.regions import Intersection, _axis_lattice, lattice_rows
 from test_scan_kernel import TOL, cases, coord, half_spaces, vec
 
 DELTA = TOL.delta_dom
@@ -211,6 +211,23 @@ def test_empty_rows_give_empty_masks():
         assert T.graph_contains_rows(rows, TOL).shape == (0,)
         assert T.domain_contains_rows(rows[:, :1], TOL).shape == (0,)
         assert T.domain_closure_contains_rows(rows[:, :1], TOL).shape == (0,)
+
+
+@given(cases(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_one_row_calls_reject_another_dimension(case, longer):
+    T = case[0]
+    n = T.dimension
+    m = n + 1 if longer or n == 1 else n - 1
+    x, ok = (0.5,) * m, (0.5,) * n
+    for call in (lambda: T.fiber(x, TOL),
+                 lambda: T.domain_contains(x, TOL),
+                 lambda: T.domain_closure_contains(x, TOL),
+                 lambda: T.graph_contains(pdp(x, x), TOL),
+                 lambda: T.graph_contains(pdp(ok, ok)._replace(xstar=x),
+                                          TOL)):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 # --- edge cases --------------------------------------------------------------
@@ -411,6 +428,31 @@ def test_region_rows_are_the_point_answers(case, points):
     assert [region.distance_inf(x) for x in xs.tolist()] == want
 
 
+@given(lattice_regions(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_region_rows_reject_another_width(case, longer):
+    region = case[0]
+    n = region.dimension
+    m = n + 1 if longer or n == 1 else n - 1
+    for xs in (np.zeros((3, m)), np.zeros((0, m))):
+        with pytest.raises(DimensionMismatch):
+            region.contains_rows(xs)
+        with pytest.raises(DimensionMismatch):
+            region.distance_inf_rows(xs)
+    with pytest.raises(DimensionMismatch):
+        region.contains((0.0,) * m)
+
+
+@pytest.mark.parametrize("T", [
+    FiniteGraph((pdp((0.0, 0.0), (0.0, 0.0)), pdp((0.5, 0.5), (1.0, 0.5)))),
+    FiniteGraph((pdp(0.0, 0.0), pdp(0.5, 1.0))),
+], ids=["2d-graph", "1d-graph"])
+def test_finite_graph_rejects_a_window_of_another_dimension(T):
+    V = closed_box((-1.0,) * (3 - T.dimension), (1.0,) * (3 - T.dimension))
+    with pytest.raises(DimensionMismatch):
+        T.graph_rows(V, GridSpec(5, 2.0, 5))
+
+
 def test_empty_box_is_infinitely_far():
     box = Box((1.0,), (1.0,), (True,), (False,))
     assert box.distance_inf_rows(np.array([[1.0], [0.0]])).tolist() \
@@ -418,34 +460,15 @@ def test_empty_box_is_infinitely_far():
     assert math.isinf(box.distance_inf(1.0))
 
 
-class TestDualMemo:
-    """The dual lattice is built once per (grid, n), kept read-only in a
-    bounded memo, and equals the lattice of the dual box."""
-
-    def test_rows_are_shared_and_read_only(self):
-        g = GridSpec(resolution=3, dual_bound=1.5, dual_resolution=4)
-        rows = g.dual_rows(2)
-        assert g.dual_rows(2) is rows
-        assert GridSpec(resolution=3, dual_bound=1.5,
-                        dual_resolution=4).dual_rows(2) is rows
-        assert not rows.flags.writeable
-        with pytest.raises(ValueError):
-            rows[0, 0] = 9.0
-        want = lattice_rows(g.dual_box(2), g, g.dual_resolution)
-        assert rows.tobytes() == want.tobytes()
-        assert g.dual_lattice(2) == grid_sample(g.dual_box(2), g,
-                                                g.dual_resolution)
-
-    def test_memo_is_bounded(self):
-        for k in range(2, 2 + 3 * _MEMO_SIZE):
-            GridSpec(dual_resolution=k).dual_rows(1)
-            assert len(_DUAL_MEMO) <= _MEMO_SIZE
-        assert all(not rows.flags.writeable for rows in _DUAL_MEMO.values())
-
-    def test_large_lattices_are_not_kept(self):
-        k = int(round(_MEMO_ELEMS ** (1 / 3))) + 2
-        g = GridSpec(resolution=2, dual_resolution=k)
-        rows = g.dual_rows(3)
-        assert rows.size > _MEMO_ELEMS and (g, 3) not in _DUAL_MEMO
-        assert not rows.flags.writeable
-        assert g.dual_rows(3).tobytes() == rows.tobytes()
+@pytest.mark.parametrize("dual_bound, ambient_bound",
+                         [(1.5, 10.0), (2.0, 2.0), (10.0, 0.75), (0.1, 0.3)])
+@pytest.mark.parametrize("k", [2, 4, 9])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dual_rows_are_the_clipped_dual_box_lattice(dual_bound,
+                                                    ambient_bound, k, n):
+    g = GridSpec(resolution=3, dual_bound=dual_bound, dual_resolution=k,
+                 ambient_bound=ambient_bound)
+    want = lattice_rows(g.dual_box(n), g, g.dual_resolution)
+    assert g.dual_rows(n).tobytes() == want.tobytes()
+    assert g.dual_lattice(n) == grid_sample(g.dual_box(n), g,
+                                            g.dual_resolution)
