@@ -10,26 +10,24 @@ The phi-based checks build the lattice once, as the (N, 2n) array of
 [x, x*] rows from scan_rows, and hand it to the operator's phi_batch or
 mr_batch; couplings come from coupling_rows. A row's value is the one-row
 phi or mr_test would give. Each check selects the related or the strictly
-sub-coupling rows and asks the operator's row membership tests of them
-(graph_contains_rows, domain_contains_rows, domain_closure_contains_rows)
-or the target's contains_rows; only the failing rows become points, as the
-witnesses.
+sub-coupling rows, masks their failures with the operator's row membership
+tests or the target's contains_rows, and hands those rows to finish, which
+makes the witness points. The low-representability scan masks the band
+rows that still lack a representable family member.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (PrimalDualPoint, Tolerance, coupling_rows, point_rows,
-                   row_points)
+from .core import PrimalDualPoint, Tolerance, coupling_rows, row_points
 from .errors import ToleranceError, UnsatisfiedHypothesis
-from .fitzpatrick import (_coupling_envelope, _representative, band_points,
-                          penot_envelope, scan_rows)
-from .operators import (OperatorHandle, _monotone_verdict,
-                        _pairwise_gap_failures, is_monotone, meets_domain,
-                        with_defaults)
+from .fitzpatrick import (_band_rows, _coupling_envelope, _representative,
+                          scan_rows)
+from .operators import (OperatorHandle, _monotone_verdict, is_monotone,
+                        meets_domain, with_defaults)
 from .regions import Box, GridSpec, Region, whole_space
 from .verdicts import Property, Verdict, finish
 
@@ -39,7 +37,7 @@ def _window_verdict(prop: Property, T: OperatorHandle, V: Region,
                     vacuous_if_none: bool = False) -> Verdict:
     """Verdict over the scan rows related to T|V (related) or strictly below
     the coupling (otherwise): fails(rows) masks the failures among them,
-    and only those become points. vacuous_if_none marks a verdict over no
+    which finish receives. vacuous_if_none marks a verdict over no
     selected row."""
     rows = scan_rows(V, g)
     if related:
@@ -47,7 +45,7 @@ def _window_verdict(prop: Property, T: OperatorHandle, V: Region,
     else:
         keep = T.phi_batch(V, rows, g) < coupling_rows(rows) - tol.eps_strict
     selected = rows[keep]
-    return finish(prop, row_points(selected[fails(selected)]),
+    return finish(prop, selected[fails(selected)],
                   approximate=not T.phi_is_exact(V), grid=g, tol=tol,
                   region_ids=(V.describe(),),
                   vacuous=vacuous_if_none and not len(selected))
@@ -109,19 +107,17 @@ def check_v_representable(T: OperatorHandle, V: Region,
     envelope is identically +inf, which represents nothing.
     """
     g, tol = with_defaults(g, tol)
-    ids = (V.describe(),)
-    approx = not T.enumeration_exact
-    graph = T.graph_rows(V, g)
+    graph = T._enumerate(V, g)
     if not len(graph):
-        return Verdict(Property.V_REPRESENTABLE, False, approximate=approx,
-                       grid=g, tol=tol, region_ids=ids, vacuous=True,
+        return Verdict(Property.V_REPRESENTABLE, False,
+                       approximate=not T.enumeration_exact, grid=g, tol=tol,
+                       region_ids=(V.describe(),), vacuous=True,
                        notes=("empty restriction",))
     env = _coupling_envelope(graph, T.dimension)
     if not env._monotone_within(tol.eps_eq):
-        return finish(Property.V_REPRESENTABLE,
-                      _pairwise_gap_failures(graph, tol.eps_eq),
-                      approximate=approx, grid=g, tol=tol, region_ids=ids,
-                      notes=("restriction is not monotone",))
+        return replace(_monotone_verdict(T, graph, tol, g, V),
+                       property=Property.V_REPRESENTABLE,
+                       notes=("restriction is not monotone",))
     return _representative(env, T, V, g, tol, graph)
 
 
@@ -140,11 +136,8 @@ def check_maximal_on_grid(T: OperatorHandle, ambient: Region | None = None,
         raise UnsatisfiedHypothesis("the operator is monotone",
                                     f"witness pair {mono.witnesses[:1]}")
     window = ambient if ambient is not None else whole_space(T.dimension)
-    inner = check_identifies(T, window, g, tol)
-    return Verdict(Property.MAXIMAL_ON_GRID, inner.value,
-                   witnesses=inner.witnesses, approximate=inner.approximate,
-                   grid=g, tol=tol, region_ids=inner.region_ids,
-                   witness_count=inner.witness_count)
+    return replace(check_identifies(T, window, g, tol),
+                   property=Property.MAXIMAL_ON_GRID)
 
 
 def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
@@ -276,31 +269,28 @@ def family_scan(T: OperatorHandle, family: RegionFamily, property: Property,
 
 def _low_representable(T: OperatorHandle, family: RegionFamily, g: GridSpec,
                        tol: Tolerance) -> Verdict:
-    env, exact = penot_envelope(T, None, g)
+    """family_scan over the band: each member, in family order, is checked
+    once if some band row inside it still lacks a representable member; the
+    rows that lack one at the end fail."""
     ids = (family.rule,)
-    if not env.points:
+    graph = T._enumerate(None, g)
+    if not len(graph):
         return Verdict(Property.LOW_REPRESENTABLE, True, grid=g, tol=tol,
                        region_ids=ids, vacuous=True,
                        notes=("empty graph, empty band",))
     n = T.dimension
-    band = band_points(env, scan_rows(whole_space(n), g), tol)
-    xs = point_rows(band, n)[:, :n]
-    inside = [region.contains_rows(xs).tolist() for region in family.regions]
-    cache: dict[int, Verdict] = {}
-    approx = not exact
-    failures = []
-    for b, z in enumerate(band):
-        found = False
-        for idx, region in enumerate(family.regions):
-            if not inside[idx][b]:
-                continue
-            if idx not in cache:
-                cache[idx] = check_v_representable(T, region, g, tol)
-            approx = approx or cache[idx].approximate
-            if cache[idx].value:
-                found = True
-                break
-        if not found:
-            failures.append(z)
-    return finish(Property.LOW_REPRESENTABLE, failures, approximate=approx,
-                  grid=g, tol=tol, region_ids=ids, vacuous=not band)
+    band = _band_rows(_coupling_envelope(graph, n),
+                      scan_rows(whole_space(n), g), tol)
+    approx = not T.enumeration_exact
+    lacking = np.ones(len(band), dtype=bool)
+    for region in family.regions:
+        inside = region.contains_rows(band[:, :n])
+        if not (lacking & inside).any():
+            continue
+        v = check_v_representable(T, region, g, tol)
+        approx = approx or v.approximate
+        if v.value:
+            lacking &= ~inside
+    return finish(Property.LOW_REPRESENTABLE, band[lacking],
+                  approximate=approx, grid=g, tol=tol, region_ids=ids,
+                  vacuous=not len(band))

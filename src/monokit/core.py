@@ -4,9 +4,9 @@ Points live in Z = R^n x R^n with n <= 3 at the scales this package targets.
 Extended reals are plain floats where +-inf is a legal saturating value.
 Empty suprema are -inf throughout.
 
-Graphs and scan lattices are (N, 2n) float arrays of [x, x*] rows; the
-public API, the envelope's data and the witnesses take PrimalDualPoints.
-row_points and point_rows convert between the two exactly.
+Graphs, scan lattices and a check's failures are (N, 2n) float arrays of
+[x, x*] rows; the public API, the envelope's data and the witnesses take
+PrimalDualPoints. row_points and point_rows convert between them exactly.
 
 Every pairwise scan over point rows runs in one of three blocked kernels:
 max_pairing_rows (the max of z . w + b_w, which gives the sampled and
@@ -91,13 +91,16 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse): the index of each distinct row's first occurrence,
     in row order, and for every row the position of its own row in first,
     so rows[first][inverse] == rows. Rows equal under == are one row, as
-    they are one key of a dict of points."""
-    _, index, inverse = np.unique(rows, axis=0, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(index)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return index[order], rank[inverse.reshape(-1)]
+    they are one key of a dict of points. A stable lexicographic sort
+    leads each run of equal rows with its first occurrence."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    heads = order[head]
+    run = np.empty(len(rows), dtype=np.intp)
+    run[order] = np.cumsum(head) - 1
+    return np.sort(heads), np.argsort(np.argsort(heads))[run]
 
 
 def coupling_rows(rows: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ phi is the affine sup over the graph, psi the lower convex envelope of the
 coupling on the graph. For finite graphs both are exact; for analytic kinds
 phi has closed forms per kind while psi is built on the sampled graph and
 reported approximate. The representative test scans the window-times-dual
-grid for the equality band [h = c] and compares it with the graph.
+grid for the equality band [h = c] and compares it with the graph, on rows.
 
 The envelope's LPs are solved only where Fitzpatrick's inequality leaves
 the band open. When the envelope carries the coupling of data that is
@@ -93,11 +93,16 @@ def coupling_band(env: Envelope, zs: list[PrimalDualPoint],
 
 def band_points(env: Envelope, rows: np.ndarray,
                 tol: Tolerance) -> list[PrimalDualPoint]:
-    """coupling_band over [x, x*] rows; only the rows that reach the exact
-    evaluation become points."""
+    """coupling_band over [x, x*] rows: _band_rows as points."""
+    return row_points(_band_rows(env, rows, tol))
+
+
+def _band_rows(env: Envelope, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """coupling_band over [x, x*] rows, as the rows on the band in row
+    order."""
     rows = rows[_near_band(env, rows, tol)]
     gap = np.abs(_values(env, rows, tol) - coupling_rows(rows))
-    return row_points(rows[gap <= tol.eps_eq])
+    return rows[gap <= tol.eps_eq]
 
 
 def _near_band(h, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -163,7 +168,7 @@ def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
     coupling. h is evaluated once per distinct row of the other scan
     rows and graph rows, in one row call.
     """
-    return _representative(h, T, V, g, tol, T.graph_rows(V, g))
+    return _representative(h, T, V, g, tol, T._enumerate(V, g))
 
 
 def _representative(h, T: OperatorHandle, V: Region, g: GridSpec,
@@ -181,11 +186,13 @@ def _representative(h, T: OperatorHandle, V: Region, g: GridSpec,
             f"candidate dips to {hv[i].item()} below coupling {c[i].item()}",
             witness=row_points(rows[i:i + 1])[0])
     band = rows[np.abs(hv - c) <= tol.eps_eq]
-    witnesses = row_points(band[~T.graph_contains_rows(band, tol)])
+    failures = band[~T.graph_contains_rows(band, tol)]
     gv = values[len(rows):]
     off = (gv == INF) | (np.abs(gv - coupling_rows(graph)) > tol.eps_eq)
-    witnesses += [w for w in dict.fromkeys(row_points(graph[off]))
-                  if w not in witnesses]
-    return finish(Property.V_REPRESENTABLE, witnesses,
+    if off.any():
+        # Each off-band graph row once, unless a (distinct) scan row failed.
+        failures = np.vstack([failures, graph[off]])
+        failures = failures[distinct_rows(failures)[0]]
+    return finish(Property.V_REPRESENTABLE, failures,
                   approximate=not T.enumeration_exact, grid=g, tol=tol,
                   region_ids=(V.describe(),))

@@ -17,7 +17,8 @@ domain_contains_rows and domain_closure_contains_rows derive from it, and
 the point and the restriction override the graph test where the closure of
 a fiber says too much. The scalar fiber, graph_contains, domain_contains
 and domain_closure_contains are one-row calls, which reject a point whose
-dimension differs from the operator's.
+dimension differs from the operator's; enumeration, phi and mr_batch reject
+a window of another dimension.
 
 phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows,
 and its _phi_routed is the one place that picks the route. When
@@ -46,7 +47,7 @@ from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, as_vector,
 from .errors import (DimensionMismatch, MonokitError, ValidationError)
 from .regions import (Box, GridSpec, Region, box_from_literal, closed_box,
                       intersect_regions, interval, lattice_rows, whole_space)
-from .verdicts import Property, Verdict, finish
+from .verdicts import Property, Verdict
 
 _DUST = 1e-12
 
@@ -205,6 +206,7 @@ class OperatorHandle:
     def _phi_routed(self, V, rows, g, graph=None) -> np.ndarray:
         """phi_batch, the one place that picks the route; a caller that
         already holds the graph rows over V hands them to a sampled phi."""
+        self._check_window(V)
         if self.phi_is_exact(V):
             return self._phi_closed(V, rows)
         return self._phi_enumerated(V, rows, g, graph)
@@ -213,6 +215,7 @@ class OperatorHandle:
                  g: GridSpec | None) -> np.ndarray:
         """Boolean mask: which [x, x*] rows are monotonically related to
         every graph point over V (see mr_test)."""
+        self._check_window(V)
         if self.phi_is_exact(V) and not self.enumeration_exact:
             return (self.phi_batch(V, rows, g)
                     <= coupling_rows(rows) + tol.eps_eq)
@@ -222,8 +225,14 @@ class OperatorHandle:
         """The closed form at every row; called only when phi_is_exact(V)."""
         raise NotImplementedError
 
+    def _check_window(self, V: Region | None) -> None:
+        """Raise DimensionMismatch for a window of another dimension."""
+        if V is not None and V.dimension != self.dimension:
+            raise DimensionMismatch("window dimension does not match operator")
+
     def _enumerate(self, V, g) -> np.ndarray:
         """graph_rows; a sampled graph needs an explicit grid."""
+        self._check_window(V)
         if g is None and not self.enumeration_exact:
             raise ValidationError(f"{self.describe()} is sampled: pass a grid")
         return self.graph_rows(V, g)
@@ -615,8 +624,7 @@ class Restriction(OperatorHandle):
     window: Region
 
     def __post_init__(self):
-        if self.base.dimension != self.window.dimension:
-            raise DimensionMismatch("window dimension does not match operator")
+        self.base._check_window(self.window)
 
     @property
     def dimension(self) -> int:
@@ -771,8 +779,7 @@ def restrict(T: OperatorHandle, V: Region) -> OperatorHandle:
     dimension); a flat piece over a box shrinks its region; everything else
     wraps in a Restriction. Restricting twice intersects.
     """
-    if T.dimension != V.dimension:
-        raise DimensionMismatch("window dimension does not match operator")
+    T._check_window(V)
     if isinstance(T, FiniteGraph):
         keep = V.contains_rows(T._rows[:, :T.dimension]).tolist()
         out = FiniteGraph(tuple(p for p, k in zip(T.points, keep) if k))
@@ -821,11 +828,12 @@ def is_monotone(T: OperatorHandle, tol: Tolerance,
 
 def _monotone_verdict(T: OperatorHandle, graph: np.ndarray, tol: Tolerance,
                       g: GridSpec | None, V: Region | None) -> Verdict:
-    """is_monotone over graph, the rows of T over V."""
-    failures = _pairwise_gap_failures(graph, tol.eps_eq)
-    return finish(Property.MONOTONE, failures,
-                  approximate=not T.enumeration_exact, grid=g, tol=tol,
-                  region_ids=() if V is None else (V.describe(),))
+    """is_monotone over graph, the rows of T over V; its witness is a pair."""
+    failures = tuple(_pairwise_gap_failures(graph, tol.eps_eq))
+    return Verdict(Property.MONOTONE, not failures, witnesses=failures,
+                   approximate=not T.enumeration_exact, grid=g, tol=tol,
+                   region_ids=() if V is None else (V.describe(),),
+                   witness_count=len(failures))
 
 
 def mr_test(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,

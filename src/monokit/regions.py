@@ -297,19 +297,6 @@ class HalfSpace(Region):
     def is_closed(self) -> bool:
         return self.closed
 
-    def support(self, direction) -> float:
-        d = as_vector(direction)
-        if len(d) != self.dimension:
-            raise DimensionMismatch("direction dimension does not match region")
-        if all(c == 0.0 for c in d):
-            return 0.0
-        nn = sum(c * c for c in self.normal)
-        s = sum(a * b for a, b in zip(d, self.normal)) / nn
-        parallel = all(abs(di - s * ni) <= 1e-12 for di, ni in zip(d, self.normal))
-        if parallel and s >= -1e-12:
-            return s * self.offset
-        return INF
-
     def _distance_inf_rows(self, xs):
         excess = self._values(xs) - self.offset
         return np.where(excess <= 0, 0.0,
@@ -358,9 +345,6 @@ class Intersection(Region):
     @property
     def is_closed(self) -> bool:
         return self.first.is_closed and self.second.is_closed
-
-    def support(self, direction) -> float:
-        raise RegionError("support of a symbolic intersection is not closed form")
 
     def _distance_inf_rows(self, xs):
         # Lower bound: the true distance to the intersection can be larger.

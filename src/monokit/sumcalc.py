@@ -7,10 +7,10 @@ at z = (x, x*) is
 
 the conjugate of the infimal convolution of the two coupling envelopes. The
 minimum is searched over the dual lattice augmented with every dual value of
-the enumerated summand graph; piecewise-affine structure puts the true
-minimizer in that set for lattice evaluation points. A general second
-summand replaces the support term with its sampled envelope and the result
-is flagged approximate.
+the enumerated summand graph, as sorted distinct rows; piecewise-affine
+structure puts the true minimizer in that set for lattice evaluation
+points. A general second summand replaces the support term with its sampled
+envelope and the result is flagged approximate.
 
 There is one sum construction, PairSum: add_normal_cone, operator_sum and the
 sum_normal_cone spec kind all build it. Sum membership is decided from the
@@ -24,9 +24,9 @@ import numpy as np
 
 from . import core
 from .core import (INF, PrimalDualPoint, Tolerance, coupling_rows,
-                   distinct_rows, point_rows, row_points)
+                   distinct_rows, point_rows)
 from .errors import UnsatisfiedHypothesis, ValidationError
-from .fitzpatrick import penot_envelope, scan_rows
+from .fitzpatrick import _coupling_envelope, scan_rows
 from .operators import (NormalConeBox, OperatorHandle, PairSum, is_monotone,
                         meets_domain, with_defaults)
 from .regions import Box, GridSpec, Region
@@ -81,21 +81,23 @@ class _RhoMachine:
     def __init__(self, A: OperatorHandle, second, V: Region | None,
                  g: GridSpec):
         n = self.dimension = A.dimension
-        self.env_a, exact = penot_envelope(A, V, g)
-        cands = set(g.dual_lattice(n))
-        cands.update(w.xstar for w, _ in self.env_a.points)
-        self.candidates = sorted(cands)
-        self._cand_rows = np.array(self.candidates, dtype=float).reshape(-1, n)
-        self.approximate = not exact
+        graph = A._enumerate(V, g)
+        self.env_a = _coupling_envelope(graph, n)
+        # Listed first, the dual lattice's 0.0 stands for a summand's -0.0.
+        cands = np.vstack([g.dual_rows(n), graph[:, n:]])
+        cands = cands[distinct_rows(cands)[0]]
+        self.candidates = cands[np.lexsort(cands.T[::-1])]
+        self.approximate = not A.enumeration_exact
         self.cone: Box | None = (second.box if isinstance(second, NormalConeBox)
                                  else second)
-        self.env_b = None
+        self.env_b = self.graph_b = None
         if not isinstance(self.cone, Box):
             if not isinstance(second, OperatorHandle):
                 raise ValidationError(
                     "second summand must be an operator or a closed box")
             self.cone = None
-            self.env_b, _ = penot_envelope(second, V, g)
+            self.graph_b = second._enumerate(V, g)
+            self.env_b = _coupling_envelope(self.graph_b, n)
             self.approximate = True
 
     def values_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +108,7 @@ class _RhoMachine:
         x lies in the cone, in one row call, in the order a row-by-row scan
         first meets them.
         """
-        n, cands = self.dimension, self._cand_rows
+        n, cands = self.dimension, self.candidates
         q = len(cands)
         values = np.full(len(rows), INF)
         split = np.full(len(rows), -1)
@@ -144,7 +146,8 @@ class _RhoMachine:
     def value(self, z: PrimalDualPoint) -> RhoValue:
         values, split = self.values_rows(point_rows([z], self.dimension))
         j = int(split[0])
-        return RhoValue(float(values[0]), self.candidates[j] if j >= 0 else None,
+        return RhoValue(float(values[0]),
+                        tuple(self.candidates[j].tolist()) if j >= 0 else None,
                         self.approximate)
 
 
@@ -196,11 +199,9 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
 
     machine = _RhoMachine(A, second, V, g)
     notes = []
-    if machine.env_b is not None:
-        # The sampled envelope's data is the second summand's graph over V.
-        duals = np.array([w.xstar for w, _ in machine.env_b.points])
-        if (np.abs(duals) > g.dual_bound).any():
-            notes.append("second summand duals exceed the dual clip")
+    if machine.graph_b is not None and (
+            np.abs(machine.graph_b[:, A.dimension:]) > g.dual_bound).any():
+        notes.append("second summand duals exceed the dual clip")
     notes.append(term)
     rows = scan_rows(V, g)
     graph = S.graph_rows(V, g)
@@ -210,10 +211,12 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
     band = np.abs(rho - c) <= tol.eps_eq
     pick = rows[below | band]
     fail = below[below | band] | ~S.graph_contains_rows(pick, tol)
-    failures = row_points(pick[fail])
+    failures = pick[fail]
     off = np.abs(values[len(rows):] - coupling_rows(graph)) > 10.0 * tol.eps_eq
-    failures += [w for w in dict.fromkeys(row_points(graph[off]))
-                 if w not in failures]
+    if off.any():
+        # Each off-band graph row once, unless a (distinct) scan row failed.
+        failures = np.vstack([failures, graph[off]])
+        failures = failures[distinct_rows(failures)[0]]
     return finish(Property.V_REPRESENTABLE, failures,
                   approximate=machine.approximate or not S.enumeration_exact,
                   grid=g, tol=tol, region_ids=(V.describe(),),

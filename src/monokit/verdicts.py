@@ -1,10 +1,13 @@
-"""Verdict records produced by every grid-scale decision."""
+"""Verdict records produced by every grid-scale decision.
+
+finish is the one place where a check's failing [x, x*] rows become witness
+points, and only the first WITNESS_CAP of them do."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Tolerance
+from .core import Tolerance, row_points
 from .regions import GridSpec
 
 WITNESS_CAP = 12
@@ -67,19 +70,19 @@ def witness_strings(v: Verdict) -> list[str]:
     return [format_point(w) for w in v.witnesses]
 
 
-def finish(property, failures, *, approximate=False, grid=None, tol=None,
+def finish(property, rows, *, approximate=False, grid=None, tol=None,
            region_ids=(), vacuous=False, notes=()) -> Verdict:
-    """Fold a failure list into a Verdict, trimming witnesses at the cap."""
-    failures = list(failures)
+    """Fold the (F, 2n) array of failing [x, x*] rows, in scan order, into
+    a Verdict; only the first WITNESS_CAP rows become points."""
     return Verdict(
         property=property,
-        value=not failures,
-        witnesses=tuple(failures[:WITNESS_CAP]),
+        value=not len(rows),
+        witnesses=tuple(row_points(rows[:WITNESS_CAP])),
         approximate=approximate,
         grid=grid,
         tol=tol,
         region_ids=tuple(region_ids),
         vacuous=vacuous,
-        witness_count=len(failures),
+        witness_count=len(rows),
         notes=tuple(notes),
     )

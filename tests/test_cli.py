@@ -112,6 +112,24 @@ def test_target_of_another_dimension_is_exit_2(tmp_path, capsys, operator,
         in capsys.readouterr().out
 
 
+def test_window_of_another_dimension_is_exit_2(tmp_path, capsys):
+    """Every property of a 1-D operator on a 2-D window is an error."""
+    props = ("monotone", "vni", "locates", "identifies", "v_representable",
+             "condition_c", "maximal_on_grid")
+    spec = write(tmp_path, (
+        "operator:\n  kind: abs_subdiff\n  slope: 1\n"
+        "window: [-1, 1] x [-1, 1]\nproperties:\n"
+        + "".join(f"  - {p}\n" for p in props)) + SMALL_GRID)
+    report = tmp_path / "report.txt"
+    code = main(["classify", "--spec", spec, "--out", str(report)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count(": error (") == len(props)
+    text = report.read_text()
+    assert text.count("    error: ") == len(props)
+    assert "window dimension does not match operator" in text
+
+
 def test_spec_error_rendering(tmp_path, capsys):
     spec = write(tmp_path, (
         "operator:\n"

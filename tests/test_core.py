@@ -18,6 +18,7 @@ from monokit import (
     pdp,
     supremum,
 )
+from monokit.core import distinct_rows
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -88,3 +89,28 @@ def test_points_detach_from_input_arrays():
 def test_nan_coordinates_rejected():
     with pytest.raises(ValidationError):
         pdp([math.nan], [0.0])
+
+
+def unique_distinct_rows(rows):
+    """distinct_rows through np.unique(axis=0), the reference for the sort."""
+    _, index, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(index)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return index[order], rank[inverse.reshape(-1)]
+
+
+def test_distinct_rows_matches_np_unique():
+    """Same (first, inverse) arrays on rows with +-0.0, +-inf, repeats and
+    no rows at all."""
+    rng = np.random.default_rng(0)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, INF, -INF])
+    for _ in range(500):
+        rows = values[rng.integers(0, len(values),
+                                   (rng.integers(0, 25), rng.integers(1, 5)))]
+        first, inverse = distinct_rows(rows)
+        want_first, want_inverse = unique_distinct_rows(rows)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(inverse, want_inverse)
+        assert np.array_equal(rows[first][inverse], rows)

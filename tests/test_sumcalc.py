@@ -112,7 +112,7 @@ def _loop_rho(machine, z):
     if machine.cone is not None and not machine.cone.contains(z.x):
         return INF, None
     best, split = INF, None
-    for u in machine.candidates:
+    for u in map(tuple, machine.candidates.tolist()):
         a = envelope_eval(machine.env_a, pdp(z.x, u))
         if a == INF:
             continue
@@ -144,7 +144,7 @@ def test_values_rows_match_the_candidate_loop(second, block):
             mp.setattr(core, "_BLOCK_ELEMS", block)
         values, split = machine.values_rows(rows)
     assert [v.hex() for v in values.tolist()] == [v.hex() for v, _ in want]
-    assert [machine.candidates[j] if j >= 0 else None
+    assert [tuple(machine.candidates[j].tolist()) if j >= 0 else None
             for j in split.tolist()] == [u for _, u in want]
     assert any(u is not None for _, u in want)
     assert any(u is None for _, u in want)
