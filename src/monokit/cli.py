@@ -13,6 +13,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .classify import (check_condition_c, check_identifies, check_locates,
                        check_maximal_on_grid, check_v_representable,
                        check_vni, dyadic_open_boxes, family_scan)
@@ -177,6 +179,15 @@ def _cmd_gallery(args) -> int:
     return 0 if passed else 1
 
 
+def _format_column(values) -> list[str]:
+    """format_scalar of every entry, each distinct value formatted once.
+    Values are told apart by their bits, as 0.0 and -0.0 print apart."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = [format_scalar(v) for v in keys.view(float).tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
 def _cmd_export(args) -> int:
     config = parse_spec(Path(args.spec).read_text())
     T = config.operator
@@ -193,8 +204,8 @@ def _cmd_export(args) -> int:
         values = envelope_rows(env, rows)
     header = ",".join([f"x{i + 1}" for i in range(n)]
                       + [f"xstar{i + 1}" for i in range(n)] + ["value"])
-    lines = [header] + [",".join(format_scalar(c) for c in row + [val])
-                        for row, val in zip(rows.tolist(), values)]
+    columns = [_format_column(c) for c in (*rows.T, values)]
+    lines = [header] + [",".join(cells) for cells in zip(*columns)]
     _write_out("\n".join(lines) + "\n", args.out)
     print(f"wrote {len(rows)} rows")
     return 0

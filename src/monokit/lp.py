@@ -41,6 +41,8 @@ from .errors import LPNumericalError
 _COST_TOL = 1e-11
 _PIVOT_TOL = 1e-11
 _FEAS_TOL = 1e-9
+# The ratio test's sentinel for rows that are no tie: above every index.
+_NO_TIE = np.iinfo(np.intp).max
 
 
 class LPStatus(Enum):
@@ -98,7 +100,7 @@ def _leaving_rows(tab, basis, live, lps, cols):
     ratio = np.divide(tab[lps, :, -1], col, out=np.full(col.shape, np.inf),
                       where=ok)
     tie = ok & (ratio <= ratio.min(axis=1, keepdims=True) + _PIVOT_TOL)
-    pick = np.where(tie, basis[lps], np.iinfo(basis.dtype).max).argmin(axis=1)
+    pick = np.where(tie, basis[lps], _NO_TIE).argmin(axis=1)
     return np.where(ok.any(axis=1), pick, -1)
 
 

@@ -795,6 +795,7 @@ def restrict(T: OperatorHandle, V: Region) -> OperatorHandle:
 def meets_domain(T: OperatorHandle, V: Region, g: GridSpec) -> bool:
     """Whether the window V meets the domain of T: exactly when both are
     boxes, else on V's lattice or among T's graph rows."""
+    T._check_window(V)
     region = T.domain_region()
     if region is not None:
         cut = intersect_regions(region, V)

@@ -3,9 +3,11 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from monokit.cli import main
+from monokit.cli import _format_column, main
+from monokit.verdicts import format_scalar
 
 SMALL_GRID = (
     "grid:\n"
@@ -189,6 +191,15 @@ def test_export_phi_csv(tmp_path, capsys):
         assert len(cells) == 3
         float(cells[0]), float(cells[1])
         assert cells[2] == "inf" or float(cells[2]) < 1e18
+
+
+def test_export_column_formats_as_format_scalar():
+    """Each distinct value is formatted once, told apart by its bits, so
+    0.0 and -0.0 (equal as floats) still print apart."""
+    column = np.array([0.0, -0.0, 1.5, 0.0, np.inf, -np.inf, -0.0, 1 / 3])
+    assert _format_column(column) == [format_scalar(v) for v in column]
+    assert _format_column(column)[:2] == ["0", "-0"]
+    assert _format_column(np.zeros(0)) == []
 
 
 def test_export_grid_override(tmp_path, capsys):

@@ -23,8 +23,8 @@ from monokit import (
     pdp,
     square_conjugate_eval,
 )
-from monokit import core
-from monokit.convex import envelope_rows
+from monokit import convex, core, lp
+from monokit.convex import _beyond_hull, envelope_rows
 from monokit.core import point_rows
 from monokit.errors import LPNumericalError
 
@@ -286,3 +286,142 @@ def test_envelope_rows_checks_the_row_width(stair_env):
     with pytest.raises(DimensionMismatch):
         envelope_rows(stair_env, np.zeros((2, 4)))
     assert envelope_rows(stair_env, np.zeros((0, 2))).shape == (0,)
+
+
+# --- hull cuts -----------------------------------------------------------
+
+def _outcome(f, rows):
+    """envelope_rows as hex values, or the message it raises."""
+    try:
+        return [v.hex() for v in envelope_rows(f, rows).tolist()]
+    except LPNumericalError as err:
+        return str(err)
+
+
+def _cut_free(f, rows):
+    """_outcome with every row inside the bounding box sent to the LP."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convex, "_beyond_hull",
+                   lambda f, rows: np.zeros(len(rows), dtype=bool))
+        return _outcome(f, rows)
+
+
+def _check_hull_cuts(f, rows):
+    """No row the cuts drop is one the LP solves: solved directly it is
+    infeasible, or the LP raises (its pivots on entries near 1e-9 can end
+    phase one in a broken basis). envelope_rows equals the cut-free
+    evaluation bit for bit, errors included; where the LP raises on a
+    dropped row, the cut-free evaluation of the other rows with +inf at the
+    dropped ones. Returns the number of rows dropped."""
+    lower, upper, matrix, values = f._lp
+    cut = ~((rows < lower) | (rows > upper)).any(axis=1)
+    cut[cut] = _beyond_hull(f, rows[cut])
+    rhs = np.hstack([rows[cut], np.ones((cut.sum(), 1))])
+    sols = lp.solve_rows(values, matrix, rhs)
+    for sol in sols:
+        assert isinstance(sol, LPNumericalError) \
+            or sol.status is lp.LPStatus.INFEASIBLE
+    if not any(isinstance(sol, LPNumericalError) for sol in sols):
+        assert _outcome(f, rows) == _cut_free(f, rows)
+    else:
+        want = _cut_free(f, rows[~cut])
+        if isinstance(want, list):
+            spliced = np.full(len(rows), INF)
+            spliced[~cut] = [float.fromhex(v) for v in want]
+            want = [v.hex() for v in spliced.tolist()]
+        assert _outcome(f, rows) == want
+    return int(cut.sum())
+
+
+def _probe_rows(f):
+    """The data, its midpoints, the data nudged by 1e-9 and 1e-5 along
+    every axis, and a lattice over the data's bounding box."""
+    data = point_rows((p for p, _ in f.points), f.dimension)
+    width = data.shape[1]
+    nudges = np.vstack([s * np.eye(width)
+                        for s in (1e-9, -1e-9, 1e-5, -1e-5)])
+    per_axis = 5 if width == 2 else 3
+    axes = [np.linspace(lo, hi, per_axis)
+            for lo, hi in zip(data.min(axis=0), data.max(axis=0))]
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return np.vstack([data, (data + data[::-1]) / 2,
+                      (data[:, None, :] + nudges).reshape(-1, width),
+                      lattice.reshape(-1, width)])
+
+
+def _raw_envelope(raw):
+    return envelope([(pdp([a], [b]), v) for a, b, v in raw])
+
+
+# Data entries near 1e-9 on which the LP has raised or nearly so, and the
+# three shapes whose projections degenerate: a segment, duplicate points
+# and a single point.
+HULL_CASES = NEAR_DEGENERATE_ENVELOPES + [raw for raw, _ in BAD_ENVELOPES] + [
+    [(0.0, 1e-12, 0.0), (0.0, 0.0, 0.0), (0.0, 1e-05, 0.0), (1.0, 0.0, 0.0)],
+    [(0.25, 2.0, -1.0), (0.25, 0.5, 0.0), (1e-09, 1e-07, 0.0),
+     (0.25, 0.0, 1.0)],
+    [(0.0, 1.0, -1.0), (1e-08, 0.0, 1.0), (0.25, -1.0, 0.5),
+     (-1.0, 1e-09, -1.0)],
+    [(-1.0, -0.5, 0.5), (0.0, 0.0, 0.0), (0.5, 0.25, 0.125), (1.0, 0.5, 0.5)],
+    [(0.0, 1.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 2.0), (1.0, 0.0, 1.0)],
+    [(0.5, -0.5, 1.0), (0.5, -0.5, 0.0)],
+    [(0.5, -0.5, 1.0)],
+]
+
+
+def test_hull_cuts_answer_where_the_lp_raises():
+    """A row 1e-5 off the hull of data with an entry of 1e-9: the LP alone
+    ends phase one in a broken basis and raises, the cuts give +inf."""
+    f = envelope([(pdp([0.0, 0.0], [1.0, 1e-9]), 0.0),
+                  (pdp([0.0, 1.0], [0.0, 0.0]), 0.0),
+                  (pdp([0.0, 0.0], [0.0, -1.0]), 0.0)])
+    row = np.array([[0.0, 1.0, 1e-5, 0.0]])
+    with pytest.raises(LPNumericalError):
+        lp.solve(lp.LPProblem(f._lp[3], f._lp[2], np.append(row, 1.0)))
+    assert envelope_rows(f, row).tolist() == [INF]
+    assert _check_hull_cuts(f, row) == 1
+
+
+@pytest.mark.parametrize("raw", HULL_CASES)
+def test_hull_cuts_change_no_value(raw):
+    f = _raw_envelope(raw)
+    _check_hull_cuts(f, _probe_rows(f))
+
+
+def test_hull_cuts_rule_out_rows_off_a_segment():
+    """Collinear data: of the box's lattice only the segment's rows stay."""
+    f = _raw_envelope([(-1.0, -0.5, 0.5), (0.0, 0.0, 0.0), (1.0, 0.5, 0.5)])
+    grid = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-0.5, 0.5, 5),
+                       indexing="ij")
+    rows = np.stack(grid, axis=-1).reshape(-1, 2)
+    kept = rows[~_beyond_hull(f, rows)]
+    assert kept.tolist() == [[-1.0, -0.5], [-0.5, -0.25], [0.0, 0.0],
+                             [0.5, 0.25], [1.0, 0.5]]
+    assert _check_hull_cuts(f, rows) == 40
+
+
+@st.composite
+def _hull_envelope(draw):
+    n = draw(st.integers(1, 2))
+    coord = st.lists(_COORD, min_size=2 * n, max_size=2 * n)
+    shape = draw(st.sampled_from(["cloud", "line", "point"]))
+    if shape == "cloud":
+        coords = draw(st.lists(coord, min_size=1, max_size=7))
+    elif shape == "line":
+        base, step = np.array(draw(coord)), np.array(draw(coord))
+        ts = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0, 1e-9]),
+                           min_size=2, max_size=5))
+        coords = [(base + t * step).tolist() for t in ts]
+    else:
+        coords = [draw(coord)] * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        coords = coords + coords[:1]
+    vals = draw(st.lists(st.floats(-2, 2), min_size=len(coords),
+                         max_size=len(coords)))
+    return envelope([(pdp(c[:n], c[n:]), v) for c, v in zip(coords, vals)])
+
+
+@given(_hull_envelope())
+@settings(max_examples=80, deadline=None)
+def test_hull_cuts_change_no_value_on_drawn_envelopes(f):
+    _check_hull_cuts(f, _probe_rows(f))

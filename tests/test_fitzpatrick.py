@@ -31,6 +31,7 @@ from monokit import (
     scan_grid,
 )
 from monokit import fitzpatrick, lp
+from monokit.convex import _beyond_hull
 from monokit.core import distinct_rows, point_rows
 from monokit.fitzpatrick import (_coupling_data, _near_band, band_points,
                                   scan_rows)
@@ -351,6 +352,7 @@ class TestLPRows:
         rows = scan_rows(self.V, self.G)
         lower, upper = env._lp[:2]
         inside = rows[~((rows < lower) | (rows > upper)).any(axis=1)]
+        inside = inside[~_beyond_hull(env, inside)]
         band_points(env, rows, TOL)
         assert sorted(solved) == sorted(map(tuple, inside.tolist()))
         solved.clear()

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from monokit import (
     DEFAULT_TOL,
+    AbsSubdiff,
     BelowCoupling,
     DimensionMismatch,
     FiniteGraph,
@@ -277,3 +278,14 @@ def test_every_check_rejects_a_window_of_another_dimension(case, entry):
     z = pdp((0.5,) * n, (0.5,) * n)
     with pytest.raises(DimensionMismatch):
         ENTRY_POINTS[entry](T, V, g, z)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_a_window_of_another_dimension_has_one_message(entry):
+    """|x| has a box domain, so vni reaches meets_domain's box intersection
+    first; the window is checked before it, as in every other entry."""
+    with pytest.raises(DimensionMismatch,
+                       match="^window dimension does not match operator$"):
+        ENTRY_POINTS[entry](AbsSubdiff(1.0), closed_box((-1.0, -1.0),
+                                                        (1.0, 1.0)),
+                            GridSpec(5, 2.0, 5), pdp((0.5,), (0.5,)))
