@@ -27,8 +27,9 @@ from .core import (INF, PrimalDualPoint, Tolerance, coupling_rows,
                    distinct_rows, point_rows)
 from .errors import UnsatisfiedHypothesis, ValidationError
 from .fitzpatrick import _coupling_envelope, scan_rows
-from .operators import (NormalConeBox, OperatorHandle, PairSum, is_monotone,
-                        meets_domain, with_defaults)
+from .operators import (NormalConeBox, OperatorHandle, PairSum,
+                        SumNormalCone, is_monotone, meets_domain,
+                        with_defaults)
 from .regions import Box, GridSpec, Region
 from .verdicts import Property, finish
 
@@ -76,37 +77,42 @@ class RhoValue(NamedTuple):
 
 
 class _RhoMachine:
-    """Shared evaluator over the summand envelope and the candidate duals."""
+    """The split-dual minimum of a PairSum: psi_A and the candidate duals
+    come from its first summand, the second term from its second: the exact
+    box support of a NormalConeBox, else its sampled envelope."""
 
-    def __init__(self, A: OperatorHandle, second, V: Region | None,
-                 g: GridSpec):
-        n = self.dimension = A.dimension
-        graph = A._enumerate(V, g)
+    def __init__(self, S: PairSum, V: Region | None, g: GridSpec):
+        n = self.dimension = S.dimension
+        graph = S.first._enumerate(V, g)
         self.env_a = _coupling_envelope(graph, n)
         # Listed first, the dual lattice's 0.0 stands for a summand's -0.0.
         cands = np.vstack([g.dual_rows(n), graph[:, n:]])
         cands = cands[distinct_rows(cands)[0]]
         self.candidates = cands[np.lexsort(cands.T[::-1])]
-        self.approximate = not A.enumeration_exact
-        self.cone: Box | None = (second.box if isinstance(second, NormalConeBox)
-                                 else second)
-        self.env_b = self.graph_b = None
-        if not isinstance(self.cone, Box):
-            if not isinstance(second, OperatorHandle):
-                raise ValidationError(
-                    "second summand must be an operator or a closed box")
-            self.cone = None
-            self.graph_b = second._enumerate(V, g)
+        self.approximate = not S.first.enumeration_exact
+        self.cone = self.graph_b = self.env_b = None
+        if isinstance(S.second, NormalConeBox):
+            self.cone = S.second.box
+        else:
+            self.graph_b = S.second._enumerate(V, g)
             self.env_b = _coupling_envelope(self.graph_b, n)
             self.approximate = True
+
+    def _second_rows(self, xs: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        """The second term at rows x and x* - u*: indicator_C(x) +
+        sigma_C(x* - u*) for a box, else the sampled envelope."""
+        if self.cone is not None:
+            return np.where(self.cone.contains_rows(xs),
+                            self.cone.support_rows(rest), INF)
+        return self.env_b.evaluate_rows(np.hstack([xs, rest]))
 
     def values_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The split-dual minimum at every [x, x*] row, and the index into
         candidates of its first minimizer (-1 where the minimum is +inf).
 
-        psi_A is evaluated once per distinct (x, u*) pair of the rows whose
-        x lies in the cone, in one row call, in the order a row-by-row scan
-        first meets them.
+        psi_A is evaluated once per distinct (x, u*) pair of the rows, in one
+        row call, in the order a row-by-row scan first meets them; the
+        second term only where psi_A is finite.
         """
         n, cands = self.dimension, self.candidates
         q = len(cands)
@@ -114,28 +120,17 @@ class _RhoMachine:
         split = np.full(len(rows), -1)
         first, inverse = distinct_rows(rows[:, :n])
         xs = rows[first, :n]
-        keep = np.ones(len(xs), dtype=bool)
-        if self.cone is not None:
-            keep = self.cone.contains_rows(xs)
-        pairs = np.hstack([np.repeat(xs[keep], q, axis=0),
-                           np.tile(cands, (int(keep.sum()), 1))])
+        pairs = np.hstack([np.repeat(xs, q, axis=0), np.tile(cands, (len(xs), 1))])
         psi = self.env_a.evaluate_rows(pairs).reshape(-1, q)
-        slot = np.cumsum(keep) - 1
-        live = np.flatnonzero(keep[inverse])
         step = max(1, core._BLOCK_ELEMS // max(1, q * n))
-        for s in range(0, live.size, step):
-            idx = live[s:s + step]
-            a = psi[slot[inverse[idx]]]
-            rest = rows[idx, None, n:] - cands[None, :, :]
-            if self.cone is not None:
-                b = self.cone.support_rows(rest.reshape(-1, n)).reshape(a.shape)
-            else:
-                # The sampled envelope is evaluated only where psi_A is finite.
-                b = np.full(a.shape, INF)
-                hit = np.flatnonzero(a.reshape(-1) != INF)
-                zb = np.hstack([np.repeat(rows[idx, :n], q, axis=0)[hit],
-                                rest.reshape(-1, n)[hit]])
-                b.reshape(-1)[hit] = self.env_b.evaluate_rows(zb)
+        for s in range(0, len(rows), step):
+            idx = np.arange(s, min(s + step, len(rows)))
+            a = psi[inverse[idx]]
+            b = np.full(a.shape, INF)
+            hit = np.flatnonzero(a.reshape(-1) != INF)
+            rest = (rows[idx, None, n:] - cands[None, :, :]).reshape(-1, n)
+            b.reshape(-1)[hit] = self._second_rows(
+                np.repeat(rows[idx, :n], q, axis=0)[hit], rest[hit])
             total = np.where((a != INF) & (b != INF), a + b, INF)
             j = total.argmin(axis=1)
             best = total[np.arange(idx.size), j]
@@ -151,17 +146,28 @@ class _RhoMachine:
                         self.approximate)
 
 
+def _pair_sum(A: OperatorHandle, second) -> PairSum:
+    """The sum every split-dual evaluation reads: A + N_C for a closed box C,
+    the pair sum for an operator."""
+    if isinstance(second, Box):
+        return SumNormalCone(A, second)
+    if isinstance(second, OperatorHandle):
+        return PairSum(A, second)
+    raise ValidationError("second summand must be an operator or a closed box")
+
+
 def rho_square_eval(A: OperatorHandle, second, V: Region | None,
                     z: PrimalDualPoint, g: GridSpec | None = None,
                     tol: Tolerance | None = None) -> RhoValue:
     """One split-dual minimum; see the module docstring for the candidates.
 
     second is either a closed box (exact support term) or an operator
-    (sampled envelope term, flagged approximate). tol is taken in the
-    checkers' call shape; the minimum compares no margin.
+    (sampled envelope term, flagged approximate, unless it is a box normal
+    cone). tol is taken in the checkers' call shape; the minimum compares
+    no margin.
     """
     g, _ = with_defaults(g, tol)
-    return _RhoMachine(A, second, V, g).value(z)
+    return _RhoMachine(_pair_sum(A, second), V, g).value(z)
 
 
 def verify_sum_representative(A: OperatorHandle, second, V: Region,
@@ -172,37 +178,29 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
     (a) the split minimum never drops below coupling - eps_eq, (b) points in
     its equality band belong to the sum graph, and (c) enumerated sum graph
     points sit in the band at a 10x widened margin absorbing the stacked LP
-    layers. The summand must be monotone; the box construction additionally
-    requires the domain to reach the interior of the box, and the pair sum
-    a shared primal point. Each gate raises UnsatisfiedHypothesis. A window
-    with no scan row and no sum graph point gives a vacuous verdict.
+    layers. The summand must be monotone; a closed box additionally requires
+    the domain to reach the interior of the box, and an operator a shared
+    primal point. Each gate raises UnsatisfiedHypothesis. A window with no
+    scan row and no sum graph point gives a vacuous verdict.
     """
     g, tol = with_defaults(g, tol)
     mono = is_monotone(A, tol, g)
     if not mono.value:
         raise UnsatisfiedHypothesis("the summand is monotone",
                                     f"witness pair {mono.witnesses[:1]}")
-    if isinstance(second, Region):
-        if not isinstance(second, Box):
-            raise ValidationError("the constraint set must be a box")
-        S: OperatorHandle = add_normal_cone(A, second, g, tol)
-        term = "second term: exact box support"
-    elif isinstance(second, NormalConeBox):
-        S = operator_sum(A, second, g, tol)
-        term = "second term: exact box support"
-    elif isinstance(second, OperatorHandle):
-        S = operator_sum(A, second, g, tol)
-        term = "second term: sampled envelope"
+    S = _pair_sum(A, second)
+    # The gate: a box needs the interior, an operator a shared primal point.
+    if isinstance(second, Box):
+        add_normal_cone(A, second, g, tol)
     else:
-        raise ValidationError(
-            "second summand must be an operator or a closed box")
-
-    machine = _RhoMachine(A, second, V, g)
+        operator_sum(A, second, g, tol)
+    machine = _RhoMachine(S, V, g)
     notes = []
     if machine.graph_b is not None and (
             np.abs(machine.graph_b[:, A.dimension:]) > g.dual_bound).any():
         notes.append("second summand duals exceed the dual clip")
-    notes.append(term)
+    notes.append("second term: exact box support" if machine.cone is not None
+                 else "second term: sampled envelope")
     rows = scan_rows(V, g)
     graph = S.graph_rows(V, g)
     values, _ = machine.values_rows(np.vstack([rows, graph]))
@@ -221,4 +219,4 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
                   approximate=machine.approximate or not S.enumeration_exact,
                   grid=g, tol=tol, region_ids=(V.describe(),),
                   vacuous=not len(rows) and not len(graph),
-                  notes=tuple(notes) or ("sum construction",))
+                  notes=tuple(notes))

@@ -14,6 +14,8 @@ from monokit import (
     Flat,
     GridSpec,
     NormalConeBox,
+    PairSum,
+    SumNormalCone,
     UnsatisfiedHypothesis,
     ValidationError,
     add_normal_cone,
@@ -128,14 +130,15 @@ def _loop_rho(machine, z):
     return best, split
 
 
-@pytest.mark.parametrize("second", [BOX, AbsSubdiff(1.0)],
+@pytest.mark.parametrize("S", [SumNormalCone(AbsSubdiff(1.0), BOX),
+                               PairSum(AbsSubdiff(1.0), AbsSubdiff(1.0))],
                          ids=["box", "operator"])
 @pytest.mark.parametrize("block", [None, 5])
-def test_values_rows_match_the_candidate_loop(second, block):
+def test_values_rows_match_the_candidate_loop(S, block):
     """Bit for bit, minimizer included, over a lattice with repeated rows,
     whole or in blocks of a few rows."""
     g = GridSpec(resolution=7, dual_bound=3.0, dual_resolution=7)
-    machine = _RhoMachine(AbsSubdiff(1.0), second, WINDOW, g)
+    machine = _RhoMachine(S, WINDOW, g)
     rows = scan_rows(WINDOW, g)
     rows = np.vstack([rows, rows[::7]])
     want = [_loop_rho(machine, pdp(r[:1], r[1:])) for r in rows]

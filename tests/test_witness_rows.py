@@ -36,6 +36,7 @@ from monokit import (
     phi_eval,
     psi_eval,
     restrict,
+    SumNormalCone,
     unique_extension,
     whole_space,
 )
@@ -243,8 +244,8 @@ def test_off_band_graph_rows_merge_as_the_point_keys_did():
 def test_a_summand_minus_zero_does_not_replace_the_lattice_zero():
     A = FiniteGraph([pdp(-1.0, -1.0), pdp(0.5, -0.0), pdp(1.0, 0.7)])
     g = GridSpec(resolution=5, dual_bound=2.0, dual_resolution=5)
-    machine = _RhoMachine(A, closed_box([0.0], [1.0]), interval(-1.0, 1.0),
-                          g)
+    machine = _RhoMachine(SumNormalCone(A, closed_box([0.0], [1.0])),
+                          interval(-1.0, 1.0), g)
     want = sorted(set(g.dual_lattice(1)) | {w.xstar for w in A.points})
     got = list(map(tuple, machine.candidates.tolist()))
     assert got == want
