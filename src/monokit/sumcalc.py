@@ -79,10 +79,13 @@ class RhoValue(NamedTuple):
 class _RhoMachine:
     """The split-dual minimum of a PairSum: psi_A and the candidate duals
     come from its first summand, the second term from its second: the exact
-    box support of a NormalConeBox, else its sampled envelope."""
+    box support of a NormalConeBox, else its sampled envelope. Both summands
+    are sampled over the sum's joint window, the lattice its graph rows lie
+    on."""
 
     def __init__(self, S: PairSum, V: Region | None, g: GridSpec):
         n = self.dimension = S.dimension
+        V = S._joint_window(V)
         graph = S.first._enumerate(V, g)
         self.env_a = _coupling_envelope(graph, n)
         # Listed first, the dual lattice's 0.0 stands for a summand's -0.0.
