@@ -159,7 +159,7 @@ def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
                                     f"witness pair {mono.witnesses[:1]}")
     # The check_vni gate, decided from the same phi sweep as the band.
     rows = scan_rows(V, g)
-    p = T._phi_routed(V, rows, g, graph)
+    p = T.phi_batch(V, rows, g, graph)
     c = coupling_rows(rows)
     below = rows[p < c - tol.eps_strict]
     if len(below) and meets_domain(T, V, g):

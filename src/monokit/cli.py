@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,31 +19,13 @@ from .classify import (check_condition_c, check_identifies, check_locates,
                        check_maximal_on_grid, check_v_representable,
                        check_vni, dyadic_open_boxes, family_scan)
 from .convex import envelope_rows
-from .core import Tolerance
 from .errors import MonokitError, SpecFormatError
 from .fitzpatrick import penot_envelope, scan_rows
 from .gallery import run_gallery
 from .operators import is_monotone
-from .regions import GridSpec, whole_space
+from .regions import whole_space
 from .specfile import RunConfig, parse_spec
 from .verdicts import (Property, Verdict, format_scalar, witness_strings)
-
-
-def _grid_dict(g: GridSpec) -> dict:
-    return {
-        "resolution": g.resolution,
-        "dual_bound": g.dual_bound,
-        "dual_resolution": g.dual_resolution,
-        "ambient_bound": g.ambient_bound,
-    }
-
-
-def _tol_dict(tol: Tolerance) -> dict:
-    return {
-        "eps_eq": tol.eps_eq,
-        "eps_strict": tol.eps_strict,
-        "delta_dom": tol.delta_dom,
-    }
 
 
 def verdict_to_dict(v: Verdict) -> dict:
@@ -155,8 +137,8 @@ def _cmd_classify(args) -> int:
         "operator": config.operator.describe(),
         "window": (config.window.describe() if config.window is not None
                    else "whole space"),
-        "grid": _grid_dict(config.grid),
-        "tolerance": _tol_dict(config.tol),
+        "grid": asdict(config.grid),
+        "tolerance": asdict(config.tol),
         "verdicts": verdicts,
     }
     _write_out(render_report(report), args.out)

@@ -31,6 +31,15 @@ from .errors import DimensionMismatch, ToleranceError, ValidationError
 INF = math.inf
 
 
+def format_scalar(v: float) -> str:
+    """Fixed 12-significant-digit rendering with inf literals."""
+    if v == INF:
+        return "inf"
+    if v == -INF:
+        return "-inf"
+    return format(float(v), ".12g")
+
+
 def as_vector(v) -> tuple[float, ...]:
     """Coerce a scalar or sequence to a float tuple of dimension >= 1."""
     if isinstance(v, (int, float)):

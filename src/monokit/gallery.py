@@ -9,6 +9,8 @@ is the stable record, not a theorem.
 """
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from .classify import (RegionFamily, check_identifies, check_locates,
                        check_maximal_on_grid, check_vni, family_scan)
 from .core import DEFAULT_TOL, coupling, pdp
@@ -170,17 +172,8 @@ def run_gallery(name: str) -> tuple[dict, bool]:
             all_passed = all_passed and c["passed"]
         scenarios[n] = {"title": result["title"], "claims": claims}
     report = {
-        "grid": {
-            "resolution": GALLERY_GRID.resolution,
-            "dual_bound": GALLERY_GRID.dual_bound,
-            "dual_resolution": GALLERY_GRID.dual_resolution,
-            "ambient_bound": GALLERY_GRID.ambient_bound,
-        },
-        "tolerance": {
-            "eps_eq": GALLERY_TOL.eps_eq,
-            "eps_strict": GALLERY_TOL.eps_strict,
-            "delta_dom": GALLERY_TOL.delta_dom,
-        },
+        "grid": asdict(GALLERY_GRID),
+        "tolerance": asdict(GALLERY_TOL),
         "scenarios": scenarios,
         "overall": "pass" if all_passed else "fail",
     }

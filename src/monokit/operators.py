@@ -20,16 +20,16 @@ and domain_closure_contains are one-row calls, which reject a point whose
 dimension differs from the operator's; enumeration, phi and mr_batch reject
 a window of another dimension.
 
-phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows,
-and its _phi_routed is the one place that picks the route. When
-phi_is_exact(V) holds it calls the kind's array closed form _phi_closed;
-otherwise it takes the sup over the graph rows built once at an explicit
-grid, or handed in by a caller that holds them (a lower bound). The
-scalar phi is a one-row call of phi_batch. For the box normal cone N_C the
-closed form is the support function of C-intersect-V. The enumerated sup, the
-monotone-relation test and the pairwise monotone scan all run in core's
-blocked pairing kernels. The structural zero of the dust tolerance below
-guards float noise in boundary comparisons, nothing more.
+phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows
+and is the one place that picks the route. When phi_is_exact(V) holds it
+calls the kind's array closed form _phi_closed; otherwise it takes the sup
+over the graph rows built once at an explicit grid, or handed in by a
+caller that holds them (a lower bound). The scalar phi is a one-row call
+of phi_batch. For the box normal cone N_C the closed form is the support
+function of C-intersect-V. The enumerated sup, the monotone-relation test
+and the pairwise monotone scan all run in core's blocked pairing kernels.
+The structural zero of the dust tolerance below guards float noise in
+boundary comparisons, nothing more.
 """
 from __future__ import annotations
 
@@ -194,18 +194,15 @@ class OperatorHandle:
         return False
 
     def phi_batch(self, V: Region | None, rows: np.ndarray,
-                  g: GridSpec | None) -> np.ndarray:
+                  g: GridSpec | None, graph: np.ndarray | None = None
+                  ) -> np.ndarray:
         """phi at every [x, x*] row of an (N, 2n) array, in row order.
 
-        The route is picked by _phi_routed: the kind's closed form when it
-        is exact for V; otherwise the graph is enumerated once at g and the
-        sup runs in the blocked kernel.
+        The one place that picks the route: the kind's closed form when it
+        is exact for V; otherwise the sup over the graph rows in the blocked
+        kernel, enumerated once at g unless a caller that already holds the
+        graph rows over V hands them in.
         """
-        return self._phi_routed(V, rows, g)
-
-    def _phi_routed(self, V, rows, g, graph=None) -> np.ndarray:
-        """phi_batch, the one place that picks the route; a caller that
-        already holds the graph rows over V hands them to a sampled phi."""
         self._check_window(V)
         if self.phi_is_exact(V):
             return self._phi_closed(V, rows)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INF, as_vector
+from .core import INF, as_vector, format_scalar
 from .errors import DimensionMismatch, RegionError
 
 
@@ -96,15 +96,7 @@ class Region:
 def _axis_token(lo, hi, lo_open, hi_open):
     lb = "(" if lo_open else "["
     rb = ")" if hi_open else "]"
-    return f"{lb}{_fmt(lo)}, {_fmt(hi)}{rb}"
-
-
-def _fmt(v: float) -> str:
-    if v == INF:
-        return "inf"
-    if v == -INF:
-        return "-inf"
-    return format(v, ".12g")
+    return f"{lb}{format_scalar(lo)}, {format_scalar(hi)}{rb}"
 
 
 @dataclass(frozen=True)
@@ -306,9 +298,9 @@ class HalfSpace(Region):
         return clip.closure()
 
     def describe(self) -> str:
-        coords = ", ".join(_fmt(c) for c in self.normal)
+        coords = ", ".join(format_scalar(c) for c in self.normal)
         op = "<=" if self.closed else "<"
-        return f"halfspace ({coords}) {op} {_fmt(self.offset)}"
+        return f"halfspace ({coords}) {op} {format_scalar(self.offset)}"
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,11 @@ points. A general second summand replaces the support term with its sampled
 envelope and the result is flagged approximate.
 
 There is one sum construction, PairSum: add_normal_cone, operator_sum and the
-sum_normal_cone spec kind all build it. Sum membership is decided from the
-summands' dual fibers at the point itself, at no grid at all.
+sum_normal_cone spec kind all build it, and the split-dual minimum reads the
+PairSum it verifies, with both summands sampled over the sum's joint window
+(PairSum._joint_window), the lattice its graph rows lie on. Sum membership is
+decided from the summands' dual fibers at the point itself, at no grid at
+all.
 """
 from __future__ import annotations
 
@@ -123,7 +126,8 @@ class _RhoMachine:
         split = np.full(len(rows), -1)
         first, inverse = distinct_rows(rows[:, :n])
         xs = rows[first, :n]
-        pairs = np.hstack([np.repeat(xs, q, axis=0), np.tile(cands, (len(xs), 1))])
+        pairs = np.hstack([np.repeat(xs, q, axis=0),
+                           np.tile(cands, (len(xs), 1))])
         psi = self.env_a.evaluate_rows(pairs).reshape(-1, q)
         step = max(1, core._BLOCK_ELEMS // max(1, q * n))
         for s in range(0, len(rows), step):
@@ -164,10 +168,11 @@ def rho_square_eval(A: OperatorHandle, second, V: Region | None,
                     tol: Tolerance | None = None) -> RhoValue:
     """One split-dual minimum; see the module docstring for the candidates.
 
-    second is either a closed box (exact support term) or an operator
-    (sampled envelope term, flagged approximate, unless it is a box normal
-    cone). tol is taken in the checkers' call shape; the minimum compares
-    no margin.
+    second is either a closed box (exact support term; an open, unbounded
+    or empty box raises ValidationError, as NormalConeBox does) or an
+    operator (sampled envelope term, flagged approximate, unless it is a box
+    normal cone). tol is taken in the checkers' call shape; the minimum
+    compares no margin.
     """
     g, _ = with_defaults(g, tol)
     return _RhoMachine(_pair_sum(A, second), V, g).value(z)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Tolerance, row_points
+from .core import Tolerance, format_scalar, row_points
 from .regions import GridSpec
 
 WITNESS_CAP = 12
@@ -46,15 +46,6 @@ class Verdict:
     vacuous: bool = False
     witness_count: int = 0
     notes: tuple[str, ...] = ()
-
-
-def format_scalar(v: float) -> str:
-    """Fixed 12-significant-digit rendering with inf literals."""
-    if v == float("inf"):
-        return "inf"
-    if v == float("-inf"):
-        return "-inf"
-    return format(float(v), ".12g")
 
 
 def format_point(z) -> str:

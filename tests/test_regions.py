@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monokit import core, verdicts
 from monokit import (
     DEFAULT_TOL,
     Box,
@@ -63,6 +64,18 @@ def test_box_describe_round_trip():
             lower_open=(True, False), upper_open=(True, False))
     text = b.describe()
     assert text == "(0, 1) x [-1, 1]"
+
+
+def test_describe_renders_floats_as_format_scalar():
+    """Regions and verdicts share the one float formatter."""
+    b = Box(lower=(-np.inf, -0.0, 1e-13),
+            upper=(1 / 3, np.inf, 123456789012345.0),
+            lower_open=(True, False, False), upper_open=(False, True, False))
+    assert b.describe() \
+        == "(-inf, 0.333333333333] x [-0, inf) x [1e-13, 1.23456789012e+14]"
+    h = HalfSpace((2.0, -0.5), 1e16, False)
+    assert h.describe() == "halfspace (2, -0.5) < 1e+16"
+    assert verdicts.format_scalar is core.format_scalar
 
 
 def test_box_from_literal():

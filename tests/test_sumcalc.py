@@ -186,8 +186,8 @@ def test_a_window_wider_than_the_box_is_representative(case, cone):
 @pytest.mark.parametrize("case", sorted(WIDE_WINDOWS))
 def test_box_and_cone_forms_agree_bit_for_bit(case):
     A, C, V, g = WIDE_WINDOWS[case]
-    zs = row_points(np.vstack([scan_rows(V, g)[::11],
-                               add_normal_cone(A, C, g).graph_rows(V, g)[::3]]))
+    graph = add_normal_cone(A, C, g).graph_rows(V, g)
+    zs = row_points(np.vstack([scan_rows(V, g)[::11], graph[::3]]))
     for z in zs:
         box = rho_square_eval(A, C, V, z, g)
         cone = rho_square_eval(A, NormalConeBox(C), V, z, g)
