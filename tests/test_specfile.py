@@ -179,6 +179,30 @@ class TestRejection:
             "tolerance:\n  eps_eq: 1e-3\n",
             "eps_eq")
 
+    def test_unknown_grid_key(self):
+        self.expect(
+            "operator:\n  kind: abs_subdiff\n  slope: 1\n"
+            "grid:\n  resolution: 11\n  spacing: 2\n",
+            "line 6: unknown grid key 'spacing'")
+
+    def test_unknown_tolerance_key(self):
+        self.expect(
+            "operator:\n  kind: abs_subdiff\n  slope: 1\n"
+            "tolerance:\n  eps_eq: 1e-8\n  slack: 1\n",
+            "line 6: unknown tolerance key 'slack'")
+
+    def test_rejected_grid_is_tagged_at_its_block(self):
+        self.expect(
+            "operator:\n  kind: abs_subdiff\n  slope: 1\n"
+            "grid:\n  dual_bound: 4\n  resolution: 1\n",
+            "line 4: grid resolutions must be at least 2")
+
+    def test_rejected_tolerance_is_tagged_at_its_block(self):
+        self.expect(
+            "operator:\n  kind: abs_subdiff\n  slope: 1\n"
+            "tolerance:\n  eps_strict: 1e-6\n  eps_eq: 1e-3\n",
+            "line 4: eps_eq must not exceed eps_strict")
+
     def test_operator_validation_is_line_tagged(self):
         # a semantically invalid operator surfaces at the operator line
         self.expect(
