@@ -9,7 +9,7 @@ remaining shapes the calculus needs.
 Points are (N, n) float arrays of rows. Each shape answers membership and
 the Chebyshev distance to its closure for many rows at once (contains_rows,
 distance_inf_rows), which reject rows of another width than the region's
-dimension; the scalar contains and distance_inf are one-row calls.
+dimension; the scalar contains is a one-row call.
 Every lattice is built as rows by lattice_rows, and grid_sample and
 GridSpec.dual_lattice are tuple views of those arrays. GridSpec.dual_rows
 builds the clipped dual box's lattice from its one axis, as lattice_rows
@@ -28,7 +28,8 @@ from .errors import DimensionMismatch, RegionError
 
 
 class Region:
-    """Abstract convex region with membership, support, and sampling hooks."""
+    """Abstract convex region: membership, distance, closure and the
+    bounding box that lattice_rows samples."""
 
     dimension: int
 
@@ -55,23 +56,12 @@ class Region:
     def closure(self) -> "Region":
         raise NotImplementedError
 
-    def interior(self) -> "Region":
-        raise NotImplementedError
-
     def is_empty(self) -> bool:
         raise NotImplementedError
 
-    def support(self, direction) -> float:
-        """sup of <x, direction> over the region; -inf when empty."""
-        raise NotImplementedError
-
-    def distance_inf(self, x) -> float:
-        """Chebyshev distance from x to the closure; +inf when empty. A
-        one-row call of distance_inf_rows."""
-        return float(self.distance_inf_rows(self._point_row(x))[0])
-
     def distance_inf_rows(self, xs: np.ndarray) -> np.ndarray:
-        """distance_inf at every row of an (N, n) array."""
+        """Chebyshev distance from every row of an (N, n) array to the
+        closure; +inf when the region is empty."""
         return self._distance_inf_rows(self._checked(xs))
 
     def _distance_inf_rows(self, xs: np.ndarray) -> np.ndarray:
@@ -80,14 +70,6 @@ class Region:
     def bounding_box(self, clip: "Box") -> "Box":
         """A closed finite box containing region-intersect-clip."""
         raise NotImplementedError
-
-    @property
-    def algebraically_open(self) -> bool:
-        return False
-
-    @property
-    def is_closed(self) -> bool:
-        return False
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -152,11 +134,6 @@ class Box(Region):
     def interior(self) -> "Box":
         n = self.dimension
         return Box(self.lower, self.upper, (True,) * n, (True,) * n)
-
-    @property
-    def algebraically_open(self) -> bool:
-        return (not self.is_empty()
-                and all(self.lower_open) and all(self.upper_open))
 
     @property
     def is_closed(self) -> bool:
@@ -278,17 +255,6 @@ class HalfSpace(Region):
     def closure(self) -> "HalfSpace":
         return HalfSpace(self.normal, self.offset, True)
 
-    def interior(self) -> "HalfSpace":
-        return HalfSpace(self.normal, self.offset, False)
-
-    @property
-    def algebraically_open(self) -> bool:
-        return not self.closed
-
-    @property
-    def is_closed(self) -> bool:
-        return self.closed
-
     def _distance_inf_rows(self, xs):
         excess = self._values(xs) - self.offset
         return np.where(excess <= 0, 0.0,
@@ -326,17 +292,6 @@ class Intersection(Region):
 
     def closure(self) -> "Region":
         return Intersection(self.first.closure(), self.second.closure())
-
-    def interior(self) -> "Region":
-        return Intersection(self.first.interior(), self.second.interior())
-
-    @property
-    def algebraically_open(self) -> bool:
-        return self.first.algebraically_open and self.second.algebraically_open
-
-    @property
-    def is_closed(self) -> bool:
-        return self.first.is_closed and self.second.is_closed
 
     def _distance_inf_rows(self, xs):
         # Lower bound: the true distance to the intersection can be larger.
@@ -382,13 +337,8 @@ _AXIS_RE = re.compile(
 
 
 def _parse_bound(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "+inf"):
-        return INF
-    if t == "-inf":
-        return -INF
     try:
-        return float(t)
+        return float(text)
     except ValueError as exc:
         raise RegionError(f"bad bound literal {text!r}") from exc
 

@@ -18,12 +18,11 @@ Blank lines and lines starting with # are ignored.
 """
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 
 from .core import DEFAULT_TOL, Tolerance
-from .errors import (MonokitError, RegionError, SpecFormatError,
-                     ToleranceError)
+from .errors import MonokitError, RegionError, SpecFormatError
 from .operators import OPERATOR_FIELDS, OperatorHandle, build_operator
 from .regions import GridSpec, Region, box_from_literal
 from .verdicts import Property
@@ -119,13 +118,8 @@ def _parse_block(lines: list[_Line], i: int, indent: int):
 def _as_float(raw, line) -> float:
     if not isinstance(raw, str):
         raise SpecFormatError("expected a number", line=line)
-    t = raw.strip().lower()
-    if t in ("inf", "+inf"):
-        return math.inf
-    if t == "-inf":
-        return -math.inf
     try:
-        return float(t)
+        return float(raw)
     except ValueError:
         raise SpecFormatError(f"bad number {raw!r}", line=line) from None
 
@@ -253,42 +247,30 @@ def parse_spec(text: str) -> RunConfig:
             names.append(_PROPERTY_NAMES[raw])
         properties = tuple(names)
 
-    grid = GridSpec()
-    if "grid" in tree:
-        grid_line, grid_node = tree["grid"]
-        grid_node = _require_dict(grid_node, grid_line, "grid")
-        fields = {}
-        for key, (key_line, raw) in grid_node.items():
-            if key in ("resolution", "dual_resolution"):
-                fields[key] = _as_int(raw, key_line)
-            elif key in ("dual_bound", "ambient_bound"):
-                fields[key] = _as_float(raw, key_line)
-            else:
-                raise SpecFormatError(f"unknown grid key {key!r}",
-                                      line=key_line)
-        try:
-            grid = GridSpec(**fields)
-        except RegionError as exc:
-            raise SpecFormatError(str(exc), line=grid_line) from None
-
-    tol = DEFAULT_TOL
-    if "tolerance" in tree:
-        tol_line, tol_node = tree["tolerance"]
-        tol_node = _require_dict(tol_node, tol_line, "tolerance")
-        fields = {}
-        for key, (key_line, raw) in tol_node.items():
-            if key not in ("eps_eq", "eps_strict", "delta_dom"):
-                raise SpecFormatError(f"unknown tolerance key {key!r}",
-                                      line=key_line)
-            fields[key] = _as_float(raw, key_line)
-        try:
-            tol = Tolerance(
-                eps_eq=fields.get("eps_eq", DEFAULT_TOL.eps_eq),
-                eps_strict=fields.get("eps_strict", DEFAULT_TOL.eps_strict),
-                delta_dom=fields.get("delta_dom", DEFAULT_TOL.delta_dom),
-            )
-        except ToleranceError as exc:
-            raise SpecFormatError(str(exc), line=tol_line) from None
-
     return RunConfig(operator=operator, window=window, target=target,
-                     properties=properties, grid=grid, tol=tol)
+                     properties=properties,
+                     grid=_settings(tree, "grid", GridSpec()),
+                     tol=_settings(tree, "tolerance", DEFAULT_TOL))
+
+
+def _settings(tree, name: str, default):
+    """The `grid:` or `tolerance:` block read over its default dataclass:
+    each key names one of its fields, int fields are read with _as_int and
+    the others with _as_float, and a combination the dataclass rejects is
+    reported at the block's line."""
+    if name not in tree:
+        return default
+    line, node = tree[name]
+    node = _require_dict(node, line, name)
+    fields = {}
+    for key, (key_line, raw) in node.items():
+        if key not in {f.name for f in dataclasses.fields(default)}:
+            raise SpecFormatError(f"unknown {name} key {key!r}",
+                                  line=key_line)
+        read = _as_int if isinstance(getattr(default, key), int) \
+            else _as_float
+        fields[key] = read(raw, key_line)
+    try:
+        return dataclasses.replace(default, **fields)
+    except MonokitError as exc:
+        raise SpecFormatError(str(exc), line=line) from None

@@ -269,7 +269,8 @@ class TestDyadicFamily:
         assert len(fam1.regions) == 3
         fam2 = dyadic_open_boxes(interval(-1.0, 1.0), 2)
         assert len(fam2.regions) == 10
-        assert all(b.algebraically_open for b in fam2.regions)
+        assert all(all(b.lower_open) and all(b.upper_open)
+                   and not b.is_empty() for b in fam2.regions)
         assert fam2.rule == "dyadic-open-boxes-2"
 
     def test_domain_filter(self):

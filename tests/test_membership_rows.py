@@ -13,7 +13,6 @@ lattice_rows is checked against the itertools.product builder it replaced,
 on the bytes of the arrays, so the sign of every zero counts.
 """
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -425,7 +424,6 @@ def test_region_rows_are_the_point_answers(case, points):
     assert [region.contains(x) for x in xs.tolist()] == want
     want = [ref_distance_inf(region, x) for x in xs.tolist()]
     assert region.distance_inf_rows(xs).tolist() == want
-    assert [region.distance_inf(x) for x in xs.tolist()] == want
 
 
 @given(lattice_regions(), st.booleans())
@@ -457,7 +455,6 @@ def test_empty_box_is_infinitely_far():
     box = Box((1.0,), (1.0,), (True,), (False,))
     assert box.distance_inf_rows(np.array([[1.0], [0.0]])).tolist() \
         == [INF, INF]
-    assert math.isinf(box.distance_inf(1.0))
 
 
 @pytest.mark.parametrize("dual_bound, ambient_bound",

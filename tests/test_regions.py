@@ -36,7 +36,6 @@ class TestBoxMembership:
         b = interval(0.0, 1.0, lo_open=True, hi_open=True)
         assert b.closure().contains([0.0])
         assert not b.interior().contains([0.0])
-        assert b.algebraically_open
         assert not b.is_closed
         assert b.closure().is_closed
 
