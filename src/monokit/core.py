@@ -53,6 +53,14 @@ def as_vector(v) -> tuple[float, ...]:
     return t
 
 
+def require_finite(values, what: str) -> None:
+    """Reject operator data with an infinite or nan value: it turns the
+    pairings into nan, and every gap test then fails at one point paired
+    with itself. Box bounds may be infinite, so as_vector allows inf."""
+    if not all(math.isfinite(c) for c in values):
+        raise ValidationError(f"{what} must be finite")
+
+
 class PrimalDualPoint(NamedTuple):
     """A pair z = (x, x*) with both components of the same dimension."""
 

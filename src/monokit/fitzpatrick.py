@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .convex import Envelope, envelope_eval
-from .core import (INF, PrimalDualPoint, Tolerance, coupling_rows,
+from .core import (PrimalDualPoint, Tolerance, coupling_rows,
                    distinct_rows, pairing_below_rows, point_rows, row_points)
 from .errors import BelowCoupling
 from .operators import OperatorHandle
@@ -186,13 +186,19 @@ def _representative(h, T: OperatorHandle, V: Region, g: GridSpec,
             f"candidate dips to {hv[i].item()} below coupling {c[i].item()}",
             witness=row_points(rows[i:i + 1])[0])
     band = rows[np.abs(hv - c) <= tol.eps_eq]
-    failures = band[~T.graph_contains_rows(band, tol)]
-    gv = values[len(rows):]
-    off = (gv == INF) | (np.abs(gv - coupling_rows(graph)) > tol.eps_eq)
-    if off.any():
-        # Each off-band graph row once, unless a (distinct) scan row failed.
-        failures = np.vstack([failures, graph[off]])
-        failures = failures[distinct_rows(failures)[0]]
+    failures = _with_off_band(band[~T.graph_contains_rows(band, tol)],
+                              graph, values[len(rows):], tol.eps_eq)
     return finish(Property.V_REPRESENTABLE, failures,
                   approximate=not T.enumeration_exact, grid=g, tol=tol,
                   region_ids=(V.describe(),))
+
+
+def _with_off_band(failures: np.ndarray, graph: np.ndarray,
+                   values: np.ndarray, margin: float) -> np.ndarray:
+    """failures plus each graph row whose value lies more than margin off
+    its coupling, once, unless a (distinct) scan row failed there too."""
+    off = np.abs(values - coupling_rows(graph)) > margin
+    if not off.any():
+        return failures
+    failures = np.vstack([failures, graph[off]])
+    return failures[distinct_rows(failures)[0]]

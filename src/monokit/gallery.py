@@ -149,17 +149,15 @@ SCENARIOS = {
     "sum-evidence": scenario_sum_evidence,
 }
 
-_ORDER = ("vbar", "point-complement", "normal-cone", "sum-evidence")
-
 
 def run_gallery(name: str) -> tuple[dict, bool]:
     """Run one scenario or all; returns the report tree and overall pass."""
     if name == "all":
-        names = _ORDER
+        names = tuple(SCENARIOS)
     elif name in SCENARIOS:
         names = (name,)
     else:
-        known = ", ".join(_ORDER)
+        known = ", ".join(SCENARIOS)
         raise KeyError(f"unknown scenario {name!r}; known: {known}, all")
     scenarios = {}
     all_passed = True

@@ -43,7 +43,7 @@ import numpy as np
 from . import core
 from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, as_vector,
                    coupling_rows, max_pairing_rows, mr_rows, point_rows,
-                   row_points)
+                   require_finite, row_points)
 from .errors import (DimensionMismatch, MonokitError, ValidationError)
 from .regions import (Box, GridSpec, Region, box_from_literal, closed_box,
                       intersect_regions, interval, lattice_rows, whole_space)
@@ -259,6 +259,8 @@ class FiniteGraph(OperatorHandle):
             raise DimensionMismatch("graph points disagree in dimension")
         if len(set(self.points)) != len(self.points):
             raise ValidationError("graph points must be pairwise distinct")
+        for p in self.points:
+            require_finite(p.x + p.xstar, "graph points")
 
     @property
     def dimension(self) -> int:
@@ -321,6 +323,7 @@ class Flat(OperatorHandle):
 
     def __post_init__(self):
         object.__setattr__(self, "wstar", as_vector(self.wstar))
+        require_finite(self.wstar, "wstar")
         if self.region.dimension != len(self.wstar):
             raise DimensionMismatch("region and dual value disagree in dimension")
 
@@ -450,6 +453,7 @@ class AbsSubdiff(OperatorHandle):
     def __post_init__(self):
         if not self.slope > 0:
             raise ValidationError("slope must be positive")
+        require_finite((self.slope,), "slope")
 
     @property
     def dimension(self) -> int:
@@ -507,6 +511,7 @@ class PointComplement(OperatorHandle):
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", as_vector(self.anchor))
+        require_finite(self.anchor, "anchor")
 
     @property
     def dimension(self) -> int:
@@ -561,6 +566,7 @@ class Linear(OperatorHandle):
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("matrix must be square")
+        require_finite(m.ravel(), "matrix entries")
         sym = (m + m.T) / 2.0
         if np.linalg.eigvalsh(sym).min() < -1e-9:
             raise ValidationError(

@@ -383,6 +383,8 @@ class GridSpec:
             raise RegionError("grid resolutions must be at least 2")
         if self.dual_bound <= 0 or self.ambient_bound <= 0:
             raise RegionError("grid bounds must be positive")
+        if not (self.dual_bound < INF and self.ambient_bound < INF):
+            raise RegionError("grid bounds must be finite")
 
     def primal_clip(self, n: int) -> Box:
         return closed_box((-self.ambient_bound,) * n, (self.ambient_bound,) * n)

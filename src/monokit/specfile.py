@@ -126,7 +126,7 @@ def _as_float(raw, line) -> float:
 
 def _as_int(raw, line) -> int:
     v = _as_float(raw, line)
-    if v != int(v):
+    if not v.is_integer():
         raise SpecFormatError(f"expected an integer, got {raw!r}", line=line)
     return int(v)
 

@@ -29,7 +29,7 @@ from . import core
 from .core import (INF, PrimalDualPoint, Tolerance, coupling_rows,
                    distinct_rows, point_rows)
 from .errors import UnsatisfiedHypothesis, ValidationError
-from .fitzpatrick import _coupling_envelope, scan_rows
+from .fitzpatrick import _coupling_envelope, _with_off_band, scan_rows
 from .operators import (NormalConeBox, OperatorHandle, PairSum,
                         SumNormalCone, is_monotone, meets_domain,
                         with_defaults)
@@ -217,12 +217,8 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
     band = np.abs(rho - c) <= tol.eps_eq
     pick = rows[below | band]
     fail = below[below | band] | ~S.graph_contains_rows(pick, tol)
-    failures = pick[fail]
-    off = np.abs(values[len(rows):] - coupling_rows(graph)) > 10.0 * tol.eps_eq
-    if off.any():
-        # Each off-band graph row once, unless a (distinct) scan row failed.
-        failures = np.vstack([failures, graph[off]])
-        failures = failures[distinct_rows(failures)[0]]
+    failures = _with_off_band(pick[fail], graph, values[len(rows):],
+                              10.0 * tol.eps_eq)
     return finish(Property.V_REPRESENTABLE, failures,
                   approximate=machine.approximate or not S.enumeration_exact,
                   grid=g, tol=tol, region_ids=(V.describe(),),

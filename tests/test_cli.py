@@ -146,6 +146,38 @@ def test_spec_error_rendering(tmp_path, capsys):
     assert "spec error: line 5: unknown field 'bogus' for kind 'flat'" in err
 
 
+NON_FINITE = [
+    ("  resolution: inf\n", 5),
+    ("  resolution: nan\n", 5),
+    ("  dual_bound: nan\n", 4),
+    ("  ambient_bound: inf\n", 4),
+]
+
+
+def non_finite_spec(tmp_path, grid_line):
+    return write(tmp_path, "operator:\n  kind: abs_subdiff\n  slope: 1\n"
+                 "grid:\n" + grid_line)
+
+
+@pytest.mark.parametrize("grid_line, line", NON_FINITE)
+def test_non_finite_spec_value_is_exit_2(tmp_path, capsys, grid_line, line):
+    code = main(["classify", "--spec", non_finite_spec(tmp_path, grid_line)])
+    assert code == 2
+    assert f"spec error: line {line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid_line, line", NON_FINITE)
+def test_non_finite_spec_value_is_exit_2_from_the_module(tmp_path, grid_line,
+                                                        line):
+    proc = subprocess.run(
+        [sys.executable, "-m", "monokit.cli", "classify", "--spec",
+         non_finite_spec(tmp_path, grid_line)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"spec error: line {line}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_gallery_single_scenario(tmp_path, capsys):
     report = tmp_path / "gallery.txt"
     code = main(["gallery", "--name", "vbar", "--out", str(report)])

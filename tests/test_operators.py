@@ -573,3 +573,29 @@ class TestMonotoneVerdicts:
             assert monotone_gap(z, w) < -TOL.eps_eq
             return
         pytest.fail("no shuffle produced a non-monotone graph")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Linear(((NAN, 0.0), (0.0, 1.0))),
+    lambda: Linear(((1.0, 0.0), (0.0, INF))),
+    lambda: AbsSubdiff(INF),
+    lambda: Flat(interval(0.0, 1.0), (INF,)),
+    lambda: PointComplement((INF,)),
+    lambda: FiniteGraph((pdp(0.0, 0.0), pdp(INF, 1.0))),
+    lambda: FiniteGraph((pdp(0.0, 0.0), pdp(1.0, -INF))),
+], ids=["linear-nan", "linear-inf", "abs-inf", "flat-inf", "complement-inf",
+        "graph-inf-primal", "graph-inf-dual"])
+def test_non_finite_operator_data_is_rejected(make):
+    # Accepted, these made is_monotone false at one point paired with itself.
+    with pytest.raises(ValidationError, match="must be finite"):
+        make()
+
+
+def test_rejections_of_nan_keep_their_messages():
+    with pytest.raises(ValidationError, match="slope must be positive"):
+        AbsSubdiff(NAN)
+    with pytest.raises(ValidationError, match="must not be nan"):
+        Flat(interval(0.0, 1.0), (NAN,))

@@ -156,6 +156,16 @@ class TestHalfSpaceAndPolytope:
         assert not r.contains([1.5])
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dual_bound", 0.0, "positive"), ("ambient_bound", -1.0, "positive"),
+    ("dual_bound", float("nan"), "finite"),
+    ("dual_bound", float("inf"), "finite"),
+    ("ambient_bound", float("inf"), "finite")])
+def test_grid_bounds_are_positive_and_finite(field, value, message):
+    with pytest.raises(RegionError, match=f"grid bounds must be {message}"):
+        GridSpec(**{field: value})
+
+
 class TestGridSampling:
     def test_closed_interval_lattice(self):
         pts = grid_sample(interval(0.0, 1.0), GridSpec(), resolution=5)

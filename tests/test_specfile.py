@@ -203,6 +203,31 @@ class TestRejection:
             "tolerance:\n  eps_strict: 1e-6\n  eps_eq: 1e-3\n",
             "line 4: eps_eq must not exceed eps_strict")
 
+    @pytest.mark.parametrize("key, value", [
+        ("resolution", "inf"), ("resolution", "nan"),
+        ("dual_resolution", "-inf")])
+    def test_non_finite_resolution(self, key, value):
+        # int() of these raised OverflowError or ValueError, uncaught
+        self.expect(
+            "operator:\n  kind: abs_subdiff\n  slope: 1\n"
+            f"grid:\n  {key}: {value}\n",
+            f"line 5: expected an integer, got {value!r}")
+
+    @pytest.mark.parametrize("key, value", [
+        ("dual_bound", "nan"), ("dual_bound", "inf"),
+        ("ambient_bound", "inf")])
+    def test_non_finite_grid_bound(self, key, value):
+        self.expect(
+            "operator:\n  kind: abs_subdiff\n  slope: 1\n"
+            f"grid:\n  resolution: 5\n  {key}: {value}\n",
+            "line 4: grid bounds must be finite")
+
+    def test_non_finite_operator_data(self):
+        self.expect(
+            "operator:\n  kind: linear\n  matrix:\n"
+            "    - [1, 0]\n    - [0, inf]\n",
+            "line 1: matrix entries must be finite")
+
     def test_operator_validation_is_line_tagged(self):
         # a semantically invalid operator surfaces at the operator line
         self.expect(
