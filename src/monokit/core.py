@@ -57,7 +57,7 @@ def require_finite(values, what: str) -> None:
     """Reject operator data with an infinite or nan value: it turns the
     pairings into nan, and every gap test then fails at one point paired
     with itself. Box bounds may be infinite, so as_vector allows inf."""
-    if not all(math.isfinite(c) for c in values):
+    if not all(map(math.isfinite, values)):
         raise ValidationError(f"{what} must be finite")
 
 

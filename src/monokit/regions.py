@@ -35,7 +35,7 @@ class Region:
 
     def contains(self, x) -> bool:
         """Membership of one point: a one-row call of contains_rows."""
-        return bool(self.contains_rows(self._point_row(x))[0])
+        return bool(self.contains_rows(np.array([as_vector(x)]))[0])
 
     def contains_rows(self, xs: np.ndarray) -> np.ndarray:
         """Boolean mask: which rows of an (N, n) array lie in the region."""
@@ -48,10 +48,6 @@ class Region:
         if xs.shape[1] != self.dimension:
             raise DimensionMismatch("point dimension does not match region")
         return xs
-
-    @staticmethod
-    def _point_row(x) -> np.ndarray:
-        return np.array([as_vector(x)])
 
     def closure(self) -> "Region":
         raise NotImplementedError

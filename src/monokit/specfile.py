@@ -262,9 +262,10 @@ def _settings(tree, name: str, default):
         return default
     line, node = tree[name]
     node = _require_dict(node, line, name)
+    names = {f.name for f in dataclasses.fields(default)}
     fields = {}
     for key, (key_line, raw) in node.items():
-        if key not in {f.name for f in dataclasses.fields(default)}:
+        if key not in names:
             raise SpecFormatError(f"unknown {name} key {key!r}",
                                   line=key_line)
         read = _as_int if isinstance(getattr(default, key), int) \

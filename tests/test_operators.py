@@ -589,7 +589,6 @@ NAN = float("nan")
 ], ids=["linear-nan", "linear-inf", "abs-inf", "flat-inf", "complement-inf",
         "graph-inf-primal", "graph-inf-dual"])
 def test_non_finite_operator_data_is_rejected(make):
-    # Accepted, these made is_monotone false at one point paired with itself.
     with pytest.raises(ValidationError, match="must be finite"):
         make()
 

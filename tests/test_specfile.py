@@ -207,7 +207,6 @@ class TestRejection:
         ("resolution", "inf"), ("resolution", "nan"),
         ("dual_resolution", "-inf")])
     def test_non_finite_resolution(self, key, value):
-        # int() of these raised OverflowError or ValueError, uncaught
         self.expect(
             "operator:\n  kind: abs_subdiff\n  slope: 1\n"
             f"grid:\n  {key}: {value}\n",
