@@ -10,16 +10,17 @@ leaving row, then pivots them all at once. Every rule reads one tableau
 only, so each row's outcome is bit for bit the one it gets when solved
 alone, and never depends on the rows beside it. `solve` is the one-row call.
 
-Pricing is Dantzig's: the column with the most negative reduced cost
-enters. A tableau that makes a degenerate pivot (its leaving row's
-right-hand side is at most the pivot threshold) prices by Bland's rule, the
-lowest-index negative reduced cost, for the rest of that phase. Before the
-switch every pivot lowers the objective, so no basis repeats; after it
-Bland's rule rules out cycling. Phase one is bounded below, so it prices
-only columns with an entry above the pivot threshold. The ratio test takes
-the least ratio over rows with an entry above the pivot threshold, and
-ratios within the threshold of it go to the row whose basic variable has
-the lowest index, as Bland's rule needs.
+Pricing is Dantzig's, the most negative reduced cost enters, except right
+after a degenerate pivot (its leaving row's right-hand side is at most the
+pivot threshold): then the lowest-index negative one enters, Bland's rule,
+until a pivot is nondegenerate again. A run of degenerate pivots under
+Bland's rule is finite (Bland 1977, "New finite pivoting rules for the
+simplex method"), and a nondegenerate pivot strictly lowers the objective,
+which no pivot raises, so no earlier basis recurs and the method ends.
+Phase one is bounded below, so it prices only columns with an entry above
+the pivot threshold. The ratio test takes the least ratio over rows with an
+entry above the threshold; ties within it go to the row whose basic
+variable has the lowest index, as Bland's rule needs.
 
 At the optimum, x is read off the tableau and then corrected by one solve
 with the final basis columns of the data, so that the rounding a tableau
@@ -88,52 +89,48 @@ def _pivot(tab, cost, basis, live, lps, rows, cols):
     basis[lps, rows] = cols
 
 
-def _leaving_rows(tab, basis, live, lps, cols):
-    """The ratio test of every tableau in lps on its entering column: the
-    least ratio over live rows whose entry exceeds the pivot threshold,
-    ties within the threshold to the row whose basic variable has the
-    lowest index; -1 where no row qualifies."""
-    if not tab.shape[1]:  # no equations: every entering column is a ray
-        return np.full(lps.size, -1)
-    col = tab[lps, :, cols]
-    ok = live[lps] & (col > _PIVOT_TOL)
-    ratio = np.divide(tab[lps, :, -1], col, out=np.full(col.shape, np.inf),
-                      where=ok)
-    tie = ok & (ratio <= ratio.min(axis=1, keepdims=True) + _PIVOT_TOL)
-    pick = np.where(tie, basis[lps], _NO_TIE).argmin(axis=1)
-    return np.where(ok.any(axis=1), pick, -1)
-
-
-def _iterate(tab, cost, basis, live, lps, ncols, bounded=False):
-    """Pivot the tableaus in lps (sorted) until each is optimal or
-    unbounded; returns the (optimal, unbounded) tableau indices, the
-    optimal ones sorted. The most negative reduced cost enters until a
-    tableau makes a degenerate pivot, the lowest-index negative one from
-    then on. A bounded program (phase one) prices only columns with a live
-    entry above the pivot threshold, so none of its tableaus is unbounded."""
-    bland = np.zeros(len(tab), dtype=bool)
-    optimal, unbounded = [lps[:0]], [lps[:0]]
+def _iterate(tab, cost, basis, live, ncols, bounded=False):
+    """Pivot every tableau until it is optimal or unbounded; returns the
+    sorted (optimal, unbounded) tableau indices. Dantzig's rule prices,
+    except right after a degenerate pivot, when Bland's rule does: a run of
+    degenerate pivots is then finite, and the pivot that ends it lowers the
+    objective. Phase one (bounded, every row live) prices only columns with
+    an entry above the pivot threshold, so none of its tableaus is
+    unbounded. The tableaus still pivoting are compact copies that a step
+    pivots whole; a tableau is written back when it stops."""
+    at = lps = np.arange(len(tab))
+    if not (ncols and tab.shape[1]):  # nothing to price, or no row to leave
+        ray = (cost[:, :ncols] < -_COST_TOL).any(axis=1)
+        return lps[~ray], lps[ray]
+    t, c, bs, lv, bland, ray = tab, cost, basis, live, lps < 0, lps < 0
     while lps.size:
-        red = cost[lps, :ncols]
+        red = c[:, :ncols]
         neg = red < -_COST_TOL
         if bounded:
-            neg &= ((tab[lps, :, :ncols] > _PIVOT_TOL)
-                    & live[lps, :, None]).any(axis=1)
-        going = neg.any(axis=1)
-        optimal.append(lps[~going])
-        lps, neg, red = lps[going], neg[going], red[going]
-        if not lps.size:
-            break
-        cols = np.where(bland[lps], neg.argmax(axis=1),
+            neg &= np.fmax.reduce(t[:, :, :ncols], axis=1) > _PIVOT_TOL
+        cols = np.where(bland, neg.argmax(axis=1),
                         np.where(neg, red, np.inf).argmin(axis=1))
-        rows = _leaving_rows(tab, basis, live, lps, cols)
-        stuck = rows < 0
-        unbounded.append(lps[stuck])
-        lps, rows, cols = lps[~stuck], rows[~stuck], cols[~stuck]
-        if lps.size:
-            bland[lps] |= tab[lps, rows, -1] <= _PIVOT_TOL
-            _pivot(tab, cost, basis, live, lps, rows, cols)
-    return np.sort(np.concatenate(optimal)), np.concatenate(unbounded)
+        # The ratio test, over live rows with an entry above the threshold.
+        col = t[at, :, cols]
+        ok = lv & (col > _PIVOT_TOL)
+        ratio = np.divide(t[:, :, -1], col, out=np.full(col.shape, np.inf),
+                          where=ok)
+        tie = ok & (ratio <= ratio.min(axis=1, keepdims=True) + _PIVOT_TOL)
+        rows = np.where(tie, bs, _NO_TIE).argmin(axis=1)
+        going = neg.any(axis=1)
+        go = going & ok.any(axis=1)
+        if not go.all():
+            stop = lps[~go]
+            tab[stop], cost[stop], basis[stop] = t[~go], c[~go], bs[~go]
+            ray[lps[going & ~go]] = True
+            lps, t, c, bs, lv, rows, cols = (
+                v[go] for v in (lps, t, c, bs, lv, rows, cols))
+            if not lps.size:
+                break
+            at = np.arange(lps.size)
+        bland = t[at, rows, -1] <= _PIVOT_TOL
+        _pivot(t, c, bs, lv, at, rows, cols)
+    return np.flatnonzero(~ray), np.flatnonzero(ray)
 
 
 def _outcomes(c, a, rhs, basis, start, scale) -> list:
@@ -153,11 +150,15 @@ def _outcomes(c, a, rhs, basis, start, scale) -> list:
     x = np.zeros((n, k + m))
     x[at, basis] = start
     mat = np.hstack([a, np.eye(m)])[:, basis].transpose(1, 0, 2)
-    solvable = np.linalg.slogdet(mat)[0] != 0.0
     gap = rhs - (a * x[:, None, :k]).sum(axis=2)
-    step = np.zeros((n, m))
-    step[solvable] = np.linalg.solve(mat[solvable],
-                                     gap[solvable, :, None])[:, :, 0]
+    try:
+        step = np.linalg.solve(mat, gap[:, :, None])[:, :, 0]
+        solvable = np.ones(n, dtype=bool)
+    except np.linalg.LinAlgError:  # some basis is singular: find which
+        solvable = np.linalg.slogdet(mat)[0] != 0.0
+        step = np.zeros((n, m))
+        step[solvable] = np.linalg.solve(mat[solvable],
+                                         gap[solvable, :, None])[:, :, 0]
     x[at, basis] += step
     x = np.ascontiguousarray(x[:, :k])
     low = x.min(axis=1, initial=0.0)
@@ -169,13 +170,10 @@ def _outcomes(c, a, rhs, basis, start, scale) -> list:
                  for xi, v in zip(x, value.tolist())]
     for i in np.flatnonzero(~(solvable & (low >= -bound)
                               & (residual <= bound))):
-        if not solvable[i]:
-            out[i] = LPNumericalError("singular final basis")
-        elif low[i] < -bound[i]:
-            out[i] = LPNumericalError(f"basic variable {low[i]:.3e} below zero")
-        else:
-            out[i] = LPNumericalError(
-                f"solution residual {residual[i]:.3e} exceeds {_FEAS_TOL:g}")
+        out[i] = LPNumericalError(
+            "singular final basis" if not solvable[i]
+            else f"basic variable {low[i]:.3e} below zero" if low[i] < -bound[i]
+            else f"solution residual {residual[i]:.3e} exceeds {_FEAS_TOL:g}")
     return out
 
 
@@ -200,15 +198,14 @@ def _solve_block(c, a, rhs) -> list:
     cost[:, k:k + m] = 1.0
     for r in range(m):
         cost -= cost[:, k + r, None] * tab[:, r]
-    feasible, _ = _iterate(tab, cost, basis, live, np.arange(len(b)), k + m,
-                           bounded=True)
+    feasible, _ = _iterate(tab, cost, basis, live, k + m, bounded=True)
     short = -cost[feasible, -1] > _FEAS_TOL * scale[feasible]
     for i in feasible[short]:
         out[i] = LPSolution(LPStatus.INFEASIBLE, None, None)
     feasible = feasible[~short]
 
     # Drive leftover artificials out of the basis; mask redundant rows.
-    for r in range(m):
+    for r in np.flatnonzero((basis[feasible] >= k).any(axis=0)):
         lps = feasible[basis[feasible, r] >= k]
         big = np.abs(tab[lps, r, :k]) > _PIVOT_TOL
         found = big.any(axis=1)
@@ -223,20 +220,21 @@ def _solve_block(c, a, rhs) -> list:
         if bad.any():
             feasible = np.setdiff1d(feasible, lost[bad])
 
-    # Phase two with the real objective.
-    cost[feasible] = 0.0
-    cost[feasible, :k] = c
+    # Phase two with the real objective, on the feasible tableaus alone.
+    tab, basis, live = tab[feasible], basis[feasible], live[feasible]
+    cost = np.zeros((feasible.size, k + m + 1))
+    cost[:, :k] = c
+    at = np.arange(feasible.size)
     for r in range(m):
-        f = cost[feasible, basis[feasible, r]]
-        cost[feasible] = np.where(live[feasible, r, None],
-                                  cost[feasible] - f[:, None] * tab[feasible, r],
-                                  cost[feasible])
-    done, rays = _iterate(tab, cost, basis, live, feasible, k)
-    for i in rays:
+        cost = np.where(live[:, r, None],
+                        cost - cost[at, basis[:, r], None] * tab[:, r], cost)
+    done, rays = _iterate(tab, cost, basis, live, k)
+    for i in feasible[rays]:
         out[i] = LPSolution(LPStatus.UNBOUNDED, None, None)
     start = np.where(live[done], tab[done, :, -1], 0.0)
-    for i, sol in zip(done, _outcomes(c, a, rhs[done], basis[done], start,
-                                      scale[done])):
+    rows = feasible[done]
+    for i, sol in zip(rows, _outcomes(c, a, rhs[rows], basis[done], start,
+                                      scale[rows])):
         out[i] = sol
     return out
 
@@ -257,9 +255,8 @@ def solve_rows(objective, matrix, rhs_rows) -> list[LPSolution | LPNumericalErro
     if c.shape != (k,) or rhs.ndim != 2 or rhs.shape[1] != m:
         raise LPNumericalError("inconsistent problem shapes")
     out: list = [None] * len(rhs)
-    finite = np.isfinite(rhs).all(axis=1)
-    if not (np.isfinite(a).all() and np.isfinite(c).all()):
-        finite[:] = False
+    finite = (np.isfinite(rhs).all(axis=1) & np.isfinite(a).all()
+              & np.isfinite(c).all())
     for i in np.flatnonzero(~finite):
         out[i] = LPNumericalError("nonfinite data in problem")
     todo = np.flatnonzero(finite)

@@ -375,6 +375,9 @@ class GridSpec:
     ambient_bound: float = 10.0
 
     def __post_init__(self):
+        if not all(isinstance(r, (int, np.integer))
+                   for r in (self.resolution, self.dual_resolution)):
+            raise RegionError("grid resolutions must be integers")
         if self.resolution < 2 or self.dual_resolution < 2:
             raise RegionError("grid resolutions must be at least 2")
         if self.dual_bound <= 0 or self.ambient_bound <= 0:

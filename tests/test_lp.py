@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monokit import (AbsSubdiff, GridSpec, check_v_representable, core,
-                     interval, lp)
+from monokit import (AbsSubdiff, GridSpec, check_v_representable, closed_box,
+                     core, interval, lp, penot_envelope)
+from monokit.convex import envelope_rows
 from monokit.errors import LPNumericalError
 from monokit.lp import (_COST_TOL, _FEAS_TOL, _PIVOT_TOL, LPProblem,
                         LPSolution, LPStatus, solve, solve_rows)
@@ -40,9 +41,9 @@ def _ref_pivot(tableau, cost, basis, row, col):
 
 def _ref_iterate(tableau, cost, basis, ncols, bounded=False):
     """Run simplex pivots until optimal or unbounded. The most negative
-    reduced cost enters until a pivot is degenerate, the lowest-index
-    negative one from then on; a bounded program prices only columns with
-    an entry above the pivot threshold."""
+    reduced cost enters, except right after a degenerate pivot, when the
+    lowest-index negative one does; a bounded program prices only columns
+    with an entry above the pivot threshold."""
     bland = False
     while True:
         entering = -1
@@ -64,8 +65,7 @@ def _ref_iterate(tableau, cost, basis, ncols, bounded=False):
         best = min(ratios.values())
         leaving = min((r for r in rows if ratios[r] <= best + _PIVOT_TOL),
                       key=lambda r: basis[r])
-        if tableau[leaving, -1] <= _PIVOT_TOL:
-            bland = True
+        bland = tableau[leaving, -1] <= _PIVOT_TOL
         _ref_pivot(tableau, cost, basis, leaving, entering)
 
 
@@ -430,8 +430,9 @@ def test_random_lps_agree_with_linprog():
 @pytest.mark.parametrize("dual_bound", [1.0, 1e3])
 def test_envelope_lps_agree_with_linprog(dual_bound):
     """The envelope program with primal coordinates in [-2, 2] and dual
-    ones up to dual_bound, at points inside the hull of the data and at
-    points drawn from the whole box, most of them outside it."""
+    ones up to dual_bound, at points inside the hull of the data, at
+    points drawn from the whole box, most of them outside it, and at
+    points with a zero coordinate, where phase one starts degenerate."""
     for seed in range(40):
         rng = np.random.default_rng([seed, 7])
         n = int(rng.integers(1, 3))
@@ -441,8 +442,12 @@ def test_envelope_lps_agree_with_linprog(dual_bound):
         A = np.vstack([pts.T, np.ones(k)])
         inside = rng.dirichlet(np.ones(k), 4) @ pts
         anywhere = rng.uniform(-bound, bound, (4, 2 * n))
-        rhs = np.hstack([np.vstack([inside, anywhere]), np.ones((8, 1))])
-        _assert_agrees_with_linprog(rng.uniform(-2, 2, k), A, rhs, seed)
+        obj = rng.uniform(-2, 2, k)
+        zeroed = np.vstack([inside, anywhere])
+        zeroed[np.arange(8), rng.integers(0, 2 * n, 8)] = 0.0
+        rhs = np.hstack([np.vstack([inside, anywhere, zeroed]),
+                         np.ones((16, 1))])
+        _assert_agrees_with_linprog(obj, A, rhs, seed)
 
 
 def test_pinned_v_representable_scan_takes_few_lockstep_steps(monkeypatch):
@@ -462,3 +467,24 @@ def test_pinned_v_representable_scan_takes_few_lockstep_steps(monkeypatch):
     assert verdict.value is True
     assert verdict.witnesses == () and verdict.witness_count == 0
     assert len(steps) <= 80
+
+
+def test_degenerate_start_leaves_bland_pricing(monkeypatch):
+    """The |x| envelope on [-0.59, 1.41] at resolution 161, at a point
+    with a zero dual coordinate: phase one starts with a degenerate pivot,
+    and pricing goes back to the most negative reduced cost after the
+    first nondegenerate one (49 steps under Bland's rule for the rest of
+    the phase)."""
+    steps = []
+    pivot = lp._pivot
+
+    def counted(tab, cost, basis, live, lps, rows, cols):
+        steps.append(lps.size)
+        pivot(tab, cost, basis, live, lps, rows, cols)
+
+    env, _ = penot_envelope(AbsSubdiff(1.0), closed_box((-0.59,), (1.41,)),
+                            GridSpec(resolution=161, dual_resolution=161))
+    monkeypatch.setattr(lp, "_pivot", counted)
+    value = envelope_rows(env, np.array([[-0.0025, 0.0]]))
+    assert value[0] == pytest.approx(0.0125, abs=1e-12)
+    assert len(steps) <= 6

@@ -166,6 +166,19 @@ def test_grid_bounds_are_positive_and_finite(field, value, message):
         GridSpec(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("resolution", 2.5), ("dual_resolution", 9.5), ("resolution", 9.0),
+    ("resolution", "9")])
+def test_grid_resolutions_are_integers(field, value):
+    """A fractional resolution would give a lattice that is not uniform;
+    numpy integers stay accepted."""
+    with pytest.raises(RegionError, match="grid resolutions must be integers"):
+        GridSpec(**{field: value})
+    g = GridSpec(resolution=np.int64(5), dual_resolution=np.int32(3))
+    assert grid_sample(interval(0.0, 1.0), g) == [
+        (0.0,), (0.25,), (0.5,), (0.75,), (1.0,)]
+
+
 class TestGridSampling:
     def test_closed_interval_lattice(self):
         pts = grid_sample(interval(0.0, 1.0), GridSpec(), resolution=5)
