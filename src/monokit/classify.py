@@ -7,13 +7,17 @@ about the grid; they are flagged approximate whenever a consumed value came
 from a sampled rather than closed-form source.
 
 The phi-based checks build the lattice once, as the (N, 2n) array of
-[x, x*] rows from scan_rows, and hand it to the operator's phi_batch or
-mr_batch; couplings come from coupling_rows. A row's value is the one-row
-phi or mr_test would give. Each check selects the related or the strictly
-sub-coupling rows, masks their failures with the operator's row membership
-tests or the target's contains_rows, and hands those rows to finish, which
-makes the witness points. The low-representability scan masks the band
-rows that still lack a representable family member.
+[x, x*] rows from scan_rows, and ask the operator a yes/no question of
+each row: mr_batch (related to every graph point) or below_batch (phi
+strictly below coupling - eps_strict); couplings come from coupling_rows.
+Over a graph both questions run in core's early-exit threshold kernel, so
+a row is dropped at the first graph row that settles it, and a row's
+answer is the one-row mr_test or phi comparison. Each check masks the
+failures among the selected rows with the operator's row membership tests
+or the target's contains_rows, and hands those rows to finish, which makes
+the witness points. unique_extension needs phi's values for its band, so
+it calls phi_batch. The low-representability scan masks the band rows
+that still lack a representable family member.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ def _window_verdict(prop: Property, T: OperatorHandle, V: Region,
     if related:
         keep = T.mr_batch(V, rows, tol, g)
     else:
-        keep = T.phi_batch(V, rows, g) < coupling_rows(rows) - tol.eps_strict
+        keep = T.below_batch(V, rows, coupling_rows(rows) - tol.eps_strict, g)
     selected = rows[keep]
     return finish(prop, selected[fails(selected)],
                   approximate=not T.phi_is_exact(V), grid=g, tol=tol,

@@ -22,8 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core, lp
-from .core import (INF, PrimalDualPoint, max_pairing_rows, mr_rows,
-                   natural_pairing, pdp, point_rows, supremum)
+from .core import (INF, PrimalDualPoint, first_gap_failure,
+                   max_pairing_rows, natural_pairing, pdp, point_rows,
+                   supremum)
 from .errors import DimensionMismatch, LPNumericalError, MonokitError
 
 
@@ -106,7 +107,7 @@ class Envelope(ConvexFn):
         scans = self.__dict__.setdefault("_gap_scans", {})
         if eps not in scans:
             data = self._lp[2][:-1].T
-            scans[eps] = bool(mr_rows(data, data, eps).all())
+            scans[eps] = first_gap_failure(data, eps) is None
         return scans[eps]
 
 

@@ -8,15 +8,21 @@ Graphs, scan lattices and a check's failures are (N, 2n) float arrays of
 [x, x*] rows; the public API, the envelope's data and the witnesses take
 PrimalDualPoints. row_points and point_rows convert between them exactly.
 
-Every pairwise scan over point rows runs in one of three blocked kernels:
-max_pairing_rows (the max of z . w + b_w, which gives the sampled and
-finite-graph phi and the max-affine values), pairing_below_rows (whether
-every such term stays at or below a per-row threshold, which gives the
-envelope's off-band prefilter and stops on a row at its first term above)
-and mr_rows (the monotone gap test, which gives mr_batch and the pairwise
-monotone scan). All three sum in the scalar pairings' order, so they agree
-with them bit for bit, and all tile the product so no temporary exceeds
-1 MiB.
+Every pairwise scan over point rows runs in one of three blocked kernels,
+all summing in the scalar pairings' order, so they agree with them bit for
+bit, and all tiling the product so no temporary exceeds 1 MiB; each call
+reuses its block buffers through out=.
+- max_pairing_rows: the max of z . w + b_w, which gives the sampled and
+  finite-graph phi and the max-affine values.
+- The threshold kernel: whether every term of a row stays at or below a
+  per-row threshold. pairing_below_rows asks it of z . w + b_w (the
+  strict "phi below the coupling" test of vni and condition (c), and the
+  envelope's off-band prefilter); related_rows of minus the monotone gap
+  (mr_batch). A large product is visited in growing chunks of spread
+  columns, and a row leaves at the first chunk that fails it.
+- first_gap_failure: the pairwise monotone scan of a graph, over the upper
+  triangle only, in runs of rows whose pairs an interval bound may settle
+  without a gap being computed; it returns the first failing pair.
 """
 from __future__ import annotations
 
@@ -97,11 +103,31 @@ def point_rows(points: Iterable[PrimalDualPoint], n: int) -> np.ndarray:
                     dtype=float).reshape(-1, 2 * n)
 
 
+# Rows from which row_points shares one tuple per distinct part; below it
+# the sort costs more than the garbage collector saves.
+_SHARED_ROWS = 4096
+
+
 def row_points(rows: np.ndarray) -> list[PrimalDualPoint]:
-    """The inverse of point_rows: one point per [x, x*] row, in row order."""
-    cols = rows.T.tolist()
-    n = len(cols) // 2
-    return list(map(PrimalDualPoint, zip(*cols[:n]), zip(*cols[n:])))
+    """The inverse of point_rows: one point per [x, x*] row, in row order.
+
+    A lattice repeats each primal and each dual part over many rows, so
+    from _SHARED_ROWS rows on each distinct part (by bit pattern, so -0.0
+    stays apart from 0.0) becomes one tuple that all its rows share.
+    """
+    n = rows.shape[1] // 2
+    if len(rows) < _SHARED_ROWS:
+        cols = rows.T.tolist()
+        return list(map(PrimalDualPoint, zip(*cols[:n]), zip(*cols[n:])))
+    return list(map(PrimalDualPoint, _shared_tuples(rows[:, :n]),
+                    _shared_tuples(rows[:, n:])))
+
+
+def _shared_tuples(part: np.ndarray) -> list[tuple[float, ...]]:
+    """Each row of part as a tuple, rows with the same bits sharing one."""
+    first, inverse = distinct_rows(np.ascontiguousarray(part).view(np.uint64))
+    shared = list(map(tuple, part[first].tolist()))
+    return list(map(shared.__getitem__, inverse.tolist()))
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,6 +171,52 @@ def _blocks(n_rows: int, n_cols: int):
             yield slice(r0, r0 + rows), slice(c0, c0 + cols)
 
 
+class _Buffers:
+    """Three float block buffers and a boolean one of at most _BLOCK_ELEMS
+    entries, which every tile of a kernel call reuses through out=."""
+
+    def __init__(self, size: int):
+        size = min(size, _BLOCK_ELEMS)
+        self.floats = np.empty((3, size))
+        self.flags = np.empty(size, dtype=bool)
+
+    def tile(self, rows: int, cols: int):
+        """(out, tmp, prod, flags) as rows x cols blocks."""
+        k = rows * cols
+        out, tmp, prod = self.floats[:, :k].reshape(3, rows, cols)
+        return out, tmp, prod, self.flags[:k].reshape(rows, cols)
+
+
+def _pairing_terms(z, w, b, out, tmp, prod) -> None:
+    """out[k, l] = z_k . w_l + b_l for rows z and columns w (the (2n, M)
+    transpose of M rows), in _dot's order: the <x, u*> and the <u, x*>
+    terms accumulate apart, then add. A zero term may come out -0.0 where
+    the scalar sum, which starts from 0, gives 0.0."""
+    n = z.shape[1] // 2
+    np.multiply(z[:, 0, None], w[None, n], out=out)
+    np.multiply(w[None, 0], z[:, n, None], out=tmp)
+    for i in range(1, n):
+        out += np.multiply(z[:, i, None], w[None, n + i], out=prod)
+        tmp += np.multiply(w[None, i], z[:, n + i, None], out=prod)
+    out += tmp
+    out += b[None, :]
+
+
+def _negative_gaps(z, w, b, out, tmp, prod) -> None:
+    """out[k, l] = -<x_k - u_l, x*_k - u*_l> for rows z and columns w, as
+    the sum over i of (u_i - x_i)(x*_i - u*_i) in monotone_gap's order.
+    Rounding commutes with negation, so each entry is exactly minus the
+    scalar gap (up to the sign of a zero), and the gap of z and w is the
+    gap of w and z. b is unused."""
+    n = z.shape[1] // 2
+    for i in range(n):
+        acc = out if i == 0 else prod
+        np.subtract(w[None, i], z[:, i, None], out=acc)
+        acc *= np.subtract(z[:, n + i, None], w[None, n + i], out=tmp)
+        if i:
+            out += prod
+
+
 def max_pairing_rows(ws: np.ndarray, b: np.ndarray,
                      zs: np.ndarray) -> np.ndarray:
     """max over rows w = (u, u*) of ws of z . w + b_w, for every row
@@ -152,90 +224,173 @@ def max_pairing_rows(ws: np.ndarray, b: np.ndarray,
 
     Each pairing accumulates coordinate by coordinate with elementwise ops
     in _dot's order (no matmul), so every value equals the scalar
-    natural_pairing(z, w) + b_w bit for bit.
+    natural_pairing(z, w) + b_w bit for bit; adding 0.0 at the end turns a
+    -0.0 maximum back into the scalar 0.0.
     """
-    n = zs.shape[1] // 2
     out = np.full(zs.shape[0], -INF)
+    bufs = _Buffers(zs.shape[0] * ws.shape[0])
     for r, c in _blocks(zs.shape[0], ws.shape[0]):
-        z, w = zs[r], ws[c]
-        left = np.zeros((z.shape[0], w.shape[0]))
-        right = np.zeros_like(left)
-        for i in range(n):
-            left += z[:, i, None] * w[None, :, n + i]
-            right += w[None, :, i] * z[:, n + i, None]
-        left += right
-        left += b[None, c]
-        np.maximum(out[r], left.max(axis=1), out=out[r])
+        z, w = zs[r], ws[c].T
+        terms, tmp, prod, _ = bufs.tile(z.shape[0], w.shape[1])
+        _pairing_terms(z, w, b[c], terms, tmp, prod)
+        np.maximum(out[r], terms.max(axis=1), out=out[r])
+    out += 0.0
     return out
 
 
-# Columns in the first chunk of pairing_below_rows; each later chunk is
+# Columns in the first chunk of a threshold scan; each later chunk is
 # _CHUNK_GROWTH times wider, so rows that fail early cost few terms.
 _FIRST_CHUNK = 8
 _CHUNK_GROWTH = 4
 
 
-def pairing_below_rows(ws: np.ndarray, b: np.ndarray, zs: np.ndarray,
-                       thr: np.ndarray) -> np.ndarray:
-    """Whether z . w + b_w <= thr_z for every row w of ws, for every row z
-    of zs; True against no rows.
+def _one_pass(n_rows: int, n_cols: int) -> bool:
+    """Whether a scan takes one plain pass over its whole product: at most
+    _BLOCK_ELEMS // _FIRST_CHUNK terms, where ordering columns or bounding
+    runs costs more than it saves."""
+    return n_rows * n_cols <= _BLOCK_ELEMS // _FIRST_CHUNK
 
-    Each term sums in max_pairing_rows' order, so the mask equals
-    max_pairing_rows(ws, b, zs) <= thr bit for bit. The columns are visited
-    in a spread order (every stride-th one first, the stride splitting ws
-    into _FIRST_CHUNK runs), in chunks that grow by _CHUNK_GROWTH, and a
-    row leaves the scan at the first chunk holding a term above its
-    threshold. Three block buffers of at most _BLOCK_ELEMS floats serve
-    every chunk through out=, with one boolean buffer for the comparison.
+
+def _all_at_most(terms, ws: np.ndarray, b, zs: np.ndarray,
+                 thr: np.ndarray) -> np.ndarray:
+    """The threshold kernel: whether every term of row z against the rows
+    of ws is <= thr_z, for every row z of zs; True against no rows.
+    terms(z, w, b, out, tmp, prod) writes one block of terms.
+
+    A small product (_one_pass) is one plain pass. A larger one visits the
+    columns in a spread order (every stride-th one first, the stride
+    splitting ws into _FIRST_CHUNK runs), in chunks that grow by
+    _CHUNK_GROWTH, and drops a row at the first chunk holding a term above
+    its threshold; its block buffers serve every chunk. A conjunction does
+    not depend on the order of its terms, so either way the mask is the
+    full product's bit for bit.
     """
-    n = zs.shape[1] // 2
     m = ws.shape[0]
+    if _one_pass(zs.shape[0], m):
+        out, tmp, prod = np.empty((3, zs.shape[0], m))
+        terms(zs, ws.T, b, out, tmp, prod)
+        return (out <= thr[:, None]).all(axis=1)
     out = np.ones(zs.shape[0], dtype=bool)
-    stride = max(1, -(-m // _FIRST_CHUNK))
+    bufs = _Buffers(zs.shape[0] * m)
+    stride = -(-m // _FIRST_CHUNK)
     order = np.argsort(np.arange(m) % stride, kind="stable")
-    live, z, t = np.arange(zs.shape[0]), zs, np.asarray(thr, dtype=float)
-    size = min(_BLOCK_ELEMS, zs.shape[0] * m)
-    left, right, prod = (np.empty(size) for _ in range(3))
-    below = np.empty(size, dtype=bool)
+    live, z, t = np.arange(zs.shape[0]), zs, thr
     start, width = 0, min(_FIRST_CHUNK, _BLOCK_ELEMS)
     while start < m and live.size:
         cols = order[start:start + width]
-        w, bw = ws[cols], b[cols]
+        w, bw = ws[cols].T.copy(), None if b is None else b[cols]
         keep = np.empty(live.size, dtype=bool)
         for r, _ in _blocks(live.size, cols.size):
             zr = z[r]
-            shape = (zr.shape[0], cols.size)
-            lt, rt, pr, bl = (a[:shape[0] * shape[1]].reshape(shape)
-                              for a in (left, right, prod, below))
-            np.multiply(zr[:, 0, None], w[None, :, n], out=lt)
-            np.multiply(w[None, :, 0], zr[:, n, None], out=rt)
-            for i in range(1, n):
-                lt += np.multiply(zr[:, i, None], w[None, :, n + i], out=pr)
-                rt += np.multiply(w[None, :, i], zr[:, n + i, None], out=pr)
-            lt += rt
-            lt += bw[None, :]
-            keep[r] = np.less_equal(lt, t[r, None], out=bl).all(axis=1)
-        out[live[~keep]] = False
-        live, z, t = live[keep], z[keep], t[keep]
+            block, tmp, prod, flags = bufs.tile(zr.shape[0], cols.size)
+            terms(zr, w, bw, block, tmp, prod)
+            keep[r] = np.less_equal(block, t[r, None], out=flags).all(axis=1)
+        if not keep.all():
+            out[live[~keep]] = False
+            live, z, t = live[keep], z[keep], t[keep]
         start += cols.size
         width = min(width * _CHUNK_GROWTH, _BLOCK_ELEMS)
     return out
 
 
-def mr_rows(ws: np.ndarray, zs: np.ndarray, eps: float) -> np.ndarray:
-    """Whether <x - u, x* - u*> >= -eps against every row of ws, for every
-    row of zs; True against no rows. Same summation order as monotone_gap,
-    so the gap is symmetric in z and w bit for bit."""
-    n = zs.shape[1] // 2
-    out = np.ones(zs.shape[0], dtype=bool)
-    for r, c in _blocks(zs.shape[0], ws.shape[0]):
-        z, w = zs[r], ws[c]
-        gap = np.zeros((z.shape[0], w.shape[0]))
-        for i in range(n):
-            gap += ((z[:, i, None] - w[None, :, i])
-                    * (z[:, n + i, None] - w[None, :, n + i]))
-        out[r] &= (gap >= -eps).all(axis=1)
-    return out
+def pairing_below_rows(ws: np.ndarray, b: np.ndarray, zs: np.ndarray,
+                       thr: np.ndarray) -> np.ndarray:
+    """Whether z . w + b_w <= thr_z for every row w of ws, for every row z
+    of zs; True against no rows. Each term sums in max_pairing_rows'
+    order, so the mask equals max_pairing_rows(ws, b, zs) <= thr bit for
+    bit."""
+    return _all_at_most(_pairing_terms, ws, b, zs,
+                        np.asarray(thr, dtype=float))
+
+
+def related_rows(ws: np.ndarray, zs: np.ndarray, eps: float) -> np.ndarray:
+    """Whether <x - u, x* - u*> >= -eps against every row (u, u*) of ws,
+    for every row (x, x*) of zs; True against no rows. The gap sums in
+    monotone_gap's order."""
+    return _all_at_most(_negative_gaps, ws, None, zs,
+                        np.full(zs.shape[0], float(eps)))
+
+
+# Rows per run of the pairwise gap scan: one interval bound covers all the
+# gaps between two runs.
+_RUN = 64
+
+
+def _settled_runs(lo: np.ndarray, hi: np.ndarray, a: int,
+                  eps: float) -> np.ndarray:
+    """Which runs b >= a, given every run's columnwise minima lo and maxima
+    hi, have all their gaps against run a at least -eps for certain.
+
+    Over the two runs x_i - u_i lies in [lo_a - hi_b, hi_a - lo_b] and
+    x*_i - u*_i likewise, so the sum over i of the least product of the
+    interval ends bounds every gap from below (Moore 1966, "Interval
+    Analysis"). The rounding of that bound and of the kernel's gaps each
+    stay within about (n + 2) 2^-53 sum_i |x_i - u_i| |x*_i - u*_i|, a sum
+    the interval ends bound; a run is settled when the bound clears -eps
+    by twice the two errors together, (4n + 8) 2^-53 times that sum.
+    """
+    n = lo.shape[1] // 2
+    low, high = lo[a] - hi[a:], hi[a] - lo[a:]
+    ends = (low[:, :n] * low[:, n:], low[:, :n] * high[:, n:],
+            high[:, :n] * low[:, n:], high[:, :n] * high[:, n:])
+    bound = np.minimum.reduce(ends).sum(axis=1)
+    size = np.maximum(-low, high)
+    scale = (size[:, :n] * size[:, n:]).sum(axis=1)
+    return bound - (4 * n + 8) * 2.0 ** -53 * scale >= -eps
+
+
+def _first_false(ok: np.ndarray):
+    """(k, l): the first False of a 2-D mask in row-major order, if any."""
+    if ok.all():
+        return None
+    return divmod(int(ok.argmin()), ok.shape[1])
+
+
+def _first_failure(z: np.ndarray, w: np.ndarray, eps: float,
+                   bufs: _Buffers):
+    """The first (k, l) in row-major order whose gap between row z_k and
+    column w_l is not >= -eps; None when every one passes."""
+    hit = None
+    for r, c in _blocks(z.shape[0], w.shape[1]):
+        zr, wc = z[r], w[:, c]
+        gaps, tmp, prod, flags = bufs.tile(zr.shape[0], wc.shape[1])
+        _negative_gaps(zr, wc, None, gaps, tmp, prod)
+        kl = _first_false(np.less_equal(gaps, eps, out=flags))
+        if kl is not None:
+            pair = (r.start + kl[0], c.start + kl[1])
+            hit = pair if hit is None else min(hit, pair)
+    return hit
+
+
+def first_gap_failure(rows: np.ndarray, eps: float):
+    """The first pair (i, j), i < j in lexicographic order, of rows whose
+    gap <x - u, x* - u*> is not >= -eps; None when every pair passes.
+
+    The gap kernel is symmetric bit for bit, so the first row with a
+    failing partner is the pair's i, and each of its failing partners
+    comes after it. A small graph (_one_pass) takes the whole product in
+    one pass; a larger one is cut into runs of _RUN rows, and each run is
+    scanned only against itself and the runs after it that _settled_runs
+    leaves open.
+    """
+    m = rows.shape[0]
+    if _one_pass(m, m):
+        gaps, tmp, prod = np.empty((3, m, m))
+        _negative_gaps(rows, rows.T, None, gaps, tmp, prod)
+        return _first_false(gaps <= eps)
+    starts = np.arange(0, m, _RUN)
+    lo = np.minimum.reduceat(rows, starts)
+    hi = np.maximum.reduceat(rows, starts)
+    run_of = np.arange(m) // _RUN
+    bufs = _Buffers(_RUN * m)
+    for a, r0 in enumerate(starts.tolist()):
+        cols = r0 + np.flatnonzero(
+            ~_settled_runs(lo, hi, a, eps)[run_of[r0:] - a])
+        hit = _first_failure(rows[r0:r0 + _RUN], rows[cols].T.copy(), eps,
+                             bufs)
+        if hit is not None:
+            return r0 + hit[0], int(cols[hit[1]])
+    return None
 
 
 def natural_pairing(z: PrimalDualPoint, w: PrimalDualPoint) -> float:

@@ -20,16 +20,18 @@ and domain_closure_contains are one-row calls, which reject a point whose
 dimension differs from the operator's; enumeration, phi and mr_batch reject
 a window of another dimension.
 
-phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows
-and is the one place that picks the route. When phi_is_exact(V) holds it
-calls the kind's array closed form _phi_closed; otherwise it takes the sup
-over the graph rows built once at an explicit grid, or handed in by a
-caller that holds them (a lower bound). The scalar phi is a one-row call
-of phi_batch. For the box normal cone N_C the closed form is the support
-function of C-intersect-V. The enumerated sup, the monotone-relation test
-and the pairwise monotone scan all run in core's blocked pairing kernels.
-The structural zero of the dust tolerance below guards float noise in
-boundary comparisons, nothing more.
+phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows,
+below_batch asks whether phi < thr at each and mr_batch whether each is
+monotonically related to the graph. _sup_graph is the one place that picks
+their route. When phi_is_exact(V) holds and the graph is not finite they
+use the kind's array closed form _phi_closed; otherwise they scan the
+graph rows built once at an explicit grid, or handed in by a caller that
+holds them (a lower bound): phi_batch in core's max kernel, below_batch
+and mr_batch in its early-exit threshold kernel. The scalar phi is a
+one-row call of phi_batch. For the box normal cone N_C the closed form is
+the support function of C-intersect-V. The pairwise monotone scan is
+core's half-product gap scan. The structural zero of the dust tolerance
+below guards float noise in boundary comparisons, nothing more.
 """
 from __future__ import annotations
 
@@ -42,7 +44,8 @@ import numpy as np
 
 from . import core
 from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, as_vector,
-                   coupling_rows, max_pairing_rows, mr_rows, point_rows,
+                   coupling_rows, first_gap_failure, max_pairing_rows,
+                   pairing_below_rows, point_rows, related_rows,
                    require_finite, row_points)
 from .errors import (DimensionMismatch, MonokitError, ValidationError)
 from .regions import (Box, GridSpec, Region, box_from_literal, closed_box,
@@ -196,27 +199,51 @@ class OperatorHandle:
     def phi_batch(self, V: Region | None, rows: np.ndarray,
                   g: GridSpec | None, graph: np.ndarray | None = None
                   ) -> np.ndarray:
-        """phi at every [x, x*] row of an (N, 2n) array, in row order.
-
-        The one place that picks the route: the kind's closed form when it
-        is exact for V; otherwise the sup over the graph rows in the blocked
-        kernel, enumerated once at g unless a caller that already holds the
-        graph rows over V hands them in.
-        """
-        self._check_window(V)
-        if self.phi_is_exact(V):
+        """phi at every [x, x*] row of an (N, 2n) array, in row order: the
+        kind's closed form, or the sup over _sup_graph in the blocked
+        kernel."""
+        graph = self._sup_graph(V, g, graph)
+        if graph is None:
             return self._phi_closed(V, rows)
         return self._phi_enumerated(V, rows, g, graph)
+
+    def below_batch(self, V: Region | None, rows: np.ndarray,
+                    thr: np.ndarray, g: GridSpec | None) -> np.ndarray:
+        """Boolean mask: whether phi < thr at every [x, x*] row, for
+        thresholds above -inf, on phi_batch's route. Over the graph rows
+        phi < thr exactly when every term is at most the float just below
+        thr, which the threshold kernel asks, leaving a row at its first
+        term above it."""
+        graph = self._sup_graph(V, g)
+        if graph is None:
+            return self._phi_closed(V, rows) < thr
+        return pairing_below_rows(graph, -coupling_rows(graph), rows,
+                                  np.nextafter(thr, -INF))
 
     def mr_batch(self, V: Region | None, rows: np.ndarray, tol: Tolerance,
                  g: GridSpec | None) -> np.ndarray:
         """Boolean mask: which [x, x*] rows are monotonically related to
-        every graph point over V (see mr_test)."""
+        every graph point over V (see mr_test): phi <= coupling + eps_eq
+        on the closed form, else the gap test over the graph rows in the
+        threshold kernel."""
+        graph = self._sup_graph(V, g)
+        if graph is None:
+            return (self._phi_closed(V, rows)
+                    <= coupling_rows(rows) + tol.eps_eq)
+        return related_rows(graph, rows, tol.eps_eq)
+
+    def _sup_graph(self, V: Region | None, g: GridSpec | None,
+                   graph: np.ndarray | None = None) -> np.ndarray | None:
+        """The one place that picks the route of phi and the questions
+        asked of it: None where the kind's closed form is exact for V and
+        its graph is not finite; otherwise the graph rows over V that phi
+        is the sup of, enumerated once at g unless a caller that already
+        holds them hands them in. A finite graph's sup over its own points
+        is its closed form."""
         self._check_window(V)
         if self.phi_is_exact(V) and not self.enumeration_exact:
-            return (self.phi_batch(V, rows, g)
-                    <= coupling_rows(rows) + tol.eps_eq)
-        return mr_rows(self._enumerate(V, g), rows, tol.eps_eq)
+            return None
+        return self._enumerate(V, g) if graph is None else graph
 
     def _phi_closed(self, V, rows) -> np.ndarray:
         """The closed form at every row; called only when phi_is_exact(V)."""
@@ -305,10 +332,6 @@ class FiniteGraph(OperatorHandle):
 
     def phi_is_exact(self, V):
         return True
-
-    def _phi_closed(self, V, rows):
-        # Already a sup over the points themselves.
-        return self._phi_enumerated(V, rows, None)
 
     def describe(self) -> str:
         return f"finite graph ({len(self.points)} points)"
@@ -810,17 +833,10 @@ def meets_domain(T: OperatorHandle, V: Region, g: GridSpec) -> bool:
 
 
 def _pairwise_gap_failures(rows: np.ndarray, eps: float):
-    """First lexicographic pair of graph rows with a negative gap, if any.
-
-    The gap kernel is symmetric bit for bit, so the partners that fail the
-    first failing row all come after it; its first one completes the pair.
-    """
-    bad = np.flatnonzero(~mr_rows(rows, rows, eps))
-    if not bad.size:
-        return []
-    i = int(bad[0])
-    j = int(np.flatnonzero(~mr_rows(rows[i:i + 1], rows, eps))[0])
-    return [tuple(row_points(rows[[i, j]]))]
+    """The first lexicographic pair of graph rows with a negative gap, as
+    points, if any: first_gap_failure's half-product scan."""
+    pair = first_gap_failure(rows, eps)
+    return [] if pair is None else [tuple(row_points(rows[list(pair)]))]
 
 
 def is_monotone(T: OperatorHandle, tol: Tolerance,

@@ -11,6 +11,7 @@ from monokit import (
     FiniteGraph,
     Flat,
     GridSpec,
+    Linear,
     NormalConeBox,
     PointComplement,
     Property,
@@ -35,6 +36,7 @@ from monokit import (
     unique_extension,
     whole_space,
 )
+from monokit.sumcalc import add_normal_cone
 
 TOL = DEFAULT_TOL
 G = GridSpec(resolution=21, dual_bound=4.0, dual_resolution=21,
@@ -142,6 +144,27 @@ class TestScanMemory:
                 tracemalloc.stop()
             assert v.value
             assert peak < 20 * 2 ** 20, (check.__name__, peak / 2 ** 20)
+
+
+class TestTwoDimSum:
+    """A monotone linear map plus the normal cone of the unit square, on a
+    wider open window, at resolution 15: the sampled graph has 625 rows and
+    the scan 50,625, so each check runs the threshold kernel in chunks."""
+
+    T = add_normal_cone(Linear(((1.0, 0.5), (-0.5, 1.0))),
+                        closed_box([-1.0, -1.0], [1.0, 1.0]))
+    V = open_box([-2.0, -2.0], [2.0, 2.0])
+    g = GridSpec(resolution=15, dual_bound=4.0, dual_resolution=15)
+
+    @pytest.mark.parametrize("check, value, count, first", [
+        (check_identifies, False, 36, pdp([-1.0, -0.5], [-8 / 7, 0.0])),
+        (check_vni, False, 32, pdp([-1.0, -0.5], [-4.0, 0.0])),
+        (check_condition_c, True, 0, None),
+    ])
+    def test_verdicts(self, check, value, count, first):
+        v = check(self.T, self.V, self.g, TOL)
+        assert (v.value, v.witness_count) == (value, count)
+        assert v.witnesses[:1] == (() if first is None else (first,))
 
 
 class TestVRepresentable:

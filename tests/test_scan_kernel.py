@@ -213,12 +213,24 @@ def reference_mr(T, V, zs, g):
     return [all(monotone_gap(z, w) >= -TOL.eps_eq for w in pts) for z in zs]
 
 
+def assert_below_matches(T, V, g, rows, phis):
+    """below_batch equals phi_batch < thr bit for bit: at the window
+    checks' threshold, on phi itself and one ulp either side (where phi
+    is finite)."""
+    strict = core.coupling_rows(rows) - TOL.eps_strict
+    on = np.where(np.isfinite(phis), phis, strict)
+    for thr in (strict, on, np.nextafter(on, -INF), np.nextafter(on, INF)):
+        assert T.below_batch(V, rows, thr, g).tolist() \
+            == (phis < thr).tolist()
+
+
 def assert_batches_match(T, V, g, zs):
     """The batch over all of zs, the scalar routes on an even subsample
     (a sampled scalar phi enumerates the graph once per point)."""
     phis = T.phi_batch(V, rows_of(T, zs), g)
     mask = T.mr_batch(V, rows_of(T, zs), TOL, g)
     assert phis.shape == mask.shape == (len(zs),)
+    assert_below_matches(T, V, g, rows_of(T, zs), phis)
     idx = range(0, len(zs), max(1, len(zs) // 40))
     sample = [zs[i] for i in idx]
     phis = [phis[i] for i in idx]
@@ -329,7 +341,8 @@ def test_pairing_below_is_the_max_kernel_thresholded(n, m, block,
     """The early-exit mask equals max_pairing_rows(...) <= thr bit for
     bit: at thresholds on the max itself (terms exactly at it), one ulp
     below it and on the coupling, with no columns or no rows, and with
-    more columns than the first chunk and than the stride."""
+    more columns than the first chunk and than the stride. The related
+    mask equals the full gap product's with gaps exactly on -eps."""
     if block is not None:
         monkeypatch.setattr(core, "_BLOCK_ELEMS", block)
     rng = np.random.default_rng(7 * n + m)
@@ -345,6 +358,13 @@ def test_pairing_below_is_the_max_kernel_thresholded(n, m, block,
                     core.coupling_rows(zs) + 3e-9, mixed):
             mask = core.pairing_below_rows(ws, b, zs, thr)
             assert mask.tolist() == (top <= thr).tolist()
+        # the related kernel against the full gap product, at eps on a
+        # gap of the product and one ulp either side
+        gaps = gap_product(zs, ws)
+        for on in ({-gaps.min(), -np.median(gaps)} if gaps.size else {1e-9}):
+            for eps in (on, np.nextafter(on, -INF), np.nextafter(on, INF)):
+                assert core.related_rows(ws, zs, eps).tolist() \
+                    == (gaps >= -eps).all(axis=1).tolist()
 
 
 def first_failing_pair(points):
@@ -391,6 +411,76 @@ def test_monotone_witness_on_near_ties(block):
             pts = near_monotone_graph(rng, n, int(rng.integers(2, 40)))
             assert is_monotone(FiniteGraph(pts), TOL).witnesses \
                 == first_failing_pair(pts)
+
+
+def gap_product(zs, ws):
+    """Every gap <x - u, x* - u*>, in monotone_gap's order, as the full
+    product."""
+    n = zs.shape[1] // 2
+    gaps = np.zeros((len(zs), len(ws)))
+    for i in range(n):
+        gaps += ((zs[:, i, None] - ws[None, :, i])
+                 * (zs[:, n + i, None] - ws[None, :, n + i]))
+    return gaps
+
+
+def settled_run_pairs(rows):
+    """The run pairs a <= b that _settled_runs clears, after checking that
+    each of their gaps passes in the exact kernel."""
+    run = core._RUN
+    starts = np.arange(0, len(rows), run)
+    lo = np.minimum.reduceat(rows, starts)
+    hi = np.maximum.reduceat(rows, starts)
+    gaps = gap_product(rows, rows)
+    cleared = 0
+    for a in range(len(starts)):
+        for b in a + np.flatnonzero(core._settled_runs(lo, hi, a,
+                                                       TOL.eps_eq)):
+            block = gaps[a * run:(a + 1) * run, b * run:(b + 1) * run]
+            assert (block >= -TOL.eps_eq).all(), (a, b)
+            cleared += 1
+    return cleared
+
+
+def near_identity_graph(rng, size):
+    """Primals in ascending order with duals equal to them up to noise a
+    little below eps_eq: later runs lie above earlier ones on both axes, so
+    the bound settles most run pairs, and some pairs fail by a hair."""
+    xs = np.sort(rng.uniform(-1, 1, size))
+    duals = xs + rng.normal(0.0, 4e-10, size)
+    return tuple(pdp([x], [s]) for x, s in zip(xs, duals))
+
+
+@given(st.integers(1, 3).flatmap(finite_graphs), st.sampled_from((1, 2, 3)))
+@settings(max_examples=100, deadline=None)
+def test_settled_run_pairs_pass_on_drawn_graphs(T, run):
+    """With short runs and tiny blocks, every run pair the interval bound
+    settles passes in the exact gap kernel, and the half-product scan's
+    witness is the first pair a scalar gap scan rejects."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_RUN", run)
+        mp.setattr(core, "_BLOCK_ELEMS", 16)
+        settled_run_pairs(T._rows)
+        verdict = is_monotone(T, TOL)
+    assert verdict.witnesses == first_failing_pair(T.points)
+
+
+@pytest.mark.parametrize("run", (1, 2, 3, 8))
+def test_settled_run_pairs_pass_on_near_ties(run, monkeypatch):
+    """The same on graphs whose gaps sit within a few eps_eq of the
+    threshold, over many runs."""
+    monkeypatch.setattr(core, "_RUN", run)
+    monkeypatch.setattr(core, "_BLOCK_ELEMS", 16)
+    rng = np.random.default_rng(run)
+    cleared = 0
+    for k in range(24):
+        size = int(rng.integers(2, 60))
+        pts = near_identity_graph(rng, size) if k % 2 else \
+            near_monotone_graph(rng, int(rng.integers(1, 4)), size)
+        T = FiniteGraph(pts)
+        cleared += settled_run_pairs(T._rows)
+        assert is_monotone(T, TOL).witnesses == first_failing_pair(pts)
+    assert cleared
 
 
 def in_fiber(T, w):
@@ -538,16 +628,20 @@ def point_lattice(V, n, g):
             for x in grid_sample(V, g) for s in g.dual_lattice(n)]
 
 
-@given(cases())
+@given(cases(), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_scan_rows_are_the_point_lattice(case):
+def test_scan_rows_are_the_point_lattice(case, shared):
     """scan_grid equals the point-by-point comprehension, sign bits
-    included, and scan_rows equals its point_rows."""
+    included, and scan_rows equals its point_rows; also when row_points
+    shares one tuple per distinct part at every size."""
     T, V, g = case
     n = T.dimension
     V = window_of(V, n)
     want = point_lattice(V, n, g)
-    got = scan_grid(V, g)
+    with pytest.MonkeyPatch.context() as mp:
+        if shared:
+            mp.setattr(core, "_SHARED_ROWS", 0)
+        got = scan_grid(V, g)
     assert got == want
     assert sign_bits(got) == sign_bits(want)
     rows = scan_rows(V, g)
