@@ -30,8 +30,8 @@ from .core import PrimalDualPoint, Tolerance, coupling_rows, row_points
 from .errors import ToleranceError, UnsatisfiedHypothesis
 from .fitzpatrick import (_band_rows, _coupling_envelope, _representative,
                           scan_rows)
-from .operators import (OperatorHandle, _monotone_verdict, is_monotone,
-                        meets_domain, with_defaults)
+from .operators import (OperatorHandle, _monotone_verdict, _pair_points,
+                        is_monotone, meets_domain, with_defaults)
 from .regions import Box, GridSpec, Region, whole_space
 from .verdicts import Property, Verdict, finish
 
@@ -107,8 +107,9 @@ def check_v_representable(T: OperatorHandle, V: Region,
     cannot be represented), then matches the [envelope = coupling] band on
     the grid against the graph. The restricted graph's rows are built once,
     and the gate asks their envelope, whose gap scan the band prefilter
-    reuses. An empty restriction is reported false and vacuous: its
-    envelope is identically +inf, which represents nothing.
+    reuses and whose first failing pair is the gate's witness. An empty
+    restriction is reported false and vacuous: its envelope is identically
+    +inf, which represents nothing.
     """
     g, tol = with_defaults(g, tol)
     graph = T._enumerate(V, g)
@@ -118,8 +119,10 @@ def check_v_representable(T: OperatorHandle, V: Region,
                        region_ids=(V.describe(),), vacuous=True,
                        notes=("empty restriction",))
     env = _coupling_envelope(graph, T.dimension)
-    if not env._monotone_within(tol.eps_eq):
-        return replace(_monotone_verdict(T, graph, tol, g, V),
+    pair = env._gap_failure(tol.eps_eq)
+    if pair is not None:
+        return replace(_monotone_verdict(T, graph, tol, g, V,
+                                         _pair_points(graph, pair)),
                        property=Property.V_REPRESENTABLE,
                        notes=("restriction is not monotone",))
     return _representative(env, T, V, g, tol, graph)

@@ -5,18 +5,26 @@ and lower convex envelopes of finite point data (evaluated by an exact LP).
 Each is the square conjugate f#(z) = sup(z.z' - f(z')) of the other, so the
 conjugate is exact for both.
 
-An envelope is +inf off the convex hull of its data, so envelope_rows sends
-a row to the LP only when it passes two cheap tests: the data's bounding
-box, then hull cuts, the edges of the 2-D hulls of the data projected onto
-each pair of coordinates (Andrew's monotone chain). A row beyond a cut by a
-margin far wider than the LP's own feasibility tolerance has no convex
-weights, so it keeps +inf without a solve.
+envelope_rows takes each row down four routes in turn. An envelope is +inf
+off the convex hull of its data, so the first two are cheap tests: the
+data's bounding box, then hull cuts, the edges of the 2-D hulls of the data
+projected onto each pair of coordinates (Andrew's monotone chain). A row
+beyond a cut by a margin far wider than the LP's own feasibility tolerance
+has no convex weights, so it keeps +inf without a solve. Third, the facet
+table (Envelope._facets): the LP's dual-feasible bases, the lower facets of
+the data lifted by its values. A basis that is also primal feasible at a row
+is optimal there (Dantzig 1963, "Linear Programming and Extensions"), so a
+row whose weights under some basis are all at least -_FEAS_TOL * scale is
+answered by one solve with that basis, under the checks the simplex applies
+to its own final basis. Last, the lockstep simplex (lp.solve_rows) takes the
+rows the table leaves, and every row of an envelope above _FACET_CAP.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +34,21 @@ from .core import (INF, PrimalDualPoint, first_gap_failure,
                    max_pairing_rows, natural_pairing, pdp, point_rows,
                    supremum)
 from .errors import DimensionMismatch, LPNumericalError, MonokitError
+
+# The facet table enumerates the C(k, r) bases of an envelope LP with k data
+# points and a data matrix of rank r only up to C(20, 3); a larger program
+# goes to the simplex whole. Measured on a 2-vCPU x86-64 VM, a build costs
+# about 0.15 ms + 0.65 us per basis at r = 3 and 0.2 ms + 1.0 us at r = 5,
+# 0.8-1.2 ms for the largest tables the cap admits (C(20, 3), C(12, 5)),
+# against 0.55-0.65 ms for one lockstep call on a single row. A seed-1
+# envelope-lp bench pass took 314 ms with no table, 224 ms at a cap of 560,
+# 214 ms at 1140 and 209-210 ms at 2048 and 4096, where one build can cost
+# as much as five such calls.
+_FACET_CAP = 1140
+# A basis enters the table only if |det B| exceeds this times the product of
+# the column norms of B. Near 1e-12, on data with entries near 1e-9, a
+# basis' value can miss the exact optimum by 1e-8 at a row it holds.
+_FACET_COND = 1e-6
 
 
 class ConvexFn:
@@ -101,13 +124,56 @@ class Envelope(ConvexFn):
             return pairs, normals, _cut_values(data, pairs, normals).max(
                 axis=0, initial=-INF)
 
-    def _monotone_within(self, eps: float) -> bool:
-        """Whether the data is pairwise monotone within eps by the gap
-        kernel; one scan per eps, kept with the envelope like _lp."""
+    @cached_property
+    def _facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, inverses, bases): the dual-feasible bases of the LP, the
+        lower facets of the data lifted by its values.
+
+        rows are the r rows of the data matrix that span its row space
+        (_spanning_rows). A basis holds r data columns, whose r x r block
+        B on those rows has |det B| above _FACET_COND times the product of
+        its column norms, and the artificial column of every other row;
+        inverses holds each B^-1. Only bases whose reduced costs
+        c_j - y . a_j (B^T y = c_B) are all at least -lp._COST_TOL, the
+        simplex's own optimality test, are kept, in the lexicographic order
+        of their columns. Empty when C(k, r) exceeds _FACET_CAP. Built on
+        first use, in blocks of at most _BLOCK_ELEMS, and kept like _lp."""
+        _, _, matrix, values = self._lp
+        m, k = matrix.shape
+        rows = _spanning_rows(matrix)
+        r = rows.size
+        sub = matrix[rows]
+        inverses, bases = [np.empty((0, r, r))], [np.empty((0, m), np.intp)]
+        if math.comb(k, r) <= _FACET_CAP:
+            norms = np.sqrt((sub * sub).sum(axis=0))
+            combos = _combinations(k, r)
+            step = max(1, core._BLOCK_ELEMS // (r * max(r, k)))
+            for s in range(0, len(combos), step):
+                cols = combos[s:s + step].astype(np.intp)
+                transposed = sub.T[cols]
+                with np.errstate(divide="ignore"):  # log 0 in det: det 0
+                    det = np.linalg.det(transposed)
+                good = np.abs(det) > _FACET_COND * norms[cols].prod(axis=1)
+                cols, transposed = cols[good], transposed[good]
+                y = np.linalg.solve(transposed, values[cols][:, :, None])
+                reduced = values - y[:, 0] * sub[0]
+                for i in range(1, r):
+                    reduced -= y[:, i] * sub[i]
+                dual = (reduced >= -lp._COST_TOL).all(axis=1)
+                basis = np.tile(k + np.arange(m), (int(dual.sum()), 1))
+                basis[:, rows] = cols[dual]
+                inverses.append(_inverses(transposed[dual]))
+                bases.append(basis)
+        return rows, np.concatenate(inverses), np.concatenate(bases)
+
+    def _gap_failure(self, eps: float):
+        """The first pair of data rows whose gap is below -eps, as
+        first_gap_failure finds it, or None when the data is pairwise
+        monotone within eps; one scan per eps, kept with the envelope like
+        _lp."""
         scans = self.__dict__.setdefault("_gap_scans", {})
         if eps not in scans:
-            data = self._lp[2][:-1].T
-            scans[eps] = first_gap_failure(data, eps) is None
+            scans[eps] = first_gap_failure(self._lp[2][:-1].T, eps)
         return scans[eps]
 
 
@@ -198,15 +264,109 @@ def _beyond_hull(f: Envelope, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _combinations(k: int, r: int) -> np.ndarray:
+    """The r-subsets of range(k) as rows, in lexicographic order; shared
+    read-only by every envelope of that size. Stored in the narrowest
+    unsigned type that holds k - 1: as intp, the 20 tables a seed-1
+    envelope-lp pass keeps held 116 KiB."""
+    out = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(k), r)),
+        dtype=np.min_scalar_type(k - 1)).reshape(-1, r)
+    out.flags.writeable = False
+    return out
+
+
+def _inverses(transposed: np.ndarray) -> np.ndarray:
+    """B^-1 for each B^T of a stack, one row of B^-1 per solve against a
+    unit vector, all in one call. Not np.linalg.inv, nor a solve against
+    the identity: LAPACK's many-right-hand-side routines added about 0.2
+    MiB to the resident size of a process that loads them."""
+    n, r, _ = transposed.shape
+    units = np.broadcast_to(np.eye(r)[:, :, None], (n, r, r, 1))
+    return np.linalg.solve(np.repeat(transposed, r, axis=0),
+                           units.reshape(n * r, r, 1)).reshape(n, r, r)
+
+
+def _spanning_rows(matrix: np.ndarray) -> np.ndarray:
+    """The ascending indices of rows of matrix that span its row space: the
+    last row (the envelope's row of ones), then each other row in turn whose
+    part orthogonal to the rows kept (Gram-Schmidt, projected twice) is
+    longer than 1e-12 times the row. Not an SVD: its LAPACK routines alone
+    added 0.8 MiB to the resident size of a process that loads them."""
+    keep, ortho = [], np.empty((0, matrix.shape[1]))
+    for i in [len(matrix) - 1, *range(len(matrix) - 1)]:
+        v = matrix[i]
+        for _ in range(2):
+            v = v - (ortho @ v) @ ortho
+        size = np.sqrt(v @ v)
+        if size > 1e-12 * np.sqrt(matrix[i] @ matrix[i]):
+            keep.append(i)
+            ortho = np.vstack([ortho, v / size])
+    return np.array(sorted(keep), dtype=np.intp)
+
+
+def _facet_rows(f: Envelope, rhs: np.ndarray):
+    """(answered, values): the mask of the LP rows [z, 1] of rhs that the
+    facet table answers, and their values in row order.
+
+    A row's weights under a basis are B^-1 b, for b its entries on the
+    table's spanning rows, summed coordinate by coordinate so the bits
+    never depend on the rows beside it. The row takes the basis whose least
+    weight is largest (the first such), if that weight is at least
+    -_FEAS_TOL * scale: primal and dual feasible, the basis is optimal, and
+    a row inside the cone of any basis of the table takes one of those.
+    Its value comes from lp._outcomes, the final solve and acceptance
+    checks the simplex applies to its own final basis. A row they reject,
+    or that no basis certifies, is left to the simplex. Blocks hold at most
+    _BLOCK_ELEMS weights.
+    """
+    rows, inverses, bases = f._facets
+    answered = np.zeros(len(rhs), dtype=bool)
+    if not len(bases):
+        return answered, np.empty(0)
+    _, _, matrix, values = f._lp
+    pick = np.full(len(rhs), -1)
+    scale = np.maximum(1.0, np.abs(rhs).max(axis=1))
+    b, bound = rhs[:, rows], -lp._FEAS_TOL * scale
+    step = max(1, core._BLOCK_ELEMS // (len(bases) * rows.size))
+    for s in range(0, len(rhs), step):
+        bs = b[s:s + step]
+        least = np.full((len(bs), len(bases)), INF)
+        for j in range(rows.size):
+            w = inverses[:, j, 0] * bs[:, :1]
+            for i in range(1, rows.size):
+                w += inverses[:, j, i] * bs[:, i:i + 1]
+            np.minimum(least, w, out=least)
+        best = least.argmax(axis=1)
+        ok = least[np.arange(len(bs)), best] >= bound[s:s + step]
+        pick[s:s + step] = np.where(ok, best, -1)
+    hit = np.flatnonzero(pick >= 0)
+    out = []
+    for i, sol in zip(hit, lp._outcomes(values, matrix, rhs[hit],
+                                        bases[pick[hit]], 0.0, scale[hit])):
+        if not isinstance(sol, LPNumericalError):
+            answered[i] = True
+            out.append(sol.value)
+    return answered, np.array(out, dtype=float)
+
+
 def envelope_rows(f: Envelope, rows: np.ndarray) -> np.ndarray:
     """Exact envelope value at every [x, x*] row of an (N, 2n) array; +inf
     outside the convex hull of the data.
 
     One bounding-box test covers every row; the rows inside the box that no
-    hull cut (Envelope._hull_cuts) rules out go through one lockstep LP, so
-    each value is bit for bit the one-row value. Solver trouble surfaces as
-    LPNumericalError, never as a value, raised for the first failing row in
-    row order.
+    hull cut (Envelope._hull_cuts) rules out go to the facet table
+    (_facet_rows), and the rows it leaves through one lockstep LP. Each
+    route depends on the row alone, so each value is bit for bit the
+    one-row value. Solver trouble surfaces as LPNumericalError, never as a
+    value, raised for the first failing row in row order.
+
+    A row the table answers within the LP's tolerance of a basis, but
+    outside every basis it holds, takes the optimum of the program relaxed
+    by that tolerance, as scipy's linprog does: where the data has entries
+    near 1e-9 that can be below the exact optimum, which the simplex might
+    find or raise on.
 
     The cuts change no value. The LP's phase one finds the row infeasible
     unless its optimum, min |1 - sum w| + |z - sum w_i p_i|_1 over w >= 0,
@@ -234,10 +394,17 @@ def envelope_rows(f: Envelope, rows: np.ndarray) -> np.ndarray:
         inside = inside[~_beyond_hull(f, rows[inside])]
     # Chunks bound the solutions (and their x vectors) held at once.
     step = max(1, core._BLOCK_ELEMS // matrix.size)
+    left = [inside[:0]]
     for s in range(0, inside.size, step):
         idx = inside[s:s + step]
-        rhs = np.hstack([rows[idx], np.ones((idx.size, 1))])
-        for i, sol in zip(idx, lp.solve_rows(values, matrix, rhs)):
+        answered, vals = _facet_rows(f, _lp_rhs(rows[idx]))
+        out[idx[answered]] = vals
+        left.append(idx[~answered])
+    left = np.concatenate(left)
+    for s in range(0, left.size, step):
+        idx = left[s:s + step]
+        for i, sol in zip(idx, lp.solve_rows(values, matrix,
+                                             _lp_rhs(rows[idx]))):
             if isinstance(sol, LPNumericalError):
                 raise sol
             if sol.status is lp.LPStatus.OPTIMAL:
@@ -245,6 +412,11 @@ def envelope_rows(f: Envelope, rows: np.ndarray) -> np.ndarray:
             elif sol.status is not lp.LPStatus.INFEASIBLE:
                 raise LPNumericalError("envelope program reported unbounded")
     return out
+
+
+def _lp_rhs(rows: np.ndarray) -> np.ndarray:
+    """The LP's right-hand sides [z, 1] for the rows z."""
+    return np.hstack([rows, np.ones((len(rows), 1))])
 
 
 def envelope_eval(f: Envelope, z: PrimalDualPoint) -> float:

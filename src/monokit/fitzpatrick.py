@@ -135,7 +135,7 @@ def _coupling_data(h, tol: Tolerance) -> np.ndarray | None:
     _, _, matrix, values = h._lp
     data = matrix[:-1].T
     if (np.array_equal(values, coupling_rows(data))
-            and h._monotone_within(tol.eps_eq)):
+            and h._gap_failure(tol.eps_eq) is None):
         return data
     return None
 

@@ -832,11 +832,15 @@ def meets_domain(T: OperatorHandle, V: Region, g: GridSpec) -> bool:
     return bool(V.contains_rows(xs).any())
 
 
+def _pair_points(rows: np.ndarray, pair) -> list:
+    """The pair (i, j) of rows as a one-pair witness list; [] for None."""
+    return [] if pair is None else [tuple(row_points(rows[list(pair)]))]
+
+
 def _pairwise_gap_failures(rows: np.ndarray, eps: float):
     """The first lexicographic pair of graph rows with a negative gap, as
     points, if any: first_gap_failure's half-product scan."""
-    pair = first_gap_failure(rows, eps)
-    return [] if pair is None else [tuple(row_points(rows[list(pair)]))]
+    return _pair_points(rows, first_gap_failure(rows, eps))
 
 
 def is_monotone(T: OperatorHandle, tol: Tolerance,
@@ -847,9 +851,14 @@ def is_monotone(T: OperatorHandle, tol: Tolerance,
 
 
 def _monotone_verdict(T: OperatorHandle, graph: np.ndarray, tol: Tolerance,
-                      g: GridSpec | None, V: Region | None) -> Verdict:
-    """is_monotone over graph, the rows of T over V; its witness is a pair."""
-    failures = tuple(_pairwise_gap_failures(graph, tol.eps_eq))
+                      g: GridSpec | None, V: Region | None,
+                      failures: list | None = None) -> Verdict:
+    """is_monotone over graph, the rows of T over V; its witness is a pair.
+    failures, the witness list of a scan the caller has made already
+    (_pair_points of its first failing pair), takes the scan's place."""
+    if failures is None:
+        failures = _pairwise_gap_failures(graph, tol.eps_eq)
+    failures = tuple(failures)
     return Verdict(Property.MONOTONE, not failures, witnesses=failures,
                    approximate=not T.enumeration_exact, grid=g, tol=tol,
                    region_ids=() if V is None else (V.describe(),),

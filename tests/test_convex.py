@@ -5,7 +5,10 @@ three point staircase graph, then the conjugate pair is exercised both
 structurally (data swap) and numerically (Fenchel-Young).
 """
 
+import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,10 +231,19 @@ def _pointwise(f, rows):
     return values, None, None
 
 
+def _no_table(f, rhs):
+    """A _facet_rows that answers no row, so every row inside the cuts
+    reaches the LP."""
+    return np.zeros(len(rhs), dtype=bool), np.empty(0)
+
+
 @pytest.mark.parametrize("raw, first_bad", BAD_ENVELOPES)
-def test_envelope_rows_raises_like_the_pointwise_loop(raw, first_bad):
-    """The batch raises the loop's message at the loop's first failing row:
-    the rows before it evaluate, the row itself raises."""
+def test_envelope_rows_raises_like_the_pointwise_loop(raw, first_bad,
+                                                      monkeypatch):
+    """With the facet table bypassed, the batch raises the loop's message
+    at the loop's first failing row: the rows before it evaluate, the row
+    itself raises."""
+    monkeypatch.setattr(convex, "_facet_rows", _no_table)
     f = envelope([(pdp([a], [b]), v) for a, b, v in raw])
     rows = point_rows((p for p, _ in f.points), 1)
     before, at, message = _pointwise(f, rows)
@@ -243,6 +255,39 @@ def test_envelope_rows_raises_like_the_pointwise_loop(raw, first_bad):
     with pytest.raises(LPNumericalError) as err:
         envelope_rows(f, rows[at:at + 1])
     assert str(err.value) == message
+
+
+def _linprog_values(f, rows, **options):
+    """scipy's linprog (HiGHS) on the envelope program at every row, None
+    where it finds none; skips without scipy."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    _, _, matrix, values = f._lp
+    out = []
+    for b in convex._lp_rhs(rows):
+        ref = linprog(values, A_eq=matrix, b_eq=b, bounds=(0, None),
+                      method="highs", options=options)
+        out.append(ref.fun if ref.status == 0 else None)
+    return out
+
+
+def _close(value, ref):
+    """Within 1e-9 (1 + |ref|): linprog solves to a feasibility tolerance
+    of 1e-7, which moves its value by about 1e-9 on data entries near
+    1e-9."""
+    return ref is not None and abs(value - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+@pytest.mark.parametrize("raw", [raw for raw, _ in BAD_ENVELOPES[2:]])
+def test_facet_table_answers_where_the_lp_raises(raw):
+    """The LP raises at a data point of these envelopes; the facet table
+    answers every data point, with linprog's value."""
+    f = envelope([(pdp([a], [b]), v) for a, b, v in raw])
+    rows = point_rows((p for p, _ in f.points), 1)
+    got = envelope_rows(f, rows).tolist()
+    assert [envelope_eval(f, p) for p, _ in f.points] == got
+    assert all(g <= v + 1e-9 for g, (_, v) in zip(got, f.points))
+    for g, ref in zip(got, _linprog_values(f, rows)):
+        assert _close(g, ref), (g, ref)
 
 
 _COORD = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -1.5, 1e-9])
@@ -425,3 +470,206 @@ def _hull_envelope(draw):
 @settings(max_examples=80, deadline=None)
 def test_hull_cuts_change_no_value_on_drawn_envelopes(f):
     _check_hull_cuts(f, _probe_rows(f))
+
+
+# --- facet table ---------------------------------------------------------
+
+def _facet_answers(f, rows):
+    """The rows the facet table answers, and their values."""
+    answered, values = convex._facet_rows(f, convex._lp_rhs(rows))
+    return rows[answered], values
+
+
+def _exact_value(f, row):
+    """The envelope program's optimum at row in rational arithmetic: the
+    least objective over the bases of the data (column sets as large as its
+    rank) whose solution is nonnegative and meets every row; inf when no
+    basis does. Exhaustive, so only for a few points."""
+    c = f._lp[3]
+    a, b = _exact_rows(f, row)
+    best = None
+    for cols in itertools.combinations(range(len(c)), _exact_rank(a)):
+        w = _exact_solve(a, b, cols)
+        if w is not None and min(w) >= 0:
+            value = sum(Fraction(c[j]) * wj for j, wj in zip(cols, w))
+            best = value if best is None else min(best, value)
+    return INF if best is None else float(best)
+
+
+def _exact_rank(a):
+    rows, rank = [r[:] for r in a], 0
+    for col in range(len(a[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            q = rows[i][col] / rows[rank][col]
+            rows[i] = [x - q * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _exact_solve(a, b, cols):
+    """The w with sum_j w_j a[:, cols[j]] = b exactly, or None when the
+    columns are dependent or no such w exists."""
+    rows = [[r[j] for j in cols] + [bi] for r, bi in zip(a, b)]
+    width, rank = len(cols), 0
+    for col in range(width):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            return None
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [x / rows[rank][col] for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                q = rows[i][col]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    if any(r[-1] for r in rows[width:]):
+        return None
+    return [r[-1] for r in rows[:width]]
+
+
+def _exact_rows(f, row):
+    """The program's matrix and the row's right-hand side, as Fractions."""
+    a = [[Fraction(v) for v in r] for r in f._lp[2].tolist()]
+    return a, [Fraction(v) for v in row.tolist()] + [Fraction(1)]
+
+
+def _held_by_the_table(f, row):
+    """Whether a basis of the table holds the row exactly: rational weights,
+    all nonnegative, that meet every row of the program."""
+    a, b = _exact_rows(f, row)
+    span, _, bases = f._facets
+    for cols in bases[:, span].tolist():
+        w = _exact_solve(a, b, cols)
+        if w is not None and min(w) >= 0:
+            return True
+    return False
+
+
+def _agree(value, ref):
+    return ref is not None and abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def _check_rows(f, refs, answered, values):
+    """Each answered row agrees with its reference value to 1e-9 relative.
+    Where it does not, the exact optimum decides: at a row that a basis of
+    the table holds exactly the table's value equals it, and elsewhere (a
+    row within the LP's tolerance of a cone, or next to a basis the table
+    leaves out as ill-conditioned) it is at most the optimum, since the
+    table's bases are dual feasible."""
+    for row, v, ref in zip(answered, values, refs):
+        if _agree(v, ref):
+            continue
+        exact = _exact_value(f, row)
+        if _held_by_the_table(f, row):
+            assert _agree(v, exact), (row, v, ref, exact)
+        else:
+            assert v <= exact + 1e-9 * max(1.0, abs(exact)), (row, v, exact)
+
+
+def _check_against_simplex(f, rows):
+    """The table against the simplex solving each answered row directly;
+    where the simplex raises or finds the row infeasible there is no
+    reference. On entries near 1e-9 its phase one can call a data point
+    infeasible, and its pivots can end a little off the optimum (ROADMAP
+    item 7). Returns the number of rows answered."""
+    answered, values = _facet_answers(f, rows)
+    _, _, matrix, c = f._lp
+    refs = [None if isinstance(sol, LPNumericalError)
+            or sol.status is not lp.LPStatus.OPTIMAL else sol.value
+            for sol in lp.solve_rows(c, matrix, convex._lp_rhs(answered))]
+    _check_rows(f, refs, answered, values)
+    return len(answered)
+
+
+def _check_against_linprog(f, rows):
+    """The table against linprog, as _check_against_simplex: HiGHS drops
+    matrix entries of 1e-9 and below and solves to a tolerance of 1e-7, so
+    on such data the exact optimum decides."""
+    answered, values = _facet_answers(f, rows)
+    _check_rows(f, _linprog_values(f, answered), answered, values)
+    return len(answered)
+
+
+@given(_envelope_and_rows())
+@settings(max_examples=80, deadline=None)
+def test_facet_rows_match_the_simplex(case):
+    _check_against_simplex(*case)
+
+
+@given(_envelope_and_rows())
+@settings(max_examples=30, deadline=None)
+def test_facet_rows_match_linprog(case):
+    _check_against_linprog(*case)
+
+
+def _monotone_data(n, k, seed):
+    """k points of the graph of x -> M x + q with M + M^T positive
+    definite, lifted by the coupling; the envelope data of a monotone
+    linear graph."""
+    rng = np.random.default_rng(seed)
+    skew = rng.uniform(-1, 1, (n, n))
+    m = np.eye(n) + skew - skew.T
+    xs = np.round(rng.uniform(-1, 1, (k, n)), 2)
+    duals = xs @ m.T + 0.25
+    return envelope([(pdp(x, d), float(x @ d)) for x, d in zip(xs, duals)])
+
+
+FACET_CASES = {
+    **{f"near-degenerate-{i}": _raw_envelope(raw)
+       for i, raw in enumerate(NEAR_DEGENERATE_ENVELOPES)},
+    # rank 2: the dual row is an affine function of the primal one
+    "collinear": _raw_envelope([(-1.0, -0.5, 0.5), (0.0, 0.0, 0.0),
+                                (0.5, 0.25, 0.125), (1.0, 0.5, 0.5)]),
+    "collinear-linear-graph": _monotone_data(1, 9, 3),
+    "n2-linear-graph": _monotone_data(2, 9, 4),
+    "n2-cloud": envelope([(pdp(np.round(p[:2], 2), np.round(p[2:], 2)),
+                           float(v)) for p, v in zip(
+        np.random.default_rng(5).uniform(-1, 1, (8, 4)),
+        np.random.default_rng(6).uniform(-1, 1, 8))]),
+}
+
+
+@pytest.mark.parametrize("name", FACET_CASES)
+def test_facet_rows_match_the_simplex_on_cases(name):
+    f = FACET_CASES[name]
+    assert _check_against_simplex(f, _probe_rows(f)) > 0
+
+
+@pytest.mark.parametrize("name", FACET_CASES)
+def test_facet_rows_match_linprog_on_cases(name):
+    f = FACET_CASES[name]
+    assert _check_against_linprog(f, _probe_rows(f)) > 0
+
+
+def test_rank_deficient_data_pads_the_basis():
+    """Collinear data spans two rows; each basis takes two data columns
+    and the artificial column of the third row."""
+    f = FACET_CASES["collinear"]
+    rows, inverses, bases = f._facets
+    assert rows.tolist() == [0, 2]
+    assert inverses.shape[1:] == (2, 2)
+    assert (bases[:, 1] == len(f.points) + 1).all()
+
+
+def test_envelopes_above_the_cap_keep_an_empty_table():
+    """C(30, 3) = 4060 bases: every row inside the cuts goes to the LP."""
+    rng = np.random.default_rng(7)
+    f = envelope([(pdp(p[:1], p[1:]), float(v)) for p, v in zip(
+        rng.uniform(-1, 1, (30, 2)), rng.uniform(-1, 1, 30))])
+    assert f._facets[0].size == 3
+    assert math.comb(30, 3) > convex._FACET_CAP
+    assert len(f._facets[2]) == 0
+    assert _facet_answers(f, _probe_rows(f))[0].shape[0] == 0
+
+
+def test_rows_settled_before_the_table_never_build_it(stair_env):
+    """Rows outside the box or beyond a cut need no table."""
+    rows = np.array([[2.0, 2.0], [0.25, -1.0], [1.0, 0.0], [0.9, 0.1]])
+    assert envelope_rows(stair_env, rows).tolist() == [INF] * 4
+    assert "_facets" not in stair_env.__dict__
+    envelope_rows(stair_env, np.array([[0.5, 0.5]]))
+    assert "_facets" in stair_env.__dict__

@@ -30,8 +30,8 @@ from monokit import (
     psi_eval,
     scan_grid,
 )
-from monokit import fitzpatrick, lp
-from monokit.convex import _beyond_hull
+from monokit import convex, fitzpatrick, lp
+from monokit.convex import _beyond_hull, _facet_rows, _lp_rhs
 from monokit.core import distinct_rows, point_rows
 from monokit.fitzpatrick import (_coupling_data, _near_band, band_points,
                                   scan_rows)
@@ -314,6 +314,16 @@ def test_prefilter_sees_only_scan_rows(three_point_graph, monkeypatch):
         assert np.array_equal(zs, scan_rows(V, g))
 
 
+def _lp_rows(env, rows):
+    """The rows that reach the simplex: inside the bounding box, beyond no
+    hull cut, and left by the facet table."""
+    lower, upper = env._lp[:2]
+    inside = rows[~((rows < lower) | (rows > upper)).any(axis=1)]
+    inside = inside[~_beyond_hull(env, inside)]
+    answered, _ = _facet_rows(env, _lp_rhs(inside))
+    return inside[~answered]
+
+
 class TestLPRows:
     """Which rows reach the simplex, seen through a counting solve_rows."""
 
@@ -332,15 +342,30 @@ class TestLPRows:
     G = GridSpec(resolution=5, dual_bound=1.0, dual_resolution=5)
     V = interval(0.0, 1.0)
 
+    def _no_data_row(self, solved, graph):
+        """Scan and data rows through is_representative and band_points:
+        the graph lies on the lattice, so scan rows hit the data too, and
+        no data row reaches the LP. Returns the scan rows."""
+        env, _ = penot_envelope(graph, self.V, self.G)
+        rows = scan_rows(self.V, self.G)
+        is_representative(env, graph, self.V, self.G, TOL)
+        band_points(env, rows, TOL)
+        data = {p.x + p.xstar for p, _ in env.points}
+        assert not data & set(solved)
+        return env, rows
+
     def test_no_data_row_on_monotone_coupling_data(self, solved,
                                                    three_point_graph):
-        # the graph lies on the lattice, so scan rows hit the data too
-        env, _ = penot_envelope(three_point_graph, self.V, self.G)
-        is_representative(env, three_point_graph, self.V, self.G, TOL)
-        band_points(env, scan_rows(self.V, self.G), TOL)
-        data = {p.x + p.xstar for p, _ in env.points}
+        env, rows = self._no_data_row(solved, three_point_graph)
+        assert set(solved) <= set(map(tuple, _lp_rows(env, rows).tolist()))
+
+    def test_no_data_row_without_the_facet_table(self, solved, monkeypatch,
+                                                  three_point_graph):
+        """Rows inside the hull reach the LP then, data rows still not."""
+        monkeypatch.setattr(convex, "_facet_rows", lambda f, rhs: (
+            np.zeros(len(rhs), dtype=bool), np.empty(0)))
+        self._no_data_row(solved, three_point_graph)
         assert solved
-        assert not data & set(solved)
 
     @pytest.mark.parametrize("points, lift", [
         ([pdp([0.0], [0.0]), pdp([0.5], [1.0]), pdp([1.0], [1.0])], 0.5),
@@ -353,8 +378,10 @@ class TestLPRows:
         lower, upper = env._lp[:2]
         inside = rows[~((rows < lower) | (rows > upper)).any(axis=1)]
         inside = inside[~_beyond_hull(env, inside)]
+        left = _lp_rows(env, rows)
+        assert len(left) < len(inside)  # the table answers some rows
         band_points(env, rows, TOL)
-        assert sorted(solved) == sorted(map(tuple, inside.tolist()))
+        assert sorted(solved) == sorted(map(tuple, left.tolist()))
         solved.clear()
         try:
             is_representative(env, T, self.V, self.G, TOL)
@@ -362,7 +389,8 @@ class TestLPRows:
             pass
         both = np.vstack([inside, point_rows(points, 1)])
         first, _ = distinct_rows(both)
-        assert sorted(solved) == sorted(map(tuple, both[first].tolist()))
+        assert sorted(solved) == sorted(
+            map(tuple, _lp_rows(env, both[first]).tolist()))
 
 
 def test_two_dim_sum_pinned_against_the_full_scan():

@@ -34,6 +34,7 @@ from monokit import (
     closed_box,
     family_scan,
     interval,
+    is_monotone,
     pdp,
     penot_envelope,
     psi_eval,
@@ -304,11 +305,20 @@ def test_v_representable_scans_the_graph_pairs_once(T, monkeypatch):
     """The monotone gate and the band prefilter share one gap scan of the
     graph when the gate passes."""
     graph = T.graph_rows(W, G9)
+    scans = _counted_gap_scans(monkeypatch)
+    verdict = check_v_representable(T, W, G9, TOL)
+    assert "restriction is not monotone" not in verdict.notes
+    assert [np.array_equal(rows, graph) for rows in scans] == [True]
+
+
+def _counted_gap_scans(monkeypatch):
+    """Patch first_gap_failure wherever monokit binds it; the list of the
+    row arrays it is called on."""
     scans = []
     real = core.first_gap_failure
 
     def first_gap_failure(rows, eps):
-        scans.append(np.array_equal(rows, graph))
+        scans.append(rows.copy())
         return real(rows, eps)
 
     for name in dir(monokit):
@@ -316,9 +326,24 @@ def test_v_representable_scans_the_graph_pairs_once(T, monkeypatch):
         if getattr(module, "first_gap_failure", None) is real:
             monkeypatch.setattr(module, "first_gap_failure",
                                 first_gap_failure)
-    verdict = check_v_representable(T, W, G9, TOL)
-    assert "restriction is not monotone" not in verdict.notes
-    assert scans == [True]
+    return scans
+
+
+def test_v_representable_scans_a_non_monotone_graph_once(monkeypatch):
+    """A failing gate takes its witness from the envelope's own scan: one
+    gap scan of the graph, and the pair is_monotone reports."""
+    T = FiniteGraph((pdp([0.0], [1.0]), pdp([1.0], [0.0]),
+                     pdp([2.0], [2.0])))
+    V = closed_box([-1.0], [2.0])
+    want = is_monotone(T, TOL, G9, V)
+    assert not want.value
+    scans = _counted_gap_scans(monkeypatch)
+    verdict = check_v_representable(T, V, G9, TOL)
+    assert verdict.notes == ("restriction is not monotone",)
+    assert not verdict.value
+    assert verdict.witnesses == want.witnesses
+    assert len(scans) == 1
+    assert np.array_equal(scans[0], T.graph_rows(V, G9))
 
 
 def test_unique_extension_builds_the_restriction_once(rows_calls):
