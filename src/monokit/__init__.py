@@ -13,8 +13,8 @@ from .errors import (BelowCoupling, DimensionMismatch, LPNumericalError,
 from .regions import (Box, GridSpec, HalfSpace, Intersection, Region,
                       box_from_literal, closed_box, grid_sample,
                       intersect_regions, interval, open_box, whole_space)
-from .convex import (ConjugateValue, ConvexFn, Envelope, MaxAffine, conjugate,
-                     envelope, envelope_eval, max_affine_eval_batch,
+from .convex import (ConvexFn, Envelope, MaxAffine, conjugate, envelope,
+                     envelope_eval, max_affine_eval_batch,
                      square_conjugate_eval)
 from .operators import (AbsSubdiff, FiniteGraph, Flat, Linear, NormalConeBox,
                         OperatorHandle, PairSum, PointComplement, Restriction,
@@ -36,7 +36,7 @@ from .gallery import run_gallery
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsSubdiff", "BelowCoupling", "Box", "ConjugateValue", "ConvexFn",
+    "AbsSubdiff", "BelowCoupling", "Box", "ConvexFn",
     "DEFAULT_TOL", "DimensionMismatch", "Envelope", "FiniteGraph", "Flat",
     "GridSpec", "HalfSpace", "INF", "Intersection", "Linear",
     "LPNumericalError", "MaxAffine", "MonokitError", "NormalConeBox",

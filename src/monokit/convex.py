@@ -1,9 +1,11 @@
 """Convex function values on Z = R^n x R^n under the natural pairing.
 
 Two representations cover what the calculus needs: maxima of affine pieces
-and lower convex envelopes of finite point data (evaluated by an exact LP).
-Each is the square conjugate f#(z) = sup(z.z' - f(z')) of the other, so the
-conjugate is exact for both.
+and lower convex envelopes of finite data (evaluated by an exact LP). Both
+hold the data as a (k, 2n) array of [p, p*] rows and a (k,) array of
+values; envelope() builds one from (point, value) pairs. Each is the square
+conjugate f#(z) = sup(z.z' - f(z')) of the other, so the conjugate is exact
+for both: the same rows with the values negated.
 
 envelope_rows takes each row down four routes in turn. An envelope is +inf
 off the convex hull of its data, so the first two are cheap tests: the
@@ -25,14 +27,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from . import core, lp
 from .core import (INF, PrimalDualPoint, first_gap_failure,
                    max_pairing_rows, natural_pairing, pdp, point_rows,
-                   supremum)
+                   row_points, supremum)
 from .errors import DimensionMismatch, LPNumericalError, MonokitError
 
 # The facet table enumerates the C(k, r) bases of an envelope LP with k data
@@ -65,27 +66,46 @@ class ConvexFn:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class MaxAffine(ConvexFn):
-    """max over pieces of z . slope + intercept; -inf with no pieces."""
+@dataclass(frozen=True, eq=False)
+class _RowData(ConvexFn):
+    """Finite data: a (k, 2n) float array of [p, p*] rows and a (k,) array
+    of values, both copied and read-only; equal by value."""
 
-    pieces: tuple[tuple[PrimalDualPoint, float], ...]
+    rows: np.ndarray
+    values: np.ndarray
     dimension: int
 
+    def __post_init__(self):
+        for name in ("rows", "values"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if (self.values.ndim != 1
+                or self.rows.shape != (len(self.values), 2 * self.dimension)):
+            raise DimensionMismatch(
+                f"data shapes {self.rows.shape}, {self.values.shape} != "
+                f"(k, {2 * self.dimension}), (k,)")
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other.dimension == self.dimension
+                and np.array_equal(other.rows, self.rows)
+                and np.array_equal(other.values, self.values))
+
+
+class MaxAffine(_RowData):
+    """max over data (p_i, v_i) of z . p_i + v_i; -inf with no data."""
+
     def evaluate(self, z: PrimalDualPoint) -> float:
-        _check_dim(self, z)
-        return supremum(natural_pairing(z, w) + b for w, b in self.pieces)
+        _check_rows(self, point_rows([z], z.dimension))
+        return supremum(natural_pairing(z, w) + b for w, b in
+                        zip(row_points(self.rows), self.values.tolist()))
 
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         return max_affine_eval_batch(self, rows)
 
 
-@dataclass(frozen=True)
-class Envelope(ConvexFn):
-    """Lower convex envelope of finite point data (p_i, v_i)."""
-
-    points: tuple[tuple[PrimalDualPoint, float], ...]
-    dimension: int
+class Envelope(_RowData):
+    """Lower convex envelope of finite data (p_i, v_i)."""
 
     def evaluate(self, z: PrimalDualPoint) -> float:
         return envelope_eval(self, z)
@@ -96,14 +116,11 @@ class Envelope(ConvexFn):
     @cached_property
     def _lp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(lower, upper, matrix, values): the data's bounding box widened
-        by the hull slack, and the LP over convex weights. Kept out of the
-        fields, so equality and hashing stay by value."""
-        coords = np.array([list(p.x) + list(p.xstar) for p, _ in self.points])
+        by the hull slack, and the LP over convex weights."""
         slack = 1e-9
-        matrix = np.vstack([coords.T, np.ones((1, len(self.points)))])
-        values = np.array([v for _, v in self.points])
-        return (coords.min(axis=0) - slack, coords.max(axis=0) + slack,
-                matrix, values)
+        matrix = np.vstack([self.rows.T, np.ones((1, len(self.rows)))])
+        return (self.rows.min(axis=0) - slack, self.rows.max(axis=0) + slack,
+                matrix, self.values)
 
     @cached_property
     def _hull_cuts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,16 +129,15 @@ class Envelope(ConvexFn):
         the data projected onto (i, j), and h = max d . p over every data
         row p, so d . p <= h holds for the data as computed, whatever the
         rounding of the hull itself. Kept out of the fields like _lp."""
-        data = self._lp[2][:-1].T
         pairs, normals = [], []
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            for pair in itertools.combinations(range(data.shape[1]), 2):
-                d = _hull_normals(data[:, pair])
+            for pair in itertools.combinations(range(2 * self.dimension), 2):
+                d = _hull_normals(self.rows[:, pair])
                 pairs += [pair] * len(d)
                 normals.append(d)
             pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
             normals = np.vstack(normals)
-            return pairs, normals, _cut_values(data, pairs, normals).max(
+            return pairs, normals, _cut_values(self.rows, pairs, normals).max(
                 axis=0, initial=-INF)
 
     @cached_property
@@ -173,37 +189,36 @@ class Envelope(ConvexFn):
         _lp."""
         scans = self.__dict__.setdefault("_gap_scans", {})
         if eps not in scans:
-            scans[eps] = first_gap_failure(self._lp[2][:-1].T, eps)
+            scans[eps] = first_gap_failure(self.rows, eps)
         return scans[eps]
 
 
-class ConjugateValue(NamedTuple):
-    value: float
-
-
-def _check_dim(f, z: PrimalDualPoint):
-    if z.dimension != f.dimension:
+def _check_rows(f, rows) -> np.ndarray:
+    """rows as a float array, or DimensionMismatch unless shaped (N, 2n)."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 2 * f.dimension:
         raise DimensionMismatch(
-            f"point dimension {z.dimension} != function dimension {f.dimension}")
+            f"row shape {rows.shape} != (N, {2 * f.dimension}) for function "
+            f"dimension {f.dimension}")
+    return rows
 
 
 def envelope(points, dimension=None) -> Envelope:
     """Build an Envelope from (point, value) pairs."""
-    normalized = tuple((p if isinstance(p, PrimalDualPoint) else pdp(*p), float(v))
-                       for p, v in points)
+    pairs = [(p if isinstance(p, PrimalDualPoint) else pdp(*p), v)
+             for p, v in points]
     if dimension is None:
-        if not normalized:
+        if not pairs:
             raise MonokitError("dimension required for a point-free envelope")
-        dimension = normalized[0][0].dimension
-    return Envelope(normalized, dimension)
+        dimension = pairs[0][0].dimension
+    rows = [p.x + p.xstar for p, _ in pairs] or np.empty((0, 2 * dimension))
+    return Envelope(rows, [v for _, v in pairs], dimension)
 
 
 def max_affine_eval_batch(f: MaxAffine, zs: np.ndarray) -> np.ndarray:
     """f.evaluate at every row (x..., xstar...) of zs, bit for bit, in the
     blocked pairing kernel."""
-    slopes = point_rows((w for w, _ in f.pieces), f.dimension)
-    intercepts = np.array([b for _, b in f.pieces], dtype=float)
-    return max_pairing_rows(slopes, intercepts, zs)
+    return max_pairing_rows(f.rows, f.values, _check_rows(f, zs))
 
 
 def _half_chain(pts: list) -> list:
@@ -380,13 +395,9 @@ def envelope_rows(f: Envelope, rows: np.ndarray) -> np.ndarray:
     near 1e-9 would end phase one in a broken basis and raise for such a
     row, the cut answers +inf instead.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 2 * f.dimension:
-        raise DimensionMismatch(
-            f"row shape {rows.shape} != (N, {2 * f.dimension}) for function "
-            f"dimension {f.dimension}")
+    rows = _check_rows(f, rows)
     out = np.full(len(rows), INF)
-    if not f.points:
+    if not len(f.rows):
         return out
     lower, upper, matrix, values = f._lp
     inside = np.flatnonzero(~((rows < lower) | (rows > upper)).any(axis=1))
@@ -421,23 +432,22 @@ def _lp_rhs(rows: np.ndarray) -> np.ndarray:
 
 def envelope_eval(f: Envelope, z: PrimalDualPoint) -> float:
     """Exact envelope value by LP; the one-row call of envelope_rows."""
-    _check_dim(f, z)
-    return float(envelope_rows(f, point_rows([z], f.dimension))[0])
+    return float(envelope_rows(f, point_rows([z], z.dimension))[0])
 
 
 def conjugate(f: ConvexFn) -> ConvexFn:
-    """Structural square conjugate: swaps MaxAffine and Envelope data."""
-    if isinstance(f, MaxAffine):
-        return Envelope(tuple((w, -b) for w, b in f.pieces), f.dimension)
-    if isinstance(f, Envelope):
-        return MaxAffine(tuple((p, -v) for p, v in f.points), f.dimension)
-    raise MonokitError(f"no structural conjugate for {type(f).__name__}")
+    """Structural square conjugate: the same rows with negated values, a
+    MaxAffine for an Envelope and an Envelope for a MaxAffine."""
+    swap = {MaxAffine: Envelope, Envelope: MaxAffine}.get(type(f))
+    if swap is None:
+        raise MonokitError(f"no structural conjugate for {type(f).__name__}")
+    return swap(f.rows, -f.values, f.dimension)
 
 
-def square_conjugate_eval(f: ConvexFn, z: PrimalDualPoint) -> ConjugateValue:
+def square_conjugate_eval(f: ConvexFn, z: PrimalDualPoint) -> float:
     """f#(z) = sup(z . z' - f(z')), the structural conjugate at z.
 
     Exact for Envelope (the sup is attained at the data points) and for
     MaxAffine (whose conjugate is the envelope of its pieces).
     """
-    return ConjugateValue(conjugate(f).evaluate(z))
+    return conjugate(f).evaluate(z)

@@ -4,9 +4,10 @@ Points live in Z = R^n x R^n with n <= 3 at the scales this package targets.
 Extended reals are plain floats where +-inf is a legal saturating value.
 Empty suprema are -inf throughout.
 
-Graphs, scan lattices and a check's failures are (N, 2n) float arrays of
-[x, x*] rows; the public API, the envelope's data and the witnesses take
-PrimalDualPoints. row_points and point_rows convert between them exactly.
+Graphs, scan lattices, a check's failures and the data of a convex
+function are (N, 2n) float arrays of [x, x*] rows; the public API and the
+witnesses take PrimalDualPoints. row_points and point_rows convert between
+them exactly.
 
 Every pairwise scan over point rows runs in one of three blocked kernels,
 all summing in the scalar pairings' order, so they agree with them bit for

@@ -68,14 +68,12 @@ def penot_envelope(T: OperatorHandle, V: Region | None,
 
 def _coupling_envelope(graph: np.ndarray, n: int) -> Envelope:
     """The envelope of the coupling over the given graph rows."""
-    return Envelope(tuple(zip(row_points(graph),
-                              coupling_rows(graph).tolist())), n)
+    return Envelope(graph, coupling_rows(graph), n)
 
 
 def psi_eval(T: OperatorHandle, V: Region | None, z: PrimalDualPoint,
              g: GridSpec | None = None) -> float:
-    env, _ = penot_envelope(T, V, g)
-    return envelope_eval(env, z)
+    return envelope_eval(penot_envelope(T, V, g)[0], z)
 
 
 def coupling_band(env: Envelope, zs: list[PrimalDualPoint],
@@ -88,13 +86,7 @@ def coupling_band(env: Envelope, zs: list[PrimalDualPoint],
     """
     if not zs:
         return []
-    return band_points(env, point_rows(zs, zs[0].dimension), tol)
-
-
-def band_points(env: Envelope, rows: np.ndarray,
-                tol: Tolerance) -> list[PrimalDualPoint]:
-    """coupling_band over [x, x*] rows: _band_rows as points."""
-    return row_points(_band_rows(env, rows, tol))
+    return row_points(_band_rows(env, point_rows(zs, zs[0].dimension), tol))
 
 
 def _band_rows(env: Envelope, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -130,13 +122,10 @@ def _coupling_data(h, tol: Tolerance) -> np.ndarray | None:
     """The data rows of h when h is an Envelope whose values are the
     couplings of its data and whose data is pairwise monotone within eps_eq
     (the envelope's own gap scan, kept per eps_eq); else None."""
-    if not isinstance(h, Envelope) or not h.points:
-        return None
-    _, _, matrix, values = h._lp
-    data = matrix[:-1].T
-    if (np.array_equal(values, coupling_rows(data))
+    if (isinstance(h, Envelope) and len(h.rows)
+            and np.array_equal(h.values, coupling_rows(h.rows))
             and h._gap_failure(tol.eps_eq) is None):
-        return data
+        return h.rows
     return None
 
 

@@ -96,12 +96,11 @@ class _RhoMachine:
         cands = cands[distinct_rows(cands)[0]]
         self.candidates = cands[np.lexsort(cands.T[::-1])]
         self.approximate = not S.first.enumeration_exact
-        self.cone = self.graph_b = self.env_b = None
+        self.cone = self.env_b = None
         if isinstance(S.second, NormalConeBox):
             self.cone = S.second.box
         else:
-            self.graph_b = S.second._enumerate(V, g)
-            self.env_b = _coupling_envelope(self.graph_b, n)
+            self.env_b = _coupling_envelope(S.second._enumerate(V, g), n)
             self.approximate = True
 
     def _second_rows(self, xs: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -204,8 +203,8 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
         operator_sum(A, second, g, tol)
     machine = _RhoMachine(S, V, g)
     notes = []
-    if machine.graph_b is not None and (
-            np.abs(machine.graph_b[:, A.dimension:]) > g.dual_bound).any():
+    if machine.env_b is not None and (
+            np.abs(machine.env_b.rows[:, A.dimension:]) > g.dual_bound).any():
         notes.append("second summand duals exceed the dual clip")
     notes.append("second term: exact box support" if machine.cone is not None
                  else "second term: sampled envelope")

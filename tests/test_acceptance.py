@@ -86,7 +86,7 @@ def test_equality_band_survives_the_square_conjugate(graph_suite):
         band = coupling_band(env, zs, DEFAULT_TOL)
         band_total += len(band)
         for z in band:
-            gap = abs(square_conjugate_eval(env, z).value - coupling(z))
+            gap = abs(square_conjugate_eval(env, z) - coupling(z))
             if gap > 1e-8:
                 failures.append((z, gap))
     elapsed = time.perf_counter() - t0

@@ -64,7 +64,7 @@ class TestEnvelope:
         assert envelope_eval(stair_env, pdp([0.25], [-1.0])) == INF
 
     def test_empty_envelope_is_inf(self):
-        f = Envelope((), 1)
+        f = Envelope(np.empty((0, 2)), (), 1)
         assert envelope_eval(f, pdp([0.0], [0.0])) == INF
 
     def test_strict_shrink_above_a_chord(self):
@@ -91,14 +91,13 @@ class TestEnvelope:
 
 class TestMaxAffine:
     def test_evaluate_is_max_of_planes(self):
-        f = MaxAffine(((pdp([1.0], [0.0]), 0.0), (pdp([0.0], [1.0]), -1.0)),
-                      1)
+        f = MaxAffine([[1.0, 0.0], [0.0, 1.0]], [0.0, -1.0], 1)
         z = pdp([2.0], [3.0])
         # z . w for w=(1,0) is <2,0> + <1,3> = 3; for w=(0,1) it is 2
         assert f.evaluate(z) == pytest.approx(3.0)
 
     def test_empty_max_affine_is_minus_inf(self):
-        f = MaxAffine((), 1)
+        f = MaxAffine(np.empty((0, 2)), (), 1)
         assert f.evaluate(pdp([0.0], [0.0])) == -INF
 
     def test_batch_matches_pointwise(self):
@@ -106,9 +105,10 @@ class TestMaxAffine:
         tiny ones that tile the rows x pieces product."""
         rng = np.random.default_rng(5)
         for n in (1, 2, 3):
-            pieces = [(pdp(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)),
-                       float(rng.uniform(-1, 1))) for _ in range(9)]
-            f = MaxAffine(tuple(pieces), n)
+            pieces = [(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
+                       rng.uniform(-1, 1)) for _ in range(9)]
+            f = MaxAffine([np.concatenate(p[:2]) for p in pieces],
+                          [p[2] for p in pieces], n)
             zs = rng.uniform(-2, 2, (40, 2 * n))
             want = [f.evaluate(pdp(row[:n], row[n:])) for row in zs]
             assert max_affine_eval_batch(f, zs).tolist() == want
@@ -117,13 +117,29 @@ class TestMaxAffine:
                     mp.setattr(core, "_BLOCK_ELEMS", block)
                     assert max_affine_eval_batch(f, zs).tolist() == want
 
+    def test_rows_of_the_wrong_width_are_refused(self):
+        """The batch checks row shapes as envelope_rows does, and both
+        classes check their data's shapes."""
+        f = MaxAffine([[1.0, 2.0, 3.0, 4.0]], [0.0], 2)
+        for zs in (np.array([[1.0, 1.0]]), np.ones(4)):
+            with pytest.raises(DimensionMismatch):
+                max_affine_eval_batch(f, zs)
+            with pytest.raises(DimensionMismatch):
+                envelope_rows(conjugate(f), zs)
+        for cls in (MaxAffine, Envelope):
+            with pytest.raises(DimensionMismatch):
+                cls([[1.0, 2.0]], [0.0], 2)
+            with pytest.raises(DimensionMismatch):
+                cls([[1.0, 2.0]], [0.0, 1.0], 1)
+
     def test_batch_memory_is_bounded(self):
         """10k rows against 500 pieces: an unblocked product needs two
         40 MB temporaries; the blocked kernel a few of 1 MiB."""
         rng = np.random.default_rng(6)
-        f = MaxAffine(tuple((pdp(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)),
-                             float(rng.uniform(-1, 1))) for _ in range(500)),
-                      2)
+        pieces = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
+                   rng.uniform(-1, 1)) for _ in range(500)]
+        f = MaxAffine([np.concatenate(p[:2]) for p in pieces],
+                      [p[2] for p in pieces], 2)
         zs = rng.uniform(-2, 2, (10_000, 4))
         tracemalloc.start()
         try:
@@ -139,21 +155,23 @@ class TestConjugate:
         twice = conjugate(conjugate(stair_env))
         assert isinstance(twice, Envelope)
         assert twice == stair_env
+        f = conjugate(stair_env)
+        assert isinstance(f, MaxAffine) and f != stair_env
+        assert conjugate(conjugate(f)) == f
 
     def test_envelope_conjugate_is_exact_max(self, stair_env):
         z = pdp([0.0], [0.0])
-        assert square_conjugate_eval(stair_env, z).value == pytest.approx(
+        assert square_conjugate_eval(stair_env, z) == pytest.approx(
             0.0, abs=1e-12)
         z2 = pdp([1.0], [1.0])
         want = max(natural_pairing(z2, p) - v for p, v in STAIR)
-        assert square_conjugate_eval(stair_env, z2).value == pytest.approx(want)
+        assert square_conjugate_eval(stair_env, z2) == pytest.approx(want)
 
     def test_max_affine_conjugate_is_envelope_of_pieces(self):
-        f = MaxAffine(((pdp([0.0], [0.0]), 0.0), (pdp([1.0], [1.0]), -1.0)),
-                      1)
+        f = MaxAffine([[0.0, 0.0], [1.0, 1.0]], [0.0, -1.0], 1)
         g = conjugate(f)
         z = pdp([0.5], [0.5])
-        assert square_conjugate_eval(f, z).value == pytest.approx(
+        assert square_conjugate_eval(f, z) == pytest.approx(
             envelope_eval(g, z), abs=1e-9)
 
     def test_fenchel_young_holds_on_hull(self, stair_env):
@@ -167,7 +185,7 @@ class TestConjugate:
             assert fz < INF
             w = pdp(rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1))
             conj = square_conjugate_eval(stair_env, w)
-            assert conj.value >= natural_pairing(z, w) - fz - 1e-7
+            assert conj >= natural_pairing(z, w) - fz - 1e-7
 
 
 @given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
@@ -245,7 +263,7 @@ def test_envelope_rows_raises_like_the_pointwise_loop(raw, first_bad,
     itself raises."""
     monkeypatch.setattr(convex, "_facet_rows", _no_table)
     f = envelope([(pdp([a], [b]), v) for a, b, v in raw])
-    rows = point_rows((p for p, _ in f.points), 1)
+    rows = f.rows
     before, at, message = _pointwise(f, rows)
     assert at == first_bad
     assert envelope_rows(f, rows[:at]).tolist() == before
@@ -282,10 +300,10 @@ def test_facet_table_answers_where_the_lp_raises(raw):
     """The LP raises at a data point of these envelopes; the facet table
     answers every data point, with linprog's value."""
     f = envelope([(pdp([a], [b]), v) for a, b, v in raw])
-    rows = point_rows((p for p, _ in f.points), 1)
+    rows = f.rows
     got = envelope_rows(f, rows).tolist()
-    assert [envelope_eval(f, p) for p, _ in f.points] == got
-    assert all(g <= v + 1e-9 for g, (_, v) in zip(got, f.points))
+    assert [envelope_eval(f, pdp(*row)) for row in rows.tolist()] == got
+    assert all(g <= v + 1e-9 for g, v in zip(got, f.values))
     for g, ref in zip(got, _linprog_values(f, rows)):
         assert _close(g, ref), (g, ref)
 
@@ -301,7 +319,7 @@ def _envelope_and_rows(draw):
                                   st.floats(-2, 2)),
                         min_size=1, max_size=7))
     f = envelope([(pdp(c[:n], c[n:]), v) for c, v in pts])
-    data = point_rows((p for p, _ in f.points), n)
+    data = f.rows
     extra = np.array(draw(st.lists(
         st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.75, 1.0, 3.0]),
                  min_size=2 * n, max_size=2 * n), max_size=8)),
@@ -381,7 +399,7 @@ def _check_hull_cuts(f, rows):
 def _probe_rows(f):
     """The data, its midpoints, the data nudged by 1e-9 and 1e-5 along
     every axis, and a lattice over the data's bounding box."""
-    data = point_rows((p for p, _ in f.points), f.dimension)
+    data = f.rows
     width = data.shape[1]
     nudges = np.vstack([s * np.eye(width)
                         for s in (1e-9, -1e-9, 1e-5, -1e-5)])
@@ -652,7 +670,7 @@ def test_rank_deficient_data_pads_the_basis():
     rows, inverses, bases = f._facets
     assert rows.tolist() == [0, 2]
     assert inverses.shape[1:] == (2, 2)
-    assert (bases[:, 1] == len(f.points) + 1).all()
+    assert (bases[:, 1] == len(f.rows) + 1).all()
 
 
 def test_envelopes_above_the_cap_keep_an_empty_table():

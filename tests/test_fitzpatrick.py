@@ -33,8 +33,7 @@ from monokit import (
 from monokit import convex, fitzpatrick, lp
 from monokit.convex import _beyond_hull, _facet_rows, _lp_rhs
 from monokit.core import distinct_rows, point_rows
-from monokit.fitzpatrick import (_coupling_data, _near_band, band_points,
-                                  scan_rows)
+from monokit.fitzpatrick import _coupling_data, _near_band, scan_rows
 
 from conftest import random_monotone_graph
 
@@ -113,7 +112,43 @@ class TestPhiPsi:
     def test_envelope_exactness_flag(self, three_point_graph):
         env, exact = penot_envelope(three_point_graph, None)
         assert exact
-        assert env.points
+        assert len(env.rows)
+
+    def test_coupling_envelope_copies_the_graph(self):
+        """Writes to the graph afterwards change no value, and the
+        envelope's own arrays refuse writes."""
+        graph = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]])
+        probe = np.array([[0.5, 0.5], [0.75, 1.0], [2.0, 2.0]])
+        env = fitzpatrick._coupling_envelope(graph, 1)
+        want = envelope([(pdp(x, s), x * s) for x, s in graph.tolist()])
+        before = env.evaluate_rows(probe).tobytes()
+        graph[:] = -1.0
+        assert env == want
+        assert env.evaluate_rows(probe).tobytes() == before
+        with pytest.raises(ValueError):
+            env.rows[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            env.values[0] = 1.0
+
+    @pytest.mark.parametrize("T, V, lattice", [
+        (Linear(((1.0, 0.5), (-0.5, 1.0))), closed_box([-1.0, -1.0],
+                                                       [1.0, 1.0]), None),
+        (FiniteGraph((pdp([0.0], [0.0]), pdp([0.5], [1.0]),
+                      pdp([1.0], [1.0]))), None, interval(-2.0, 2.0)),
+    ], ids=["sampled-linear-2d", "finite-graph"])
+    def test_penot_envelope_is_the_envelope_of_the_points(self, T, V,
+                                                          lattice):
+        """The rows built from the graph array equal the public builder's
+        rows from enumerate_graph's points, with the same bits on a scan
+        lattice."""
+        g = GridSpec(resolution=5, dual_bound=2.0, dual_resolution=5)
+        env, _ = penot_envelope(T, V, g)
+        want = envelope([(w, coupling(w)) for w in T.enumerate_graph(V, g)],
+                        T.dimension)
+        assert env == want and len(env.rows)
+        rows = scan_rows(lattice or V, g)
+        assert env.evaluate_rows(rows).tobytes() == \
+            want.evaluate_rows(rows).tobytes()
 
 
 class TestCouplingBand:
@@ -147,7 +182,7 @@ class TestCouplingBand:
         assert _coupling_data(env, TOL) is None
 
     def test_empty_data_gives_an_empty_band(self):
-        env = Envelope((), 1)
+        env = Envelope(np.empty((0, 2)), (), 1)
         rows = scan_rows(interval(-2.0, 2.0), SMALL)
         assert _near_band(env, rows, TOL).all()
         assert _coupling_data(env, TOL) is None
@@ -290,7 +325,7 @@ def test_settled_route_agrees_with_full_scan(T, V, g):
     assert is_representative(env, T, V, g, TOL) == full
     assert check_v_representable(T, V, g, TOL) == full
     zs = scan_grid(V, g)
-    assert band_points(env, scan_rows(V, g), TOL) == full_band(env, zs)
+    assert coupling_band(env, zs, TOL) == full_band(env, zs)
 
 
 def test_prefilter_sees_only_scan_rows(three_point_graph, monkeypatch):
@@ -343,14 +378,14 @@ class TestLPRows:
     V = interval(0.0, 1.0)
 
     def _no_data_row(self, solved, graph):
-        """Scan and data rows through is_representative and band_points:
+        """Scan and data rows through is_representative and coupling_band:
         the graph lies on the lattice, so scan rows hit the data too, and
         no data row reaches the LP. Returns the scan rows."""
         env, _ = penot_envelope(graph, self.V, self.G)
         rows = scan_rows(self.V, self.G)
         is_representative(env, graph, self.V, self.G, TOL)
-        band_points(env, rows, TOL)
-        data = {p.x + p.xstar for p, _ in env.points}
+        coupling_band(env, scan_grid(self.V, self.G), TOL)
+        data = set(map(tuple, env.rows.tolist()))
         assert not data & set(solved)
         return env, rows
 
@@ -380,7 +415,7 @@ class TestLPRows:
         inside = inside[~_beyond_hull(env, inside)]
         left = _lp_rows(env, rows)
         assert len(left) < len(inside)  # the table answers some rows
-        band_points(env, rows, TOL)
+        coupling_band(env, scan_grid(self.V, self.G), TOL)
         assert sorted(solved) == sorted(map(tuple, left.tolist()))
         solved.clear()
         try:

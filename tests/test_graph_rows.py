@@ -241,7 +241,7 @@ class TestEmptyRestrictedGraph:
 
     def test_envelope_and_psi(self):
         env, exact = penot_envelope(self.T, None, G9)
-        assert env.points == () and env.dimension == 1 and exact
+        assert env.rows.shape == (0, 2) and env.dimension == 1 and exact
         assert psi_eval(self.T, None, pdp(0.0, 0.0), G9) == INF
 
     def test_low_representable_scan_is_vacuous(self):

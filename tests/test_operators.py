@@ -461,14 +461,14 @@ class TestExplicitGrids:
             is_monotone(T, TOL)
         g = GridSpec(resolution=5)
         env, exact = penot_envelope(T, None, g)
-        assert len(env.points) == 5 and not exact
+        assert len(env.rows) == 5 and not exact
         verdict = is_monotone(T, TOL, g)
         assert verdict.value and verdict.grid == g
 
     def test_finite_graphs_need_none(self):
         T = FiniteGraph((pdp([0.0], [0.0]), pdp([1.0], [1.0])))
         env, exact = penot_envelope(T, None)
-        assert [w for w, _ in env.points] == list(T.points) and exact
+        assert np.array_equal(env.rows, point_rows(T.points, 1)) and exact
         verdict = is_monotone(T, TOL)
         assert verdict.value and verdict.grid is None
 

@@ -44,8 +44,8 @@ from monokit import classify, verdicts
 from monokit.classify import _low_representable, dyadic_open_boxes
 from monokit.convex import ConvexFn
 from monokit.core import coupling_rows, point_rows, row_points
-from monokit.fitzpatrick import (_near_band, _representative, _values,
-                                 band_points, scan_rows)
+from monokit.fitzpatrick import (_band_rows, _near_band, _representative,
+                                 _values, scan_rows)
 from monokit.gallery import GALLERY_GRID
 from monokit.sumcalc import _RhoMachine
 from monokit.verdicts import (Property, WITNESS_CAP, finish, format_scalar,
@@ -89,12 +89,12 @@ def ref_low_representable(T, family, g, tol, check):
     """The per-point loop with a verdict cache that the mask scan replaced."""
     env, exact = penot_envelope(T, None, g)
     ids = (family.rule,)
-    if not env.points:
+    if not len(env.rows):
         return verdicts.Verdict(Property.LOW_REPRESENTABLE, True, grid=g,
                                 tol=tol, region_ids=ids, vacuous=True,
                                 notes=("empty graph, empty band",))
     n = T.dimension
-    band = band_points(env, scan_rows(whole_space(n), g), tol)
+    band = row_points(_band_rows(env, scan_rows(whole_space(n), g), tol))
     xs = point_rows(band, n)[:, :n]
     inside = [region.contains_rows(xs).tolist() for region in family.regions]
     cache = {}
