@@ -211,6 +211,10 @@ def envelope(points, dimension=None) -> Envelope:
         if not pairs:
             raise MonokitError("dimension required for a point-free envelope")
         dimension = pairs[0][0].dimension
+    for p, _ in pairs:
+        if p.dimension != dimension:
+            raise DimensionMismatch(f"point dimension {p.dimension} != "
+                                    f"envelope dimension {dimension}")
     rows = [p.x + p.xstar for p, _ in pairs] or np.empty((0, 2 * dimension))
     return Envelope(rows, [v for _, v in pairs], dimension)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convex import Envelope, envelope_eval
+from .convex import Envelope, _check_rows, envelope_eval
 from .core import (PrimalDualPoint, Tolerance, coupling_rows,
                    distinct_rows, pairing_below_rows, point_rows, row_points)
 from .errors import BelowCoupling
@@ -109,8 +109,10 @@ def _near_band(h, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
     gives c(w) <= phi(w), and all weight on w gives psi(w) <= c(w), so
         c(w) <= phi(w) <= psi(w) + eps_eq  and  psi(w) <= c(w):
     w lies on the band and not below the coupling, and _values gives it
-    c(w) without a solve. Without that data every row is near.
+    c(w) without a solve. Without that data every row is near. Rows of
+    another width than 2 h.dimension raise DimensionMismatch.
     """
+    _check_rows(h, rows)
     data = _coupling_data(h, tol)
     if data is None:
         return np.ones(len(rows), dtype=bool)

@@ -9,7 +9,10 @@ value
 A graph has one format: graph_rows, an (M, 2n) array of [u, u*] rows that
 each kind builds from the lattice arrays in its own sampling order.
 enumerate_graph is those rows as points, for the public API and the
-witnesses; every check reads the rows.
+witnesses; every check reads the rows. A PairSum keeps what it built for
+the last joint window and grid it was asked: its two summands' pools and
+its graph rows, read-only, so a gate, a check and the split-dual minimum
+on one sum read one build. No other kind keeps a graph.
 
 Membership is asked of many rows at once. Each kind answers fiber_rows, its
 fiber boxes at an (N, n) array of primals; graph_contains_rows,
@@ -742,13 +745,36 @@ class PairSum(OperatorHandle):
                 win = r if win is None else intersect_regions(win, r)
         return win
 
+    def _build(self, V: Region | None, g: GridSpec) -> dict:
+        """What the sum built for (joint window of V, g), kept on the sum
+        for the last such key asked: the two summands' pools, sampled once
+        per key, and the graph rows, matched once when graph_rows asks.
+        Keys compare with ==, so windows that differ only in the sign of a
+        zero bound share a build."""
+        self._check_window(V)
+        key = (self._joint_window(V), g)
+        slot = self.__dict__.get("_slot")
+        if slot is None or slot["key"] != key:
+            slot = self.__dict__["_slot"] = {
+                "key": key, "rows": None,
+                "pools": (_Pool(self.first, *key), _Pool(self.second, *key))}
+        return slot
+
     def graph_rows(self, V, g):
         """Each first-summand row plus the second's partners at its primal
         (_Pool.partners), then each unmatched second-summand primal plus the
-        first summand sampled there. Equal sums keep their first row."""
+        first summand sampled there. Equal sums keep their first row. The
+        rows are read-only, matched once per joint window and grid (_build)."""
+        slot = self._build(V, g)
+        if slot["rows"] is None:
+            slot["rows"] = self._match(*slot["pools"], g)
+            slot["rows"].flags.writeable = False
+        return slot["rows"]
+
+    def _match(self, a: "_Pool", b: "_Pool", g: GridSpec) -> np.ndarray:
+        """graph_rows from the two pools; partners sampled off their
+        lattices are appended to them."""
         n = self.dimension
-        win = self._joint_window(V)
-        a, b = _Pool(self.first, win, g), _Pool(self.second, win, g)
         at = {x: b.partners(x, g)[0] for x in dict.fromkeys(a.primals)}
         picks = [(x, i, j) for i, x in enumerate(a.primals) for j in at[x]]
         # Second-summand primals that matched were summed above.
@@ -768,10 +794,12 @@ class PairSum(OperatorHandle):
 
 class _Pool:
     """One summand's graph rows over a window, grouped by primal for
-    PairSum's matching; rows it samples off that lattice are appended."""
+    PairSum's matching. own is the summand's graph_rows over the window;
+    rows holds them and, appended, the rows sampled off that lattice."""
 
     def __init__(self, op: OperatorHandle, V: Region | None, g: GridSpec):
-        self.op, self.rows = op, op.graph_rows(V, g)
+        self.op = op
+        self.own = self.rows = op.graph_rows(V, g)
         self.primals = list(map(tuple, self.rows[:, :op.dimension].tolist()))
         self.groups: dict[tuple[float, ...], list[int]] = {}
         for j, x in enumerate(self.primals):

@@ -71,6 +71,24 @@ class Region:
         raise NotImplementedError
 
 
+def _clip_axis(lo, hi, lo_open, hi_open, clo, chi, clo_open, chi_open):
+    """One axis of a box cut by another, both as (lower, upper, lower_open,
+    upper_open): on each side the tighter bound with its own openness, open
+    at a tie if either is (the value kept is the first's). An empty axis is
+    normalized to the recognizable (0, 0, open, open)."""
+    if lo < clo:
+        lo, lo_open = clo, clo_open
+    elif lo == clo:
+        lo_open = lo_open or clo_open
+    if hi > chi:
+        hi, hi_open = chi, chi_open
+    elif hi == chi:
+        hi_open = hi_open or chi_open
+    if lo > hi:
+        return 0.0, 0.0, True, True
+    return lo, hi, lo_open, hi_open
+
+
 def _axis_token(lo, hi, lo_open, hi_open):
     lb = "(" if lo_open else "["
     rb = ")" if hi_open else "]"
@@ -185,28 +203,13 @@ class Box(Region):
     def intersect(self, other: "Box") -> "Box":
         if other.dimension != self.dimension:
             raise DimensionMismatch("box dimensions differ")
-        lower, upper, lo_open, hi_open = [], [], [], []
-        for i in range(self.dimension):
-            if self.lower[i] > other.lower[i]:
-                lo, lo_o = self.lower[i], self.lower_open[i]
-            elif self.lower[i] < other.lower[i]:
-                lo, lo_o = other.lower[i], other.lower_open[i]
-            else:
-                lo, lo_o = self.lower[i], self.lower_open[i] or other.lower_open[i]
-            if self.upper[i] < other.upper[i]:
-                hi, hi_o = self.upper[i], self.upper_open[i]
-            elif self.upper[i] > other.upper[i]:
-                hi, hi_o = other.upper[i], other.upper_open[i]
-            else:
-                hi, hi_o = self.upper[i], self.upper_open[i] or other.upper_open[i]
-            if lo > hi:
-                # Normalize the empty intersection to a recognizable empty box.
-                lo, hi, lo_o, hi_o = 0.0, 0.0, True, True
-            lower.append(lo)
-            upper.append(hi)
-            lo_open.append(lo_o)
-            hi_open.append(hi_o)
-        return Box(tuple(lower), tuple(upper), tuple(lo_open), tuple(hi_open))
+        axes = [_clip_axis(*mine, *theirs)
+                for mine, theirs in zip(self._axes(), other._axes())]
+        return Box(*zip(*axes))
+
+    def _axes(self):
+        """Per axis (lower, upper, lower_open, upper_open)."""
+        return zip(self.lower, self.upper, self.lower_open, self.upper_open)
 
     def bounding_box(self, clip: "Box") -> "Box":
         return self.closure().intersect(clip.closure())
@@ -448,12 +451,13 @@ def lattice_rows(region: Region, g: GridSpec, k: int) -> np.ndarray:
     if region.is_empty():
         return empty
     if isinstance(region, Box):
-        box = region.intersect(g.primal_clip(n))
-        if box.is_empty():
+        # Box.intersect's rule against the closed ambient box, per axis.
+        c = float(g.ambient_bound)
+        axes = [_clip_axis(*axis, -c, c, False, False)
+                for axis in region._axes()]
+        if any(lo == hi and (lo_o or hi_o) for lo, hi, lo_o, hi_o in axes):
             return empty
-        return _product_rows([
-            _axis_lattice(box.lower[i], box.upper[i], box.lower_open[i],
-                          box.upper_open[i], k) for i in range(n)])
+        return _product_rows([_axis_lattice(*axis, k) for axis in axes])
     bbox = region.bounding_box(g.primal_clip(n))
     if bbox.is_empty():
         return empty

@@ -13,11 +13,12 @@ points. A general second summand replaces the support term with its sampled
 envelope and the result is flagged approximate.
 
 There is one sum construction, PairSum: add_normal_cone, operator_sum and the
-sum_normal_cone spec kind all build it, and the split-dual minimum reads the
-PairSum it verifies, with both summands sampled over the sum's joint window
-(PairSum._joint_window), the lattice its graph rows lie on. Sum membership is
-decided from the summands' dual fibers at the point itself, at no grid at
-all.
+sum_normal_cone spec kind all build it. verify_sum_representative checks the
+sum its gate returns, and the split-dual minimum reads that PairSum: each
+summand's own rows over the sum's joint window (PairSum._joint_window) come
+from the pools the sum matches its graph rows from, built once per joint
+window and grid. Sum membership is decided from the summands' dual fibers at
+the point itself, at no grid at all.
 """
 from __future__ import annotations
 
@@ -48,10 +49,12 @@ def add_normal_cone(A: OperatorHandle, C: Box,
     g, _ = with_defaults(g, tol)
     if not isinstance(C, Box):
         raise ValidationError("the constraint set must be a box")
+    # An invalid box is a ValidationError whatever the summand's domain.
+    cone = NormalConeBox(C)
     if not meets_domain(A, C.interior(), g):
         raise UnsatisfiedHypothesis(
             "the summand domain meets the interior of the constraint set")
-    return PairSum(A, NormalConeBox(C))
+    return PairSum(A, cone)
 
 
 def operator_sum(A: OperatorHandle, B: OperatorHandle,
@@ -82,14 +85,14 @@ class RhoValue(NamedTuple):
 class _RhoMachine:
     """The split-dual minimum of a PairSum: psi_A and the candidate duals
     come from its first summand, the second term from its second: the exact
-    box support of a NormalConeBox, else its sampled envelope. Both summands
-    are sampled over the sum's joint window, the lattice its graph rows lie
-    on."""
+    box support of a NormalConeBox, else its sampled envelope. Each summand's
+    rows are its own over the sum's joint window, read from the pools the
+    sum matches its graph rows from (PairSum._build)."""
 
     def __init__(self, S: PairSum, V: Region | None, g: GridSpec):
         n = self.dimension = S.dimension
-        V = S._joint_window(V)
-        graph = S.first._enumerate(V, g)
+        a, b = S._build(V, g)["pools"]
+        graph = a.own
         self.env_a = _coupling_envelope(graph, n)
         # Listed first, the dual lattice's 0.0 stands for a summand's -0.0.
         cands = np.vstack([g.dual_rows(n), graph[:, n:]])
@@ -100,7 +103,7 @@ class _RhoMachine:
         if isinstance(S.second, NormalConeBox):
             self.cone = S.second.box
         else:
-            self.env_b = _coupling_envelope(S.second._enumerate(V, g), n)
+            self.env_b = _coupling_envelope(b.own, n)
             self.approximate = True
 
     def _second_rows(self, xs: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -152,13 +155,18 @@ class _RhoMachine:
                         self.approximate)
 
 
-def _pair_sum(A: OperatorHandle, second) -> PairSum:
+def _pair_sum(A: OperatorHandle, second, g: GridSpec | None = None,
+              tol: Tolerance | None = None) -> PairSum:
     """The sum every split-dual evaluation reads: A + N_C for a closed box C,
-    the pair sum for an operator."""
+    the pair sum for an operator. Given a grid, the sum its gate returns: a
+    box needs the interior (add_normal_cone), an operator a shared primal
+    point (operator_sum)."""
     if isinstance(second, Box):
-        return SumNormalCone(A, second)
+        return (SumNormalCone(A, second) if g is None
+                else add_normal_cone(A, second, g, tol))
     if isinstance(second, OperatorHandle):
-        return PairSum(A, second)
+        return (PairSum(A, second) if g is None
+                else operator_sum(A, second, g, tol))
     raise ValidationError("second summand must be an operator or a closed box")
 
 
@@ -195,12 +203,7 @@ def verify_sum_representative(A: OperatorHandle, second, V: Region,
     if not mono.value:
         raise UnsatisfiedHypothesis("the summand is monotone",
                                     f"witness pair {mono.witnesses[:1]}")
-    S = _pair_sum(A, second)
-    # The gate: a box needs the interior, an operator a shared primal point.
-    if isinstance(second, Box):
-        add_normal_cone(A, second, g, tol)
-    else:
-        operator_sum(A, second, g, tol)
+    S = _pair_sum(A, second, g, tol)
     machine = _RhoMachine(S, V, g)
     notes = []
     if machine.env_b is not None and (

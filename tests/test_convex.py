@@ -88,6 +88,13 @@ class TestEnvelope:
         with pytest.raises(DimensionMismatch):
             envelope_eval(stair_env, pdp([0.0, 0.0], [0.0, 0.0]))
 
+    def test_points_of_mixed_dimensions_are_refused(self):
+        pts = [(pdp([0.0], [0.0]), 0.0), (pdp([1.0, 1.0], [1.0, 1.0]), 1.0)]
+        with pytest.raises(DimensionMismatch, match="dimension 2 != .* 1"):
+            envelope(pts)
+        with pytest.raises(DimensionMismatch, match="dimension 1 != .* 2"):
+            envelope(pts, 2)
+
 
 class TestMaxAffine:
     def test_evaluate_is_max_of_planes(self):

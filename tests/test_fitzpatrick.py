@@ -9,6 +9,7 @@ from monokit import (
     AbsSubdiff,
     BelowCoupling,
     ConvexFn,
+    DimensionMismatch,
     Envelope,
     FiniteGraph,
     GridSpec,
@@ -199,8 +200,21 @@ class TestCouplingBand:
         env = envelope([(pdp([0.0], [0.0]), 0.0)])
         assert coupling_band(env, [], TOL) == []
 
+    def test_points_of_another_dimension_are_refused(self, three_point_graph):
+        env, _ = penot_envelope(three_point_graph, None)
+        with pytest.raises(DimensionMismatch, match=r"\(N, 2\)"):
+            coupling_band(env, [pdp([0.0, 0.0], [1.0, 1.0])], TOL)
+
 
 class TestIsRepresentative:
+    def test_envelope_of_another_dimension_is_refused(self, three_point_graph):
+        env, _ = penot_envelope(three_point_graph, None)
+        T = Linear(((1.0, 0.0), (0.0, 1.0)))
+        V = closed_box([0.0, 0.0], [1.0, 1.0])
+        g = GridSpec(resolution=3, dual_bound=1.0, dual_resolution=3)
+        with pytest.raises(DimensionMismatch, match=r"\(N, 2\)"):
+            is_representative(env, T, V, g, TOL)
+
     def test_two_point_diagonal_graph_passes(self):
         T = FiniteGraph([pdp([0.0], [0.0]), pdp([1.0], [1.0])])
         env, _ = penot_envelope(T, interval(0.0, 1.0), SMALL)

@@ -6,11 +6,14 @@ per kind, with PairSum's dict matching on primal tuples. Rows and reference
 must agree with ==, in order and in the sign of every zero, so the comparison
 is on the bytes of the float arrays.
 """
+import copy
+import dataclasses
 import itertools
+from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from monokit import (
     INF,
@@ -26,15 +29,18 @@ from monokit import (
     RegionFamily,
     Restriction,
     SumNormalCone,
+    add_normal_cone,
     check_condition_c,
     check_identifies,
     check_locates,
+    check_maximal_on_grid,
     check_v_representable,
     check_vni,
     closed_box,
     family_scan,
     interval,
     is_monotone,
+    operator_sum,
     pdp,
     penot_envelope,
     psi_eval,
@@ -48,7 +54,7 @@ from monokit import core
 from monokit.core import PrimalDualPoint, point_rows, row_points
 from monokit.operators import _MATCH_TOL, _DUST, OperatorHandle
 from monokit.regions import HalfSpace, grid_sample, intersect_regions
-from test_scan_kernel import TOL, cases
+from test_scan_kernel import TOL, cases, grids, windows
 
 
 def reference(T, V, g):
@@ -354,15 +360,99 @@ def test_unique_extension_builds_the_restriction_once(rows_calls):
     assert [w for i, w in rows_calls if i == id(T)] == [V]
 
 
-def test_sum_verification_builds_each_summand_twice(rows_calls):
-    """Over the window: the first summand for the monotone gate and the
-    pair sum, the second for its envelope and the pair sum; the dual-clip
-    note reads the envelope's data."""
+def test_sum_verification_builds_each_summand_once(rows_calls):
+    """Over the window: each summand once, for the pools that the pair sum
+    matches its graph rows from and that the split-dual minimum reads; the
+    dual-clip note reads the envelope's data."""
     A, B = AbsSubdiff(1.0), AbsSubdiff(1.0)
     verdict = verify_sum_representative(A, B, W, G9, TOL)
     over_w = [i for i, V in rows_calls if V == W]
-    assert over_w.count(id(A)) == 2 and over_w.count(id(B)) == 2
+    assert over_w.count(id(A)) == 1 and over_w.count(id(B)) == 1
     assert verdict.notes == ("second term: sampled envelope",)
+
+
+def test_a_gated_sum_builds_each_summand_once_per_joint_window(rows_calls):
+    """operator_sum's gate and a check over a window reaching past the box
+    read one build: the joint window is the box both times."""
+    L, C = Linear(((1.0,),)), closed_box([-0.5], [0.5])
+    cone = NormalConeBox(C)
+    S = operator_sum(L, cone, G9, TOL)
+    check_vni(S, W, G9, TOL)
+    assert [V for i, V in rows_calls if i == id(L)] == [C]
+    assert [V for i, V in rows_calls if i == id(cone)] == [C]
+
+
+def test_maximality_builds_each_summand_once(rows_calls):
+    """The monotone gate and the relation scan of check_maximal_on_grid
+    read one build of the sum."""
+    S = add_normal_cone(AbsSubdiff(1.0), closed_box([-0.5], [1.0]), G9)
+    check_maximal_on_grid(S, whole_space(1), G9, TOL)
+    for T in (S.first, S.second):
+        assert len([V for i, V in rows_calls if i == id(T)]) == 1
+
+
+def assert_fresh(T, pristine, V, g):
+    """T's rows over V at g are read-only and byte-equal to the rows of a
+    copy of T that never built a graph."""
+    rows = T.graph_rows(V, g)
+    fresh = copy.deepcopy(pristine).graph_rows(V, g)
+    assert not rows.flags.writeable
+    assert rows.shape == fresh.shape and rows.tobytes() == fresh.tobytes()
+
+
+@given(cases(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_kept_rows_are_a_fresh_sums_rows(case, data):
+    """Windows W1, W2, W1 and then a second grid: each answer is the
+    fresh sum's, for the pair and nested sums."""
+    T, V1, g1 = case
+    assume(isinstance(T, PairSum))
+    V2 = data.draw(windows(T.dimension))
+    g2 = data.draw(grids(T.dimension))
+    pristine = copy.deepcopy(T)
+    for V, g in ((V1, g1), (V2, g1), (V1, g1), (V1, g2)):
+        assert_fresh(T, pristine, V, g)
+
+
+def test_kept_off_lattice_rows_are_a_fresh_sums_rows():
+    """A finite graph off the lattice: the pools' appended partners do not
+    leak into a later answer."""
+    T = PairSum(finite((-0.7, -1.0), (0.0, 0.0), (0.3, 0.5), (0.5, 1.0)),
+                AbsSubdiff(1.0))
+    pristine = copy.deepcopy(T)
+    V2 = interval(-0.5, 0.75, True, False)
+    g2 = GridSpec(resolution=7, dual_bound=2.0, dual_resolution=5)
+    for V, g in ((W, G9), (V2, G9), (W, G9), (W, g2)):
+        assert_fresh(T, pristine, V, g)
+        assert_rows_are(T.graph_rows(V, g), reference(T, V, g), 1)
+
+
+def _extra_state(T):
+    """vars(T) beyond T's fields and its class's cached properties."""
+    cached = {name for cls in type(T).__mro__ for name, v in vars(cls).items()
+              if isinstance(v, cached_property)}
+    fields = {f.name for f in dataclasses.fields(T)}
+    return set(vars(T)) - fields - cached
+
+
+@pytest.mark.parametrize("check", [check_vni, check_locates,
+                                   check_identifies, check_condition_c,
+                                   check_v_representable,
+                                   check_maximal_on_grid])
+def test_only_the_sum_keeps_its_graph(check):
+    """The build is kept on the sum; no summand kind holds a graph."""
+    inner = PairSum(restrict(Linear(((1.0,),)), interval(-1.0, 0.75)),
+                    NormalConeBox(closed_box([-0.5], [0.5])))
+    T = PairSum(inner, Flat(interval(-0.25, 1.0), (0.5,)))
+    cloud = PairSum(finite((-0.7, -1.0), (0.0, 0.0), (0.3, 0.5)),
+                    PointComplement((0.25,)))
+    for S in (T, cloud):
+        check(S, W, G9, TOL)
+        assert _extra_state(S) == {"_slot"}
+    summands = (inner.first, inner.first.base, inner.second, T.second,
+                cloud.first, cloud.second)
+    for A in summands:
+        assert _extra_state(A) == set(), A
 
 
 @pytest.mark.parametrize("slope, notes", [
