@@ -8,8 +8,9 @@ window-local properties on sampled grids with explicit tolerances.
 from .core import (DEFAULT_TOL, INF, PrimalDualPoint, Tolerance, as_vector,
                    coupling, monotone_gap, natural_pairing, pdp, supremum)
 from .errors import (BelowCoupling, DimensionMismatch, LPNumericalError,
-                     MonokitError, RegionError, SpecFormatError,
-                     ToleranceError, UnsatisfiedHypothesis, ValidationError)
+                     MonokitError, RegionError, ScanTooLarge,
+                     SpecFormatError, ToleranceError, UnsatisfiedHypothesis,
+                     ValidationError)
 from .regions import (Box, GridSpec, HalfSpace, Intersection, Region,
                       box_from_literal, closed_box, grid_sample,
                       intersect_regions, interval, open_box, whole_space)
@@ -42,7 +43,7 @@ __all__ = [
     "LPNumericalError", "MaxAffine", "MonokitError", "NormalConeBox",
     "OperatorHandle", "PairSum", "PointComplement", "PrimalDualPoint",
     "Property", "Region", "RegionError", "RegionFamily", "Restriction",
-    "RhoValue", "RunConfig",
+    "RhoValue", "RunConfig", "ScanTooLarge",
     "SpecFormatError", "SumNormalCone", "Tolerance", "ToleranceError",
     "UnsatisfiedHypothesis", "ValidationError", "Verdict", "add_normal_cone",
     "as_vector", "box_from_literal", "build_operator", "check_condition_c",

@@ -3,7 +3,8 @@
 Reports are structured text rendered deterministically: dictionary keys
 sorted, floats at 12 significant digits, inf literals spelled out. Exit
 codes: 0 all requested checks hold, 1 some verdict is false, 2 parse or
-hypothesis-gate errors.
+hypothesis-gate errors, or a scan over the row budget (one line on stderr,
+and no report).
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .classify import (check_condition_c, check_identifies, check_locates,
                        check_maximal_on_grid, check_v_representable,
                        check_vni, dyadic_open_boxes, family_scan)
 from .convex import envelope_rows
-from .errors import MonokitError, SpecFormatError
+from .errors import MonokitError, ScanTooLarge, SpecFormatError
 from .fitzpatrick import penot_envelope, scan_rows
 from .gallery import run_gallery
 from .operators import is_monotone
@@ -124,6 +125,8 @@ def _cmd_classify(args) -> int:
     for prop in config.properties:
         try:
             v = _dispatch(prop, config)
+        except ScanTooLarge:
+            raise  # the grid itself is too fine: no report is written
         except MonokitError as exc:
             verdicts[prop.value] = {"error": str(exc)}
             had_error = True

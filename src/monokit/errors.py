@@ -25,6 +25,11 @@ class LPNumericalError(MonokitError):
     """The simplex solver hit a numerical failure, distinct from infeasibility."""
 
 
+class ScanTooLarge(MonokitError):
+    """A scan lattice would hold more rows than the scan budget allows; it
+    is refused before anything of its size is built."""
+
+
 class BelowCoupling(MonokitError):
     """A candidate representative dips below the coupling by more than the
     strict margin, so it is outside the representable class."""

@@ -5,6 +5,8 @@ coupling on the graph. For finite graphs both are exact; for analytic kinds
 phi has closed forms per kind while psi is built on the sampled graph and
 reported approximate. The representative test scans the window-times-dual
 grid for the equality band [h = c] and compares it with the graph, on rows.
+scan_rows builds every scan lattice, and refuses one whose row bound
+exceeds SCAN_ROW_BUDGET with ScanTooLarge before building it.
 
 The envelope's LPs are solved only where Fitzpatrick's inequality leaves
 the band open. When the envelope carries the coupling of data that is
@@ -21,17 +23,34 @@ import numpy as np
 from .convex import Envelope, _check_rows, envelope_eval
 from .core import (PrimalDualPoint, Tolerance, coupling_rows,
                    distinct_rows, pairing_below_rows, point_rows, row_points)
-from .errors import BelowCoupling
+from .errors import BelowCoupling, ScanTooLarge
 from .operators import OperatorHandle
 from .regions import GridSpec, Region, lattice_rows
 from .verdicts import Property, Verdict, finish
 
 
+# The most rows a scan may hold: at least twice the largest scan any check
+# is known to need (check_vni of a 2-D box normal cone at resolution 51,
+# 6,765,201 rows and a 463 MiB peak RSS), as a power of two.
+SCAN_ROW_BUDGET = 2 ** 24
+
+
 def scan_rows(V: Region, g: GridSpec) -> np.ndarray:
     """The lattice over V x (clipped dual box) as an (N, 2n) array of
-    [x, x*] rows, lexicographic in both parts; the one lattice builder."""
+    [x, x*] rows, lexicographic in both parts; the one lattice builder.
+
+    A box lattice has resolution^n primals and the dual lattice
+    dual_resolution^n duals, so (resolution * dual_resolution)^n bounds
+    the rows of every scan; above SCAN_ROW_BUDGET it raises ScanTooLarge
+    before building anything.
+    """
     n = V.dimension
-    primal = lattice_rows(V, g, g.resolution)
+    size = (g.resolution * g.dual_resolution) ** n
+    if size > SCAN_ROW_BUDGET:
+        raise ScanTooLarge(
+            f"a scan of {size:,} rows exceeds the budget of "
+            f"{SCAN_ROW_BUDGET:,} rows; lower resolution or dual_resolution")
+    primal = lattice_rows(V, g)
     duals = g.dual_rows(n)
     out = np.empty((len(primal), len(duals), 2 * n))
     out[:, :, :n] = primal[:, None, :]

@@ -8,7 +8,8 @@ tableau of its own, one slice of a 3-D array, and the tableaus pivot
 together: each step picks every active tableau's entering column and
 leaving row, then pivots them all at once. Every rule reads one tableau
 only, so each row's outcome is bit for bit the one it gets when solved
-alone, and never depends on the rows beside it. `solve` is the one-row call.
+alone, and never depends on the rows beside it. solve_rows is the one entry
+point; a single right-hand side is an array of one row.
 
 Pricing is Dantzig's, the most negative reduced cost enters, except right
 after a degenerate pivot (its leaving row's right-hand side is at most the
@@ -50,15 +51,6 @@ class LPStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class LPProblem:
-    """min objective . x  s.t.  eq_matrix x = eq_rhs, x >= 0."""
-
-    objective: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -265,13 +257,4 @@ def solve_rows(objective, matrix, rhs_rows) -> list[LPSolution | LPNumericalErro
         idx = todo[s:s + step]
         for i, sol in zip(idx, _solve_block(c, a, rhs[idx])):
             out[i] = sol
-    return out
-
-
-def solve(problem: LPProblem) -> LPSolution:
-    """Two-phase simplex. Infeasibility is a status, numerical trouble raises."""
-    out = solve_rows(problem.objective, problem.eq_matrix,
-                     np.asarray(problem.eq_rhs, dtype=float)[None])[0]
-    if isinstance(out, LPNumericalError):
-        raise out
     return out

@@ -18,10 +18,10 @@ Membership is asked of many rows at once. Each kind answers fiber_rows, its
 fiber boxes at an (N, n) array of primals; graph_contains_rows,
 domain_contains_rows and domain_closure_contains_rows derive from it, and
 the point and the restriction override the graph test where the closure of
-a fiber says too much. The scalar fiber, graph_contains, domain_contains
-and domain_closure_contains are one-row calls, which reject a point whose
-dimension differs from the operator's; enumeration, phi and mr_batch reject
-a window of another dimension.
+a fiber says too much. The scalar graph_contains and domain_contains are
+one-row calls, which reject a point whose dimension differs from the
+operator's; enumeration, phi and mr_batch reject a window of another
+dimension.
 
 phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows,
 below_batch asks whether phi < thr at each and mr_batch whether each is
@@ -35,6 +35,10 @@ one-row call of phi_batch. For the box normal cone N_C the closed form is
 the support function of C-intersect-V. The pairwise monotone scan is
 core's half-product gap scan. The structural zero of the dust tolerance
 below guards float noise in boundary comparisons, nothing more.
+
+KINDS describes every kind a description may name once: its constructor
+and its fields in order, each with its format. build_operator and the spec
+parser both read an operator against it, so neither has a branch per kind.
 """
 from __future__ import annotations
 
@@ -128,13 +132,6 @@ class OperatorHandle:
             raise DimensionMismatch("point dimension does not match operator")
         return np.array([v])
 
-    def fiber(self, x, tol: Tolerance) -> list[tuple[tuple[float, ...],
-                                                     tuple[float, ...]]]:
-        """T(x) as a list of (lower, upper) boxes: a one-row call of
-        fiber_rows."""
-        _, low, up = self.fiber_rows(self._one_row(x), tol)
-        return list(zip(map(tuple, low.tolist()), map(tuple, up.tolist())))
-
     def graph_contains_rows(self, rows: np.ndarray,
                             tol: Tolerance) -> np.ndarray:
         """Boolean mask over [x, x*] rows: whether some box of the fiber at
@@ -175,11 +172,6 @@ class OperatorHandle:
     def domain_contains(self, x, tol: Tolerance) -> bool:
         """A one-row call of domain_contains_rows."""
         return bool(self.domain_contains_rows(self._one_row(x), tol)[0])
-
-    def domain_closure_contains(self, x, tol: Tolerance) -> bool:
-        """A one-row call of domain_closure_contains_rows."""
-        return bool(self.domain_closure_contains_rows(self._one_row(x),
-                                                     tol)[0])
 
     def graph_rows(self, V: Region | None, g: GridSpec) -> np.ndarray:
         """The graph over V at the density of g as an (M, 2n) array of
@@ -366,7 +358,7 @@ class Flat(OperatorHandle):
 
     def graph_rows(self, V, g):
         dom = self.region if V is None else intersect_regions(self.region, V)
-        xs = lattice_rows(dom, g, g.resolution)
+        xs = lattice_rows(dom, g)
         return np.hstack([xs, np.broadcast_to(self.wstar, xs.shape)])
 
     def phi_is_exact(self, V):
@@ -394,6 +386,8 @@ class NormalConeBox(OperatorHandle):
     box: Box
 
     def __post_init__(self):
+        if not isinstance(self.box, Box):
+            raise ValidationError("normal cones require a box region")
         if not self.box.is_closed:
             raise ValidationError("normal cones require a closed box")
         if any(math.isinf(b) for b in self.box.lower + self.box.upper):
@@ -430,8 +424,7 @@ class NormalConeBox(OperatorHandle):
         n = self.dimension
         dom = self.box if V is None else intersect_regions(self.box, V)
         # The distinct primals as dict keys, the first of equal rows kept.
-        xs = dict.fromkeys(map(tuple, lattice_rows(dom, g,
-                                                   g.resolution).tolist()))
+        xs = dict.fromkeys(map(tuple, lattice_rows(dom, g).tolist()))
         mags = np.linspace(0.0, g.dual_bound, g.dual_resolution).tolist()
         neg = [-m for m in mags]
         duals = [sorted({0.0, *(neg if lo else ()), *(mags if hi else ())})
@@ -500,7 +493,7 @@ class AbsSubdiff(OperatorHandle):
         a = self.slope
         kink = sorted({-a, a}.union(
             v for v in g.dual_rows(1)[:, 0].tolist() if -a < v < a))
-        x = lattice_rows(_window(1, V), g, g.resolution)[:, 0]
+        x = lattice_rows(_window(1, V), g)[:, 0]
         pick = np.where(x > _DUST, 2, np.where(x < -_DUST, 0, 1))
         take, duals = _expand([[-a], kink, [a]], pick)
         return np.stack([x[take], duals], axis=1)
@@ -589,9 +582,13 @@ class Linear(OperatorHandle):
     matrix: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        rows = self.matrix
+        # Checked row by row first: numpy rejects ragged rows with its own
+        # error.
+        if len(rows) == 0 or any(np.ndim(row) != 1 or len(row) != len(rows)
+                                 for row in rows):
             raise ValidationError("matrix must be square")
+        m = np.array(rows, dtype=float)
         require_finite(m.ravel(), "matrix entries")
         sym = (m + m.T) / 2.0
         if np.linalg.eigvalsh(sym).min() < -1e-9:
@@ -621,7 +618,7 @@ class Linear(OperatorHandle):
         return np.arange(len(xs)), mx, mx
 
     def graph_rows(self, V, g):
-        xs = lattice_rows(_window(self.dimension, V), g, g.resolution)
+        xs = lattice_rows(_window(self.dimension, V), g)
         return np.hstack([xs, self._images(xs)])
 
     def phi_is_exact(self, V):
@@ -855,7 +852,7 @@ def meets_domain(T: OperatorHandle, V: Region, g: GridSpec) -> bool:
         cut = intersect_regions(region, V)
         if isinstance(cut, Box):
             return not cut.is_empty()
-        return len(lattice_rows(cut, g, g.resolution)) > 0
+        return len(lattice_rows(cut, g)) > 0
     xs = T.graph_rows(None, g)[:, :T.dimension]
     return bool(V.contains_rows(xs).any())
 
@@ -915,78 +912,66 @@ def _as_region(value) -> Region:
     raise ValidationError(f"cannot interpret {value!r} as a region")
 
 
-# The fields each operator kind takes, in the order build_operator reads
-# them; the spec parser checks description files against the same table.
-OPERATOR_FIELDS = {
-    "finite_graph": ("points",),
-    "flat": ("region", "wstar"),
-    "normal_cone_box": ("box",),
-    "abs_subdiff": ("slope",),
-    "point_complement": ("anchor",),
-    "linear": ("matrix",),
-    "restriction": ("operator", "region"),
-    "sum_normal_cone": ("operator", "box"),
-    "pair_sum": ("first", "second"),
+def _as_rows(value) -> tuple[tuple[float, ...], ...]:
+    """A list of number lists, as float tuples."""
+    return tuple(tuple(float(c) for c in row) for row in value)
+
+
+def _graph_of_rows(rows) -> FiniteGraph:
+    """A finite graph from flat [x..., xstar...] rows."""
+    if any(len(row) % 2 or not row for row in rows):
+        raise ValidationError(
+            "finite_graph rows are flat [x..., xstar...] lists")
+    return FiniteGraph(tuple(PrimalDualPoint(r[:len(r) // 2], r[len(r) // 2:])
+                             for r in rows))
+
+
+# Every operator kind: its constructor and the fields it takes in order,
+# each with its format (rows, a list of number lists; region; vector, a
+# number or a number list; number; operator, a nested kind/field mapping).
+# build_operator and the spec parser read operators against this table.
+KINDS = {
+    "finite_graph": (_graph_of_rows, {"points": "rows"}),
+    "flat": (Flat, {"region": "region", "wstar": "vector"}),
+    "normal_cone_box": (NormalConeBox, {"box": "region"}),
+    "abs_subdiff": (AbsSubdiff, {"slope": "number"}),
+    "point_complement": (PointComplement, {"anchor": "vector"}),
+    "linear": (Linear, {"matrix": "rows"}),
+    "restriction": (restrict, {"operator": "operator", "region": "region"}),
+    "sum_normal_cone": (SumNormalCone, {"operator": "operator",
+                                        "box": "region"}),
+    "pair_sum": (PairSum, {"first": "operator", "second": "operator"}),
 }
 
 
 def build_operator(spec: dict) -> OperatorHandle:
-    """Construct a handle from a parsed kind/field mapping."""
+    """Construct a handle from a kind/field mapping: each field is read by
+    its format in KINDS, a value that format cannot read raising
+    ValidationError, and handed to the kind's constructor in order."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError("operator description needs a 'kind' field")
     kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in OPERATOR_FIELDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ValidationError(f"unknown operator kind {kind!r}")
-    names = OPERATOR_FIELDS[kind]
-    fields = {k: v for k, v in spec.items() if k != "kind"}
-    missing = [n for n in names if n not in fields]
+    make, fields = KINDS[kind]
+    missing = [f for f in fields if f not in spec]
     if missing:
         raise ValidationError(
             f"operator kind {kind!r} missing fields: {', '.join(missing)}")
-    extra = sorted(set(fields) - set(names))
+    extra = sorted(set(spec) - set(fields) - {"kind"})
     if extra:
         raise ValidationError(
             f"operator kind {kind!r} got unknown fields: {', '.join(extra)}")
-    values = [fields[n] for n in names]
+    values = []
+    for f, fmt in fields.items():
+        try:
+            values.append(_READERS[fmt](spec[f]))
+        except (TypeError, ValueError):
+            raise ValidationError(f"operator kind {kind!r} cannot read "
+                                  f"field {f!r} as {fmt}") from None
+    return make(*values)
 
-    if kind == "finite_graph":
-        (rows,) = values
-        pts = []
-        for row in rows:
-            row = list(row)
-            if len(row) % 2 != 0 or not row:
-                raise ValidationError(
-                    "finite_graph rows are flat [x..., xstar...] lists")
-            n = len(row) // 2
-            pts.append(PrimalDualPoint(tuple(float(c) for c in row[:n]),
-                                       tuple(float(c) for c in row[n:])))
-        return FiniteGraph(tuple(pts))
-    if kind == "flat":
-        region, wstar = values
-        return Flat(_as_region(region), as_vector(wstar))
-    if kind == "normal_cone_box":
-        (box,) = values
-        region = _as_region(box)
-        if not isinstance(region, Box):
-            raise ValidationError("normal_cone_box needs a box region")
-        return NormalConeBox(region)
-    if kind == "abs_subdiff":
-        (slope,) = values
-        return AbsSubdiff(float(slope))
-    if kind == "point_complement":
-        (anchor,) = values
-        return PointComplement(as_vector(anchor))
-    if kind == "linear":
-        (matrix,) = values
-        return Linear(tuple(tuple(float(c) for c in row) for row in matrix))
-    if kind == "restriction":
-        base, region = values
-        return restrict(build_operator(base), _as_region(region))
-    if kind == "sum_normal_cone":
-        base, box = values
-        region = _as_region(box)
-        if not isinstance(region, Box):
-            raise ValidationError("sum_normal_cone needs a box region")
-        return SumNormalCone(build_operator(base), region)
-    first, second = values
-    return PairSum(build_operator(first), build_operator(second))
+
+# How build_operator reads a value of each field format.
+_READERS = {"rows": _as_rows, "region": _as_region, "vector": as_vector,
+            "number": float, "operator": build_operator}

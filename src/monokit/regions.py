@@ -10,10 +10,11 @@ Points are (N, n) float arrays of rows. Each shape answers membership and
 the Chebyshev distance to its closure for many rows at once (contains_rows,
 distance_inf_rows), which reject rows of another width than the region's
 dimension; the scalar contains is a one-row call.
-Every lattice is built as rows by lattice_rows, and grid_sample and
-GridSpec.dual_lattice are tuple views of those arrays. GridSpec.dual_rows
-builds the clipped dual box's lattice from its one axis, as lattice_rows
-would, at each call; nothing is kept between calls.
+Every lattice is built as rows by lattice_rows, at the grid's resolution
+per axis, and grid_sample and GridSpec.dual_lattice are tuple views of
+those arrays. GridSpec.dual_rows builds the clipped dual box's lattice from
+its one axis, as lattice_rows would at dual_resolution, at each call;
+nothing is kept between calls.
 """
 from __future__ import annotations
 
@@ -396,8 +397,8 @@ class GridSpec:
 
     def dual_rows(self, n: int) -> np.ndarray:
         """The dual lattice as a (D, n) array: lattice_rows of the dual
-        box, which the ambient box clips, taken straight from the one
-        closed axis [-c, c] that clipping leaves."""
+        box at dual_resolution, which the ambient box clips, taken
+        straight from the one closed axis [-c, c] that clipping leaves."""
         c = min(self.dual_bound, self.ambient_bound)
         axis = _axis_lattice(-c, c, False, False, self.dual_resolution)
         return _product_rows([axis] * n)
@@ -438,15 +439,16 @@ def _product_rows(axes) -> np.ndarray:
     return out
 
 
-def lattice_rows(region: Region, g: GridSpec, k: int) -> np.ndarray:
-    """The lattice over a region with k samples per axis, as an (N, n)
-    array of rows, lexicographic in the axes; the one lattice builder.
+def lattice_rows(region: Region, g: GridSpec) -> np.ndarray:
+    """The lattice over a region with g.resolution samples per axis, as an
+    (N, n) array of rows, lexicographic in the axes; the one lattice
+    builder.
 
     Boxes are sampled per axis with the open-end offset rule; unbounded axes
     are clipped to the ambient box first. Other shapes sample their clipped
     bounding box and keep the rows that contains_rows admits.
     """
-    n = region.dimension
+    n, k = region.dimension, g.resolution
     empty = np.empty((0, n))
     if region.is_empty():
         return empty
@@ -466,10 +468,8 @@ def lattice_rows(region: Region, g: GridSpec, k: int) -> np.ndarray:
     return rows[region.contains_rows(rows)]
 
 
-def grid_sample(region: Region, spec: GridSpec,
-                resolution: int | None = None) -> list[tuple[float, ...]]:
-    """lattice_rows as point tuples, at spec.resolution unless a
-    resolution is given. Every returned point satisfies contains()."""
-    k = resolution if resolution is not None else spec.resolution
-    return list(map(tuple, lattice_rows(region, spec, k).tolist()))
+def grid_sample(region: Region, spec: GridSpec) -> list[tuple[float, ...]]:
+    """lattice_rows as point tuples. Every returned point satisfies
+    contains()."""
+    return list(map(tuple, lattice_rows(region, spec).tolist()))
 

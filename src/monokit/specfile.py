@@ -3,7 +3,10 @@
 The format is deliberately small: `key: value` scalars, nested blocks by
 two-space indentation, `- ` list items, inline `[a, b]` number lists, and
 interval-product literals for regions. Every unknown key, bad indent, or
-malformed value is rejected with its line number.
+malformed value is rejected with its line number. An operator block names a
+kind of operators.KINDS, and each of its fields is read by the reader of
+its format there: rows as `- [a, b]` items, a region literal, a vector as a
+number or `[a, b]`, a number, or a nested operator block.
 
     operator:
       kind: flat
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 from .core import DEFAULT_TOL, Tolerance
 from .errors import MonokitError, RegionError, SpecFormatError
-from .operators import OPERATOR_FIELDS, OperatorHandle, build_operator
+from .operators import KINDS, OperatorHandle, build_operator
 from .regions import GridSpec, Region, box_from_literal
 from .verdicts import Property
 
@@ -162,6 +165,12 @@ def _require_dict(node, line, what):
     return node
 
 
+def _as_rows(raw, line, key) -> list[list[float]]:
+    if not isinstance(raw, list):
+        raise SpecFormatError(f"{key} must be a list of rows", line=line)
+    return [_as_number_list(item, ln) for ln, item in raw]
+
+
 def _operator_node(node, line) -> dict:
     node = _require_dict(node, line, "operator")
     if "kind" not in node:
@@ -169,34 +178,33 @@ def _operator_node(node, line) -> dict:
     kind_line, kind = node["kind"]
     if not isinstance(kind, str):
         raise SpecFormatError("kind must be a name", line=kind_line)
-    if kind not in OPERATOR_FIELDS:
+    if kind not in KINDS:
         raise SpecFormatError(f"unknown operator kind {kind!r}",
                               line=kind_line)
-    allowed = OPERATOR_FIELDS[kind]
+    _, fields = KINDS[kind]
     for key, (key_line, _) in node.items():
-        if key != "kind" and key not in allowed:
+        if key != "kind" and key not in fields:
             raise SpecFormatError(
                 f"unknown field {key!r} for kind {kind!r}", line=key_line)
     spec: dict = {"kind": kind}
-    for key in allowed:
+    for key, fmt in fields.items():
         if key not in node:
             raise SpecFormatError(f"kind {kind!r} needs field {key!r}",
                                   line=line)
         val_line, val = node[key]
-        if key in ("points", "matrix"):
-            if not isinstance(val, list):
-                raise SpecFormatError(f"{key} must be a list of rows",
-                                      line=val_line)
-            spec[key] = [_as_number_list(raw, ln) for ln, raw in val]
-        elif key in ("region", "box"):
-            spec[key] = _as_region(val, val_line)
-        elif key in ("wstar", "anchor"):
-            spec[key] = _as_vector_value(val, val_line)
-        elif key == "slope":
-            spec[key] = _as_float(val, val_line)
-        elif key in ("operator", "first", "second"):
-            spec[key] = _operator_node(val, val_line)
+        spec[key] = _FIELD_READERS[fmt](val, val_line, key)
     return spec
+
+
+# How a description file writes each field format of operators.KINDS: every
+# reader takes the raw node, its line and the field's name.
+_FIELD_READERS = {
+    "rows": _as_rows,
+    "region": lambda raw, line, _: _as_region(raw, line),
+    "vector": lambda raw, line, _: _as_vector_value(raw, line),
+    "number": lambda raw, line, _: _as_float(raw, line),
+    "operator": lambda raw, line, _: _operator_node(raw, line),
+}
 
 
 _PROPERTY_NAMES = {p.value: p for p in Property}

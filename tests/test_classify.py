@@ -268,16 +268,16 @@ class TestConditionC:
         v = check_condition_c(T, interval(-2.0, 2.0), G, TOL)
         assert not v.value
         assert not v.vacuous
-        for w in v.witnesses:
-            assert not T.domain_closure_contains(w.x, TOL)
+        xs = np.array([w.x for w in v.witnesses])
+        assert not T.domain_closure_contains_rows(xs, TOL).any()
 
     def test_three_point_diagonal_reports_gap_points(self):
         T = FiniteGraph([pdp([0.0], [0.0]), pdp([1.0], [1.0]),
                          pdp([2.0], [2.0])])
         v = check_condition_c(T, interval(-3.0, 3.0), G, TOL)
         assert not v.value
-        assert any(not T.domain_closure_contains(w.x, TOL)
-                   for w in v.witnesses)
+        xs = np.array([w.x for w in v.witnesses])
+        assert not T.domain_closure_contains_rows(xs, TOL).all()
 
     def test_empty_strict_set_is_vacuous(self):
         v = check_condition_c(NormalConeBox(closed_box([-1.0], [1.0])),
@@ -388,6 +388,5 @@ class TestConvexClosureConsequence:
             assert bool(v.value)
             xs = [p for p in np.linspace(-1.0, 1.0, 21)
                   if T.domain_contains([p], TOL)]
-            for a in xs:
-                for b in xs:
-                    assert T.domain_closure_contains([(a + b) / 2.0], TOL)
+            mids = np.array([[(a + b) / 2.0] for a in xs for b in xs])
+            assert T.domain_closure_contains_rows(mids, TOL).all()

@@ -1,5 +1,7 @@
 """End-to-end command line behavior through main(argv)."""
 
+import os
+import resource
 import subprocess
 import sys
 
@@ -144,6 +146,54 @@ def test_spec_error_rendering(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "spec error: line 5: unknown field 'bogus' for kind 'flat'" in err
+
+
+def test_ragged_matrix_is_a_spec_error(tmp_path, capsys):
+    spec = write(tmp_path, (
+        "operator:\n"
+        "  kind: linear\n"
+        "  matrix:\n"
+        "    - [1, 0]\n"
+        "    - [0]\n"
+    ))
+    code = main(["classify", "--spec", spec])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["spec error: line 1: matrix must be square"]
+
+
+# No grid block, so the default resolutions ask for 41^6 scan rows.
+IDENTITY_3D = (
+    "operator:\n"
+    "  kind: linear\n"
+    "  matrix:\n"
+    "    - [1, 0, 0]\n"
+    "    - [0, 1, 0]\n"
+    "    - [0, 0, 1]\n"
+    "window: [-1, 1] x [-1, 1] x [-1, 1]\n"
+    "properties:\n"
+    "  - vni\n"
+)
+
+
+def _limit_address_space():
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024, hard))
+
+
+def test_a_scan_over_the_budget_is_exit_2_under_a_memory_limit(tmp_path):
+    """Under a 2 GB address-space limit the 212 GiB scan is refused before
+    it is allocated: exit 2 and one line on stderr, not a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "monokit.cli", "classify", "--spec",
+         write(tmp_path, IDENTITY_3D)],
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: a scan of 4,750,104,241 rows exceeds")
 
 
 NON_FINITE = [

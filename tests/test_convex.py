@@ -446,8 +446,9 @@ def test_hull_cuts_answer_where_the_lp_raises():
                   (pdp([0.0, 1.0], [0.0, 0.0]), 0.0),
                   (pdp([0.0, 0.0], [0.0, -1.0]), 0.0)])
     row = np.array([[0.0, 1.0, 1e-5, 0.0]])
-    with pytest.raises(LPNumericalError):
-        lp.solve(lp.LPProblem(f._lp[3], f._lp[2], np.append(row, 1.0)))
+    assert isinstance(lp.solve_rows(f._lp[3], f._lp[2],
+                                    [np.append(row, 1.0)])[0],
+                      LPNumericalError)
     assert envelope_rows(f, row).tolist() == [INF]
     assert _check_hull_cuts(f, row) == 1
 

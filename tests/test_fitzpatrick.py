@@ -1,5 +1,7 @@
 """Affine sup, coupling envelope, and band-vs-graph matching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from monokit import (
     Linear,
     NormalConeBox,
     PointComplement,
+    ScanTooLarge,
     add_normal_cone,
     check_v_representable,
     closed_box,
@@ -453,3 +456,28 @@ def test_two_dim_sum_pinned_against_the_full_scan():
     assert verdict == full
     assert verdict.value and verdict.witness_count == 0
     assert verdict.approximate
+
+
+def test_a_scan_over_the_budget_raises_before_it_is_built():
+    """The default grid on a 3-D box asks for 41^6 scan rows (212 GiB); the
+    budget refuses it before anything of that size is allocated."""
+    V = closed_box((-1.0,) * 3, (1.0,) * 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScanTooLarge, match="4,750,104,241 rows"):
+            scan_rows(V, GridSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
+def test_the_budget_bounds_primals_times_duals(monkeypatch):
+    """The bound is (resolution * dual_resolution)^n: a scan of exactly the
+    budget is built, one row more is refused."""
+    monkeypatch.setattr(fitzpatrick, "SCAN_ROW_BUDGET", 9 * 7 * 9 * 7)
+    V = open_box([-1.0, -1.0], [1.0, 1.0])
+    assert scan_rows(V, GridSpec(resolution=9, dual_resolution=7)).shape \
+        == (9 * 7 * 9 * 7, 4)
+    with pytest.raises(ScanTooLarge):
+        scan_rows(V, GridSpec(resolution=10, dual_resolution=7))

@@ -22,8 +22,8 @@ from monokit import (AbsSubdiff, GridSpec, check_v_representable, closed_box,
                      core, interval, lp, penot_envelope)
 from monokit.convex import envelope_rows
 from monokit.errors import LPNumericalError
-from monokit.lp import (_COST_TOL, _FEAS_TOL, _PIVOT_TOL, LPProblem,
-                        LPSolution, LPStatus, solve, solve_rows)
+from monokit.lp import (_COST_TOL, _FEAS_TOL, _PIVOT_TOL, LPSolution,
+                        LPStatus, solve_rows)
 
 
 def _ref_pivot(tableau, cost, basis, row, col):
@@ -69,11 +69,11 @@ def _ref_iterate(tableau, cost, basis, ncols, bounded=False):
         _ref_pivot(tableau, cost, basis, leaving, entering)
 
 
-def reference_solve(problem: LPProblem) -> LPSolution:
+def reference_solve(objective, matrix, rhs) -> LPSolution:
     """Two-phase simplex. Infeasibility is a status, numerical trouble raises."""
-    a = np.asarray(problem.eq_matrix, dtype=float)
-    b = np.asarray(problem.eq_rhs, dtype=float).copy()
-    c = np.asarray(problem.objective, dtype=float)
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float).copy()
+    c = np.asarray(objective, dtype=float)
     if a.ndim != 2:
         raise LPNumericalError("constraint matrix must be two dimensional")
     m, k = a.shape
@@ -133,8 +133,8 @@ def reference_solve(problem: LPProblem) -> LPSolution:
     # [A | I] as given; a dropped row keeps its artificial column.
     for r, bv in zip(keep, basis):
         full_basis[r] = bv
-    a = np.asarray(problem.eq_matrix, dtype=float)
-    b = np.asarray(problem.eq_rhs, dtype=float)
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     x = np.zeros(k)
     for r, bv in enumerate(basis):
         x[bv] = tableau[r, -1]
@@ -191,7 +191,7 @@ def test_textbook_instance():
     ])
     b = np.array([4.0, 12.0, 18.0])
     obj = np.array([-3.0, -5.0, 0.0, 0.0, 0.0])
-    sol = solve(LPProblem(obj, A, b))
+    sol = solve_rows(obj, A, [b])[0]
     assert sol.status is LPStatus.OPTIMAL
     assert sol.value == pytest.approx(-36.0, abs=1e-9)
     assert sol.x[0] == pytest.approx(2.0, abs=1e-9)
@@ -200,14 +200,14 @@ def test_textbook_instance():
 
 def test_infeasible_detected():
     # x1 + x2 = -1 has no nonnegative solution
-    sol = solve(LPProblem(np.zeros(2), np.array([[1.0, 1.0]]), np.array([-1.0])))
+    sol = solve_rows(np.zeros(2), np.array([[1.0, 1.0]]), [[-1.0]])[0]
     assert sol.status is LPStatus.INFEASIBLE
 
 
 def test_unbounded_detected():
     # min -x1 on the ray x1 = x2
-    sol = solve(LPProblem(np.array([-1.0, 0.0]),
-                          np.array([[1.0, -1.0]]), np.array([0.0])))
+    sol = solve_rows(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]),
+                     [[0.0]])[0]
     assert sol.status is LPStatus.UNBOUNDED
 
 
@@ -220,7 +220,7 @@ def test_degenerate_cycle_guard():
     ])
     b = np.array([0.0, 0.0, 1.0])
     obj = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-    sol = solve(LPProblem(obj, A, b))
+    sol = solve_rows(obj, A, [b])[0]
     assert sol.status is LPStatus.OPTIMAL
     # optimum confirmed by the basis-enumeration oracle
     assert sol.value == pytest.approx(-0.77, abs=1e-9)
@@ -236,7 +236,7 @@ def test_matches_basis_enumeration(seed):
     b = rng.uniform(-3, 3, m).round(2)
     obj = rng.uniform(-2, 2, n).round(2)
     feasible, best = oracle(obj, A, b)
-    sol = solve(LPProblem(obj, A, b))
+    sol = solve_rows(obj, A, [b])[0]
     if not feasible:
         assert sol.status is LPStatus.INFEASIBLE
         return
@@ -254,7 +254,7 @@ def test_phase_one_skips_columns_without_a_pivot():
     and no entry above the pivot threshold is not priced: x = 0 is found
     instead of an unbounded phase one."""
     A = np.array([[1e-9, 0.0, 1.0, -1.0], [-2.0, 1.0, -2.0, 0.0]])
-    sol = solve(LPProblem(np.zeros(4), A, np.zeros(2)))
+    sol = solve_rows(np.zeros(4), A, [np.zeros(2)])[0]
     assert sol.status is LPStatus.OPTIMAL
     assert sol.value == 0.0
     assert _outcome(sol) == _reference_outcome(np.zeros(4), A, np.zeros(2))
@@ -264,14 +264,14 @@ def test_programs_without_rows_or_columns():
     """With no equations the objective alone decides; with no variables
     only b = 0 is feasible."""
     no_rows = np.zeros((0, 1))
-    ray = solve(LPProblem(np.array([-1.0]), no_rows, np.zeros(0)))
+    ray = solve_rows(np.array([-1.0]), no_rows, [np.zeros(0)])[0]
     assert ray.status is LPStatus.UNBOUNDED
-    sol = solve(LPProblem(np.array([1.0]), no_rows, np.zeros(0)))
+    sol = solve_rows(np.array([1.0]), no_rows, [np.zeros(0)])[0]
     assert sol.status is LPStatus.OPTIMAL and sol.value == 0.0
     no_cols = np.zeros((2, 0))
-    sol = solve(LPProblem(np.zeros(0), no_cols, np.zeros(2)))
+    sol = solve_rows(np.zeros(0), no_cols, [np.zeros(2)])[0]
     assert sol.status is LPStatus.OPTIMAL and sol.x.shape == (0,)
-    gap = solve(LPProblem(np.zeros(0), no_cols, np.array([1.0, 0.0])))
+    gap = solve_rows(np.zeros(0), no_cols, [[1.0, 0.0]])[0]
     assert gap.status is LPStatus.INFEASIBLE
 
 
@@ -280,7 +280,7 @@ def test_solution_vector_matches_value():
     A = rng.uniform(-1, 1, (2, 6))
     b = A @ np.abs(rng.uniform(0, 1, 6))  # guaranteed feasible
     obj = rng.uniform(-1, 1, 6)
-    sol = solve(LPProblem(obj, A, b))
+    sol = solve_rows(obj, A, [b])[0]
     if sol.status is LPStatus.OPTIMAL:
         assert float(obj @ sol.x) == pytest.approx(sol.value, abs=1e-8)
 
@@ -295,7 +295,7 @@ def _outcome(sol):
 
 def _reference_outcome(obj, A, b):
     try:
-        return _outcome(reference_solve(LPProblem(obj, A, b)))
+        return _outcome(reference_solve(obj, A, b))
     except LPNumericalError as err:
         return _outcome(err)
 
@@ -345,11 +345,7 @@ def test_solve_rows_matches_reference_bit_for_bit(batch, block):
         got = [_outcome(sol) for sol in solve_rows(obj, A, rhs)]
     assert got == want
     for b, w in zip(rhs, want):
-        try:
-            one = _outcome(solve(LPProblem(obj, A, b)))
-        except LPNumericalError as err:
-            one = _outcome(err)
-        assert one == w
+        assert _outcome(solve_rows(obj, A, b[None])[0]) == w
 
 
 def test_rows_without_pivot_column_entry_stay_untouched():

@@ -13,6 +13,7 @@ lattice_rows is checked against the itertools.product builder it replaced,
 on the bytes of the arrays, so the sign of every zero counts.
 """
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,7 +165,8 @@ def ref_domain_closure_contains(T, x) -> bool:
 
 def assert_membership_matches(T, rows):
     """Row masks, one-row calls and the per-point reference agree at every
-    [x, x*] row, and so do the fibers."""
+    [x, x*] row, and fiber_rows over the distinct primals gives each one's
+    reference boxes in order."""
     n = T.dimension
     xs = rows[:, :n]
     zs = row_points(rows)
@@ -180,10 +182,12 @@ def assert_membership_matches(T, rows):
     assert dom.tolist() == [T.domain_contains(x, TOL) for x in primals]
     assert closure.tolist() == [ref_domain_closure_contains(T, x)
                                 for x in primals]
-    assert closure.tolist() == [T.domain_closure_contains(x, TOL)
-                                for x in primals]
-    for x in dict.fromkeys(primals):
-        assert T.fiber(x, TOL) == ref_fiber(T, x)
+    distinct = list(dict.fromkeys(primals))
+    owner, low, up = T.fiber_rows(np.array(distinct).reshape(-1, n), TOL)
+    assert list(zip(owner.tolist(), map(tuple, low.tolist()),
+                    map(tuple, up.tolist()))) == [
+        (i, lo, hi) for i, x in enumerate(distinct)
+        for lo, hi in ref_fiber(T, x)]
 
 
 def probe_rows(T, V, g):
@@ -219,9 +223,7 @@ def test_one_row_calls_reject_another_dimension(case, longer):
     n = T.dimension
     m = n + 1 if longer or n == 1 else n - 1
     x, ok = (0.5,) * m, (0.5,) * n
-    for call in (lambda: T.fiber(x, TOL),
-                 lambda: T.domain_contains(x, TOL),
-                 lambda: T.domain_closure_contains(x, TOL),
+    for call in (lambda: T.domain_contains(x, TOL),
                  lambda: T.graph_contains(pdp(x, x), TOL),
                  lambda: T.graph_contains(pdp(ok, ok)._replace(xstar=x),
                                           TOL)):
@@ -276,7 +278,7 @@ def test_finite_graph_primals_within_delta_give_several_boxes():
                      pdp((0.6 * DELTA, 0.0), (2.0, 0.0)),
                      pdp((-0.6 * DELTA, 0.3 * DELTA), (3.0, 1.0)),
                      pdp((1.0, 1.0), (0.0, 0.0))))
-    assert len(T.fiber((0.0, 0.0), TOL)) == 3
+    assert len(T.fiber_rows(np.zeros((1, 2)), TOL)[0]) == 3
     primals = [(d, e) for d in AROUND for e in AROUND[:4]] + [(1.0, 1.0)]
     duals = [(1.0, 0.0), (2.0, 0.0), (3.0, 1.0), (3.0, 1.0 + 2 * DELTA),
              (0.0, 0.0), (1.5, 0.0)]
@@ -302,7 +304,9 @@ def test_restricted_point_complement_excludes_the_zero_dual():
     assert_membership_matches(T, rows)
     assert T.graph_contains_rows(rows, TOL).tolist() == [
         False, False, True, True] * 3 + [False] * 4
-    assert T.fiber((0.0,), TOL) == [((-INF,), (INF,))]
+    owner, low, up = T.fiber_rows(np.zeros((1, 1)), TOL)
+    assert (owner.tolist(), low.tolist(), up.tolist()) \
+        == ([0], [[-INF]], [[INF]])
 
 
 @pytest.mark.parametrize("T", [
@@ -406,11 +410,11 @@ def test_lattice_rows_are_the_product_lattice(case):
     region, spec, k = case
     n = region.dimension
     want = ref_lattice(region, spec, k)
-    rows = lattice_rows(region, spec, k)
+    rows = lattice_rows(region, replace(spec, resolution=k))
     assert rows.dtype == np.float64 and rows.shape == (len(want), n)
     assert rows.tobytes() == np.array(want, dtype=float).reshape(-1, n) \
         .tobytes()
-    assert grid_sample(region, spec, k) == want
+    assert grid_sample(region, replace(spec, resolution=k)) == want
 
 
 @given(lattice_regions(), st.lists(vec(3), min_size=1, max_size=12))
@@ -465,7 +469,7 @@ def test_dual_rows_are_the_clipped_dual_box_lattice(dual_bound,
                                                     ambient_bound, k, n):
     g = GridSpec(resolution=3, dual_bound=dual_bound, dual_resolution=k,
                  ambient_bound=ambient_bound)
-    want = lattice_rows(g.dual_box(n), g, g.dual_resolution)
+    at_k = replace(g, resolution=g.dual_resolution)
+    want = lattice_rows(g.dual_box(n), at_k)
     assert g.dual_rows(n).tobytes() == want.tobytes()
-    assert g.dual_lattice(n) == grid_sample(g.dual_box(n), g,
-                                            g.dual_resolution)
+    assert g.dual_lattice(n) == grid_sample(g.dual_box(n), at_k)

@@ -428,7 +428,8 @@ class TestLinear:
     def test_cached_matrix_keeps_value_equality(self):
         a = Linear(((1.0, 0.5), (-0.5, 1.0)))
         b = Linear(((1.0, 0.5), (-0.5, 1.0)))
-        assert a.fiber((1.0, 2.0), TOL) == [((2.0, 1.5), (2.0, 1.5))]
+        _, low, up = a.fiber_rows(np.array([[1.0, 2.0]]), TOL)
+        assert low.tolist() == up.tolist() == [[2.0, 1.5]]
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
@@ -550,6 +551,29 @@ class TestBuildOperator:
             build_operator({"kind": "flat", "region": "(0, 1)"})
         with pytest.raises(ValidationError):
             build_operator({"kind": "abs_subdiff", "slope": 1.0, "bogus": 3})
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "linear", "matrix": [[1.0, 0.0], [0.0]]},
+        {"kind": "linear", "matrix": [[1.0, 0.0]]},
+        {"kind": "linear", "matrix": [1.0, 2.0]},
+        {"kind": "linear", "matrix": [["a"]]},
+        {"kind": "finite_graph", "points": [0.0, 1.0]},
+        {"kind": "finite_graph", "points": [[0.0, 1.0], [2.0]]},
+        {"kind": "normal_cone_box", "box": HalfSpace((1.0,), 0.0)},
+        {"kind": "abs_subdiff", "slope": "steep"},
+        {"kind": "point_complement", "anchor": ["a"]},
+        {"kind": "flat", "region": 3, "wstar": 0.0},
+    ])
+    def test_malformed_fields_are_validation_errors(self, spec):
+        """A ragged or flat matrix, rows that are not number lists, a value
+        its format cannot read and a cone over a region that is not a box
+        raise ValidationError, not numpy's or Python's own error."""
+        with pytest.raises(ValidationError):
+            build_operator(spec)
+
+    def test_ragged_matrix_rejected_by_the_constructor(self):
+        with pytest.raises(ValidationError, match="matrix must be square"):
+            Linear(((1.0, 0.0), (0.0,)))
 
 
 class TestMonotoneVerdicts:

@@ -181,13 +181,13 @@ def test_grid_resolutions_are_integers(field, value):
 
 class TestGridSampling:
     def test_closed_interval_lattice(self):
-        pts = grid_sample(interval(0.0, 1.0), GridSpec(), resolution=5)
+        pts = grid_sample(interval(0.0, 1.0), GridSpec(resolution=5))
         xs = [p[0] for p in pts]
         assert xs == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_open_end_steps_inside(self):
         pts = grid_sample(interval(0.0, 1.0, lo_open=True, hi_open=True),
-                          GridSpec(), resolution=5)
+                          GridSpec(resolution=5))
         xs = [p[0] for p in pts]
         # step (hi-lo)/(k-1+open_count) with one offset per open end
         step = 1.0 / 6.0
@@ -196,7 +196,7 @@ class TestGridSampling:
 
     def test_lex_order_in_two_dims(self):
         pts = grid_sample(closed_box([0.0, 0.0], [1.0, 1.0]),
-                          GridSpec(), resolution=3)
+                          GridSpec(resolution=3))
         assert len(pts) == 9
         assert pts[0] == pytest.approx([0.0, 0.0])
         assert pts[1] == pytest.approx([0.0, 0.5])
@@ -210,7 +210,7 @@ class TestGridSampling:
 
     def test_samples_respect_membership(self):
         region = interval(-0.5, 0.75, hi_open=True)
-        for p in grid_sample(region, GridSpec(), resolution=17):
+        for p in grid_sample(region, GridSpec(resolution=17)):
             assert region.contains(p)
 
     def test_closed_upper_end_is_pinned(self):

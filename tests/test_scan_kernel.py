@@ -484,8 +484,8 @@ def test_settled_run_pairs_pass_on_near_ties(run, monkeypatch):
 
 
 def in_fiber(T, w):
-    return any(all(lo <= s <= hi for lo, s, hi in zip(low, w.xstar, up))
-               for low, up in T.fiber(w.x, TOL))
+    _, low, up = T.fiber_rows(np.array([w.x]), TOL)
+    return bool(((low <= w.xstar) & (w.xstar <= up)).all(axis=1).any())
 
 
 @given(cases())
@@ -496,7 +496,7 @@ def test_enumerated_points_are_members(case):
     T, V, g = case
     for w in T.enumerate_graph(V, g):
         assert T.graph_contains(w, TOL), w
-        assert in_fiber(T, w), (w, T.fiber(w.x, TOL))
+        assert in_fiber(T, w), (w, T.fiber_rows(np.array([w.x]), TOL))
 
 
 def built_on_finite_graph(T):
@@ -549,9 +549,9 @@ def test_nested_pair_sum_adds_every_fiber():
     box = closed_box([0.0], [2.0])
     inner = SumNormalCone(AbsSubdiff(1.0), box)
     T = PairSum(inner, Flat(interval(-1.0, 1.0), (0.5,)))
-    assert T.fiber([0.0], TOL) == [((-INF,), (1.5,))]
-    assert T.fiber([1.0], TOL) == [((1.5,), (1.5,))]
-    assert T.fiber([1.5], TOL) == []
+    owner, low, up = T.fiber_rows(np.array([[0.0], [1.0], [1.5]]), TOL)
+    assert (owner.tolist(), low.tolist(), up.tolist()) \
+        == ([0, 1], [[-INF], [1.5]], [[1.5], [1.5]])
     assert T.graph_contains(pdp([0.0], [-7.0]), TOL)
     assert not T.graph_contains(pdp([0.0], [1.6]), TOL)
     assert T.graph_contains(pdp([1.0], [1.5]), TOL)
@@ -588,12 +588,14 @@ def test_cone_plus_point_cloud_keeps_off_lattice_points():
 def test_normal_cone_fiber_in_one_dimension():
     b = interval(0.0, 1.0)
     cone = NormalConeBox(b)
-    assert cone.fiber([1.0], TOL) == [((0.0,), (INF,))]
-    assert cone.fiber([0.0], TOL) == [((-INF,), (0.0,))]
-    assert cone.fiber([0.5], TOL) == [((0.0,), (0.0,))]
-    assert cone.fiber([2.0], TOL) == []
-    assert NormalConeBox(interval(1.0, 1.0)).fiber([1.0], TOL) \
-        == [((-INF,), (INF,))]
+    owner, low, up = cone.fiber_rows(np.array([[1.0], [0.0], [0.5], [2.0]]),
+                                     TOL)
+    assert (owner.tolist(), low.tolist(), up.tolist()) \
+        == ([0, 1, 2], [[0.0], [-INF], [0.0]], [[INF], [0.0], [0.0]])
+    owner, low, up = NormalConeBox(interval(1.0, 1.0)).fiber_rows(
+        np.array([[1.0]]), TOL)
+    assert (owner.tolist(), low.tolist(), up.tolist()) \
+        == ([0], [[-INF]], [[INF]])
 
 
 @pytest.mark.parametrize("T, x, expected", [
@@ -611,7 +613,10 @@ def test_normal_cone_fiber_in_one_dimension():
      [((1.0,), (1.0,))]),
 ])
 def test_fiber_of_each_kind(T, x, expected):
-    assert T.fiber(x, TOL) == expected
+    owner, low, up = T.fiber_rows(np.array([x]), TOL)
+    assert owner.tolist() == [0] * len(expected)
+    assert list(zip(map(tuple, low.tolist()), map(tuple, up.tolist()))) \
+        == expected
 
 
 def sign_bits(zs):
@@ -708,7 +713,8 @@ def test_window_checks_equal_the_point_scan(case):
     assert recorded(check_identifies(T, V, g, TOL)) == folded(
         [z for z in related if not T.graph_contains(z, TOL)])
     assert recorded(check_condition_c(T, V, g, TOL)) == folded(
-        [z for z in below if not T.domain_closure_contains(z.x, TOL)],
+        [z for z in below
+         if not T.domain_closure_contains_rows(np.array([z.x]), TOL)[0]],
         vacuous=not below)
 
     assert outcome(lambda: unique_extension(T, V, g, TOL)) \
