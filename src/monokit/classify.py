@@ -6,18 +6,30 @@ the first few counterexamples in scan order. Positive answers are statements
 about the grid; they are flagged approximate whenever a consumed value came
 from a sampled rather than closed-form source.
 
-The phi-based checks build the lattice once, as the (N, 2n) array of
-[x, x*] rows from scan_rows, and ask the operator a yes/no question of
-each row: mr_batch (related to every graph point) or below_batch (phi
-strictly below coupling - eps_strict); couplings come from coupling_rows.
-Over a graph both questions run in core's early-exit threshold kernel, so
-a row is dropped at the first graph row that settles it, and a row's
-answer is the one-row mr_test or phi comparison. Each check masks the
-failures among the selected rows with the operator's row membership tests
-or the target's contains_rows, and hands those rows to finish, which makes
-the witness points. unique_extension needs phi's values for its band, so
-it calls phi_batch. The low-representability scan masks the band rows
-that still lack a representable family member.
+Every window check reads a scan (_Scan) of the operator over one window
+at one grid and tolerances, which computes each of its parts at most once,
+when a check first asks for it: the lattice, as the (N, 2n) array of
+[x, x*] rows from scan_rows, and its couplings; the graph rows over the
+window; phi at every row, in the kind's closed form where that is exact
+and else the sup over the graph; and two selections of rows. The rows
+below (phi < coupling - eps_strict) feed vni and condition_c, and the rows
+related to every graph point (phi <= coupling + eps_eq on the closed form,
+the gap test over the graph otherwise) feed locates, identifies and
+maximal_on_grid. Over a graph both selections come from below_batch and
+mr_batch, which run core's early-exit threshold kernel on the scan's
+graph, so a row is dropped at the first graph row that settles it. Each
+check masks the failures among its selected rows with the operator's row
+membership tests or the target's contains_rows, and hands those rows to
+finish, which makes the witness points. v_representable reads the scan's
+graph and lattice, and unique_extension its graph and phi.
+
+A public check builds its own scan. A classify run (cli) builds one scan
+per window and hands it to every property it asks, so the run builds each
+window's lattice, phi and graph once. A scan is an ordinary object owned by
+the call or run that made it: nothing of it is kept on the operator, the
+window or the grid, and the next call builds its own. The
+low-representability scan masks the band rows that still lack a
+representable family member.
 """
 from __future__ import annotations
 
@@ -31,27 +43,101 @@ from .errors import ToleranceError, UnsatisfiedHypothesis
 from .fitzpatrick import (_band_rows, _coupling_envelope, _representative,
                           scan_rows)
 from .operators import (OperatorHandle, _monotone_verdict, _pair_points,
-                        is_monotone, meets_domain, with_defaults)
+                        meets_domain, with_defaults)
 from .regions import Box, GridSpec, Region, whole_space
 from .verdicts import Property, Verdict, finish
 
 
-def _window_verdict(prop: Property, T: OperatorHandle, V: Region,
-                    g: GridSpec, tol: Tolerance, *, related: bool, fails,
+class _once:
+    """A method read as an attribute and computed once, on the first read,
+    into the instance's __dict__, which later reads find first. It is
+    functools.cached_property without the lock that Python before 3.12
+    takes on every first read; a scan is not shared between threads."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class _Scan:
+    """T over the window V at grid g and tolerances tol, as the window
+    checks read it. Each part is computed when first asked and then kept:
+    the scan_rows lattice and its couplings; the graph over V; phi at every
+    row, closed form on T's closed route and else the sup over that graph;
+    the rows below (phi < coupling - eps_strict) and the rows related to
+    the graph (phi <= coupling + eps_eq, or the gap kernel on the graph
+    route); and the monotone verdict of the graph. A scan with V None
+    stands for the whole graph, and only its graph and monotone verdict
+    are read.
+    """
+
+    def __init__(self, T: OperatorHandle, V: Region | None, g: GridSpec,
+                 tol: Tolerance):
+        self.T, self.V, self.g, self.tol = T, V, g, tol
+
+    @_once
+    def rows(self) -> np.ndarray:
+        return scan_rows(self.V, self.g)
+
+    @_once
+    def coupling(self) -> np.ndarray:
+        return coupling_rows(self.rows)
+
+    @_once
+    def graph(self) -> np.ndarray:
+        return self.T._enumerate(self.V, self.g)
+
+    @_once
+    def sup_graph(self) -> np.ndarray | None:
+        """None on phi's closed route, else the graph."""
+        return None if self.T._closed_route(self.V) else self.graph
+
+    @_once
+    def phi(self) -> np.ndarray:
+        return self.T.phi_batch(self.V, self.rows, self.g, self.sup_graph)
+
+    @_once
+    def below(self) -> np.ndarray:
+        """The rows where phi < coupling - eps_strict, in row order."""
+        thr = self.coupling - self.tol.eps_strict
+        if self.sup_graph is None:
+            return self.rows[self.phi < thr]
+        return self.rows[self.T.below_batch(self.V, self.rows, thr, self.g,
+                                            self.sup_graph)]
+
+    @_once
+    def related(self) -> np.ndarray:
+        """The rows monotonically related to every graph point over V, in
+        row order."""
+        rows = self.rows
+        if self.sup_graph is None:
+            return rows[self.phi <= self.coupling + self.tol.eps_eq]
+        return rows[self.T.mr_batch(self.V, rows, self.tol, self.g,
+                                    self.sup_graph)]
+
+    @_once
+    def monotone(self) -> Verdict:
+        """is_monotone of T over V."""
+        return _monotone_verdict(self.T, self.graph, self.tol, self.g,
+                                 self.V)
+
+
+def _window_verdict(prop: Property, s: _Scan, selected: np.ndarray, fails,
                     vacuous_if_none: bool = False) -> Verdict:
-    """Verdict over the scan rows related to T|V (related) or strictly below
-    the coupling (otherwise): fails(rows) masks the failures among them,
-    which finish receives. vacuous_if_none marks a verdict over no
-    selected row."""
-    rows = scan_rows(V, g)
-    if related:
-        keep = T.mr_batch(V, rows, tol, g)
-    else:
-        keep = T.below_batch(V, rows, coupling_rows(rows) - tol.eps_strict, g)
-    selected = rows[keep]
+    """Verdict over the selected scan rows of s (s.below or s.related):
+    fails(rows) masks the failures among them, which finish receives.
+    vacuous_if_none marks a verdict over no selected row."""
     return finish(prop, selected[fails(selected)],
-                  approximate=not T.phi_is_exact(V), grid=g, tol=tol,
-                  region_ids=(V.describe(),),
+                  approximate=not s.T.phi_is_exact(s.V), grid=s.g,
+                  tol=s.tol, region_ids=(s.V.describe(),),
                   vacuous=vacuous_if_none and not len(selected))
 
 
@@ -62,14 +148,18 @@ def check_vni(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     A window that misses the domain yields a vacuous positive: the
     restriction is empty and the check ranges over nothing meaningful.
     """
-    g, tol = with_defaults(g, tol)
-    if not meets_domain(T, V, g):
-        return Verdict(Property.VNI, True, approximate=not T.phi_is_exact(V),
-                       grid=g, tol=tol, region_ids=(V.describe(),),
+    return _vni(_Scan(T, V, *with_defaults(g, tol)))
+
+
+def _vni(s: _Scan) -> Verdict:
+    if not meets_domain(s.T, s.V, s.g):
+        return Verdict(Property.VNI, True,
+                       approximate=not s.T.phi_is_exact(s.V), grid=s.g,
+                       tol=s.tol, region_ids=(s.V.describe(),),
                        vacuous=True,
                        notes=("window does not meet the domain",))
-    return _window_verdict(Property.VNI, T, V, g, tol, related=False,
-                           fails=lambda rows: np.ones(len(rows), dtype=bool))
+    return _window_verdict(Property.VNI, s, s.below,
+                           lambda rows: np.ones(len(rows), dtype=bool))
 
 
 def check_locates(T: OperatorHandle, V: Region, g: GridSpec | None = None,
@@ -80,22 +170,28 @@ def check_locates(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     The target defaults to the operator's domain, tested through its own
     membership rule.
     """
-    g, tol = with_defaults(g, tol)
-    n = T.dimension
+    return _locates(_Scan(T, V, *with_defaults(g, tol)), target)
+
+
+def _locates(s: _Scan, target: Region | None) -> Verdict:
+    n = s.T.dimension
     if target is not None:
         fails = lambda rows: ~target.contains_rows(rows[:, :n])
     else:
-        fails = lambda rows: ~T.domain_contains_rows(rows[:, :n], tol)
-    return _window_verdict(Property.LOCATES, T, V, g, tol, related=True,
-                           fails=fails)
+        fails = lambda rows: ~s.T.domain_contains_rows(rows[:, :n], s.tol)
+    return _window_verdict(Property.LOCATES, s, s.related, fails)
 
 
 def check_identifies(T: OperatorHandle, V: Region, g: GridSpec | None = None,
                      tol: Tolerance | None = None) -> Verdict:
     """Monotonically related grid points over V already lie in the graph."""
-    g, tol = with_defaults(g, tol)
-    return _window_verdict(Property.IDENTIFIES, T, V, g, tol, related=True,
-                           fails=lambda rows: ~T.graph_contains_rows(rows, tol))
+    return _identifies(_Scan(T, V, *with_defaults(g, tol)))
+
+
+def _identifies(s: _Scan) -> Verdict:
+    return _window_verdict(
+        Property.IDENTIFIES, s, s.related,
+        lambda rows: ~s.T.graph_contains_rows(rows, s.tol))
 
 
 def check_v_representable(T: OperatorHandle, V: Region,
@@ -111,8 +207,11 @@ def check_v_representable(T: OperatorHandle, V: Region,
     restriction is reported false and vacuous: its envelope is identically
     +inf, which represents nothing.
     """
-    g, tol = with_defaults(g, tol)
-    graph = T._enumerate(V, g)
+    return _v_representable(_Scan(T, V, *with_defaults(g, tol)))
+
+
+def _v_representable(s: _Scan) -> Verdict:
+    T, V, g, tol, graph = s.T, s.V, s.g, s.tol, s.graph
     if not len(graph):
         return Verdict(Property.V_REPRESENTABLE, False,
                        approximate=not T.enumeration_exact, grid=g, tol=tol,
@@ -125,7 +224,7 @@ def check_v_representable(T: OperatorHandle, V: Region,
                                          _pair_points(graph, pair)),
                        property=Property.V_REPRESENTABLE,
                        notes=("restriction is not monotone",))
-    return _representative(env, T, V, g, tol, graph)
+    return _representative(env, T, V, g, tol, graph, s.rows)
 
 
 def check_maximal_on_grid(T: OperatorHandle, ambient: Region | None = None,
@@ -138,13 +237,18 @@ def check_maximal_on_grid(T: OperatorHandle, ambient: Region | None = None,
     not a false verdict.
     """
     g, tol = with_defaults(g, tol)
-    mono = is_monotone(T, tol, g)
+    window = ambient if ambient is not None else whole_space(T.dimension)
+    return _maximal_on_grid(_Scan(T, None, g, tol), _Scan(T, window, g, tol))
+
+
+def _maximal_on_grid(whole: _Scan, s: _Scan) -> Verdict:
+    """check_maximal_on_grid: the monotone gate of whole, the scan of the
+    whole graph, then the identifies check of s, the ambient window's."""
+    mono = whole.monotone
     if not mono.value:
         raise UnsatisfiedHypothesis("the operator is monotone",
                                     f"witness pair {mono.witnesses[:1]}")
-    window = ambient if ambient is not None else whole_space(T.dimension)
-    return replace(check_identifies(T, window, g, tol),
-                   property=Property.MAXIMAL_ON_GRID)
+    return replace(_identifies(s), property=Property.MAXIMAL_ON_GRID)
 
 
 def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
@@ -157,19 +261,17 @@ def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     [phi <= coupling]; a mismatch means the margins cannot separate the two
     sets and is raised rather than silently picking one.
     """
-    g, tol = with_defaults(g, tol)
+    s = _Scan(T, V, *with_defaults(g, tol))
+    tol = s.tol
     # The graph over V is built once, for the gate and a sampled phi.
-    graph = T._enumerate(V, g)
-    mono = _monotone_verdict(T, graph, tol, g, V)
+    mono = s.monotone
     if not mono.value:
         raise UnsatisfiedHypothesis("the restriction is monotone",
                                     f"witness pair {mono.witnesses[:1]}")
     # The check_vni gate, decided from the same phi sweep as the band.
-    rows = scan_rows(V, g)
-    p = T.phi_batch(V, rows, g, graph)
-    c = coupling_rows(rows)
-    below = rows[p < c - tol.eps_strict]
-    if len(below) and meets_domain(T, V, g):
+    p, c = s.phi, s.coupling
+    below = s.rows[p < c - tol.eps_strict]
+    if len(below) and meets_domain(T, V, s.g):
         raise UnsatisfiedHypothesis(
             "phi stays above coupling on the window",
             f"witness {tuple(row_points(below[:1]))}")
@@ -177,7 +279,7 @@ def unique_extension(T: OperatorHandle, V: Region, g: GridSpec | None = None,
     if not np.array_equal(band, p <= c + tol.eps_eq):
         raise ToleranceError(
             "equality band and sublevel trace disagree at these margins")
-    return row_points(rows[band])
+    return row_points(s.rows[band])
 
 
 def check_condition_c(T: OperatorHandle, V: Region,
@@ -185,11 +287,14 @@ def check_condition_c(T: OperatorHandle, V: Region,
                       tol: Tolerance | None = None) -> Verdict:
     """Strictly sub-coupling grid points over V project into the domain
     closure; vacuously true when the strict set is empty."""
-    g, tol = with_defaults(g, tol)
-    n = T.dimension
+    return _condition_c(_Scan(T, V, *with_defaults(g, tol)))
+
+
+def _condition_c(s: _Scan) -> Verdict:
+    n = s.T.dimension
     return _window_verdict(
-        Property.CONDITION_C, T, V, g, tol, related=False,
-        fails=lambda rows: ~T.domain_closure_contains_rows(rows[:, :n], tol),
+        Property.CONDITION_C, s, s.below,
+        lambda rows: ~s.T.domain_closure_contains_rows(rows[:, :n], s.tol),
         vacuous_if_none=True)
 
 

@@ -1,5 +1,14 @@
 """Command line entry points: classify, gallery, export.
 
+A classify run reads one scan per window it asks about (classify._Scan):
+the lattice of the window times the dual box, its couplings, phi on the
+lattice (closed form, or the sup over the graph), the graph over the
+window and the rows below and related that the window properties select.
+Each is computed once, when the first property that needs it asks, and
+every property of the run over that window reads it; the monotone
+property reads the graph of the run's window too. The scans end with the
+run.
+
 Reports are structured text rendered deterministically: dictionary keys
 sorted, floats at 12 significant digits, inf literals spelled out. Exit
 codes: 0 all requested checks hold, 1 some verdict is false, 2 parse or
@@ -13,17 +22,17 @@ import functools
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .classify import (check_condition_c, check_identifies, check_locates,
-                       check_maximal_on_grid, check_v_representable,
-                       check_vni, dyadic_open_boxes, family_scan)
+from .classify import (_condition_c, _identifies, _locates,
+                       _maximal_on_grid, _Scan, _v_representable, _vni,
+                       dyadic_open_boxes, family_scan)
 from .convex import envelope_rows
 from .errors import MonokitError, ScanTooLarge, SpecFormatError
 from .fitzpatrick import penot_envelope, scan_rows
 from .gallery import run_gallery
-from .operators import is_monotone
 from .regions import whole_space
 from .specfile import RunConfig, parse_spec
 from .verdicts import (Property, Verdict, format_scalar, witness_strings)
@@ -87,28 +96,52 @@ def _write_out(text: str, out_path: str | None):
         Path(out_path).write_text(text)
 
 
-def _dispatch(prop: Property, config: RunConfig) -> Verdict:
+class _RunScans(NamedTuple):
+    """The scans one classify run reads, by the window each property asks:
+    window, the run's window (the whole space when the spec names none);
+    whole, the whole space (ni); graph, no window at all (the whole graph,
+    maximal_on_grid's monotone gate); and monotone, the scan whose graph
+    the monotone property reads, over the run's window or, without one,
+    the whole graph. Equal windows are one scan."""
+
+    window: _Scan
+    whole: _Scan
+    graph: _Scan
+    monotone: _Scan
+
+
+def _run_scans(config: RunConfig) -> _RunScans:
+    """The run's scans; none computes anything until a property reads it."""
+    T, g, tol = config.operator, config.grid, config.tol
+    whole = whole_space(T.dimension)
+    graph = _Scan(T, None, g, tol)
+    if config.window is None:
+        window = _Scan(T, whole, g, tol)
+        return _RunScans(window, window, graph, graph)
+    window = _Scan(T, config.window, g, tol)
+    return _RunScans(window, _Scan(T, whole, g, tol), graph, window)
+
+
+def _dispatch(prop: Property, config: RunConfig,
+              scans: _RunScans) -> Verdict:
     T = config.operator
     g, tol = config.grid, config.tol
-    window = config.window if config.window is not None \
-        else whole_space(T.dimension)
     if prop is Property.MONOTONE:
-        return is_monotone(T, tol, g, V=config.window)
+        return scans.monotone.monotone
     if prop is Property.VNI:
-        return check_vni(T, window, g, tol)
+        return _vni(scans.window)
     if prop is Property.NI:
-        inner = check_vni(T, whole_space(T.dimension), g, tol)
-        return replace(inner, property=Property.NI)
+        return replace(_vni(scans.whole), property=Property.NI)
     if prop is Property.LOCATES:
-        return check_locates(T, window, g, tol, target=config.target)
+        return _locates(scans.window, config.target)
     if prop is Property.IDENTIFIES:
-        return check_identifies(T, window, g, tol)
+        return _identifies(scans.window)
     if prop is Property.V_REPRESENTABLE:
-        return check_v_representable(T, window, g, tol)
+        return _v_representable(scans.window)
     if prop is Property.CONDITION_C:
-        return check_condition_c(T, window, g, tol)
+        return _condition_c(scans.window)
     if prop is Property.MAXIMAL_ON_GRID:
-        return check_maximal_on_grid(T, config.window, g, tol)
+        return _maximal_on_grid(scans.graph, scans.window)
     family = dyadic_open_boxes(g.primal_clip(T.dimension), 2, T, g, tol)
     if prop is Property.LOCALLY_NI:
         return family_scan(T, family, Property.VNI, g, tol)
@@ -119,12 +152,13 @@ def _dispatch(prop: Property, config: RunConfig) -> Verdict:
 
 def _cmd_classify(args) -> int:
     config = parse_spec(Path(args.spec).read_text())
+    scans = _run_scans(config)
     verdicts: dict[str, dict] = {}
     had_error = False
     all_true = True
     for prop in config.properties:
         try:
-            v = _dispatch(prop, config)
+            v = _dispatch(prop, config, scans)
         except ScanTooLarge:
             raise  # the grid itself is too fine: no report is written
         except MonokitError as exc:

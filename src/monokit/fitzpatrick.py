@@ -25,7 +25,7 @@ from .core import (PrimalDualPoint, Tolerance, coupling_rows,
                    distinct_rows, pairing_below_rows, point_rows, row_points)
 from .errors import BelowCoupling, ScanTooLarge
 from .operators import OperatorHandle
-from .regions import GridSpec, Region, lattice_rows
+from .regions import GridSpec, Region, lattice_rows, lattice_size
 from .verdicts import Property, Verdict, finish
 
 
@@ -39,13 +39,16 @@ def scan_rows(V: Region, g: GridSpec) -> np.ndarray:
     """The lattice over V x (clipped dual box) as an (N, 2n) array of
     [x, x*] rows, lexicographic in both parts; the one lattice builder.
 
-    A box lattice has resolution^n primals and the dual lattice
-    dual_resolution^n duals, so (resolution * dual_resolution)^n bounds
-    the rows of every scan; above SCAN_ROW_BUDGET it raises ScanTooLarge
-    before building anything.
+    The dual lattice has dual_resolution^n duals and at most resolution^n
+    primals. Where that bound exceeds SCAN_ROW_BUDGET rows, lattice_size
+    counts the primals, exactly for a box (per axis after the ambient
+    clip), and a count still above the budget raises ScanTooLarge before
+    anything is built.
     """
     n = V.dimension
     size = (g.resolution * g.dual_resolution) ** n
+    if size > SCAN_ROW_BUDGET:
+        size = lattice_size(V, g) * g.dual_resolution ** n
     if size > SCAN_ROW_BUDGET:
         raise ScanTooLarge(
             f"a scan of {size:,} rows exceeds the budget of "
@@ -182,9 +185,13 @@ def is_representative(h, T: OperatorHandle, V: Region, g: GridSpec,
 
 
 def _representative(h, T: OperatorHandle, V: Region, g: GridSpec,
-                    tol: Tolerance, graph: np.ndarray) -> Verdict:
-    """is_representative against graph, the rows of T over V."""
-    rows = scan_rows(V, g)
+                    tol: Tolerance, graph: np.ndarray,
+                    rows: np.ndarray | None = None) -> Verdict:
+    """is_representative against graph, the rows of T over V, on rows, the
+    scan_rows of V at g, built here unless a caller that holds them hands
+    them in."""
+    if rows is None:
+        rows = scan_rows(V, g)
     rows = rows[_near_band(h, rows, tol)]
     values = _values(h, np.vstack([rows, graph]), tol)
     hv, c = values[:len(rows)], coupling_rows(rows)

@@ -25,9 +25,9 @@ dimension.
 
 phi is computed on rows: phi_batch takes an (N, 2n) array of [x, x*] rows,
 below_batch asks whether phi < thr at each and mr_batch whether each is
-monotonically related to the graph. _sup_graph is the one place that picks
-their route. When phi_is_exact(V) holds and the graph is not finite they
-use the kind's array closed form _phi_closed; otherwise they scan the
+monotonically related to the graph. _closed_route is the one place that
+picks their route. When phi_is_exact(V) holds and the graph is not finite
+they use the kind's array closed form _phi_closed; otherwise they scan the
 graph rows built once at an explicit grid, or handed in by a caller that
 holds them (a lower bound): phi_batch in core's max kernel, below_batch
 and mr_batch in its early-exit threshold kernel. The scalar phi is a
@@ -203,42 +203,51 @@ class OperatorHandle:
         return self._phi_enumerated(V, rows, g, graph)
 
     def below_batch(self, V: Region | None, rows: np.ndarray,
-                    thr: np.ndarray, g: GridSpec | None) -> np.ndarray:
+                    thr: np.ndarray, g: GridSpec | None,
+                    graph: np.ndarray | None = None) -> np.ndarray:
         """Boolean mask: whether phi < thr at every [x, x*] row, for
         thresholds above -inf, on phi_batch's route. Over the graph rows
         phi < thr exactly when every term is at most the float just below
         thr, which the threshold kernel asks, leaving a row at its first
         term above it."""
-        graph = self._sup_graph(V, g)
+        graph = self._sup_graph(V, g, graph)
         if graph is None:
             return self._phi_closed(V, rows) < thr
         return pairing_below_rows(graph, -coupling_rows(graph), rows,
                                   np.nextafter(thr, -INF))
 
     def mr_batch(self, V: Region | None, rows: np.ndarray, tol: Tolerance,
-                 g: GridSpec | None) -> np.ndarray:
+                 g: GridSpec | None, graph: np.ndarray | None = None
+                 ) -> np.ndarray:
         """Boolean mask: which [x, x*] rows are monotonically related to
         every graph point over V (see mr_test): phi <= coupling + eps_eq
         on the closed form, else the gap test over the graph rows in the
         threshold kernel."""
-        graph = self._sup_graph(V, g)
+        graph = self._sup_graph(V, g, graph)
         if graph is None:
             return (self._phi_closed(V, rows)
                     <= coupling_rows(rows) + tol.eps_eq)
         return related_rows(graph, rows, tol.eps_eq)
 
+    def _closed_route(self, V: Region | None) -> bool:
+        """The one place that picks the route of phi and the questions
+        asked of it: the kind's closed form where it is exact for V and
+        the graph is not finite, else the graph rows over V. A finite
+        graph's sup over its own points is its closed form."""
+        self._check_window(V)
+        return self.phi_is_exact(V) and not self.enumeration_exact
+
     def _sup_graph(self, V: Region | None, g: GridSpec | None,
                    graph: np.ndarray | None = None) -> np.ndarray | None:
-        """The one place that picks the route of phi and the questions
-        asked of it: None where the kind's closed form is exact for V and
-        its graph is not finite; otherwise the graph rows over V that phi
-        is the sup of, enumerated once at g unless a caller that already
-        holds them hands them in. A finite graph's sup over its own points
-        is its closed form."""
-        self._check_window(V)
-        if self.phi_is_exact(V) and not self.enumeration_exact:
+        """None on the closed route; otherwise the graph rows over V that
+        phi is the sup of, enumerated once at g. A caller that holds the
+        graph rows of the graph route (a classify scan, which asks
+        _closed_route itself) hands them in, and they are used as given."""
+        if graph is not None:
+            return graph
+        if self._closed_route(V):
             return None
-        return self._enumerate(V, g) if graph is None else graph
+        return self._enumerate(V, g)
 
     def _phi_closed(self, V, rows) -> np.ndarray:
         """The closed form at every row; called only when phi_is_exact(V)."""
@@ -917,6 +926,13 @@ def _as_rows(value) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(c) for c in row) for row in value)
 
 
+def _as_operator(value) -> OperatorHandle:
+    """An operator as given, or built from its kind/field mapping."""
+    if isinstance(value, OperatorHandle):
+        return value
+    return build_operator(value)
+
+
 def _graph_of_rows(rows) -> FiniteGraph:
     """A finite graph from flat [x..., xstar...] rows."""
     if any(len(row) % 2 or not row for row in rows):
@@ -928,7 +944,8 @@ def _graph_of_rows(rows) -> FiniteGraph:
 
 # Every operator kind: its constructor and the fields it takes in order,
 # each with its format (rows, a list of number lists; region; vector, a
-# number or a number list; number; operator, a nested kind/field mapping).
+# number or a number list; number; operator, a nested kind/field mapping
+# or an operator already built).
 # build_operator and the spec parser read operators against this table.
 KINDS = {
     "finite_graph": (_graph_of_rows, {"points": "rows"}),
@@ -974,4 +991,4 @@ def build_operator(spec: dict) -> OperatorHandle:
 
 # How build_operator reads a value of each field format.
 _READERS = {"rows": _as_rows, "region": _as_region, "vector": as_vector,
-            "number": float, "operator": build_operator}
+            "number": float, "operator": _as_operator}

@@ -439,6 +439,29 @@ def _product_rows(axes) -> np.ndarray:
     return out
 
 
+def _clipped_axes(box: Box, g: GridSpec) -> list[tuple]:
+    """The box's axes cut by the closed ambient box, Box.intersect's rule
+    per axis."""
+    c = float(g.ambient_bound)
+    return [_clip_axis(*axis, -c, c, False, False) for axis in box._axes()]
+
+
+def lattice_size(region: Region, g: GridSpec) -> int:
+    """A bound on len(lattice_rows(region, g)), without building it: for a
+    box, per axis after the ambient clip, 1 on a closed point axis, 0 on an
+    open one (or an empty one) and resolution otherwise, which is exact;
+    resolution^n for other regions, their bounding box's lattice."""
+    if not isinstance(region, Box):
+        return g.resolution ** region.dimension
+    size = 1
+    for lo, hi, lo_open, hi_open in _clipped_axes(region, g):
+        if lo != hi:
+            size *= g.resolution
+        elif lo_open or hi_open:
+            return 0
+    return size
+
+
 def lattice_rows(region: Region, g: GridSpec) -> np.ndarray:
     """The lattice over a region with g.resolution samples per axis, as an
     (N, n) array of rows, lexicographic in the axes; the one lattice
@@ -453,10 +476,7 @@ def lattice_rows(region: Region, g: GridSpec) -> np.ndarray:
     if region.is_empty():
         return empty
     if isinstance(region, Box):
-        # Box.intersect's rule against the closed ambient box, per axis.
-        c = float(g.ambient_bound)
-        axes = [_clip_axis(*axis, -c, c, False, False)
-                for axis in region._axes()]
+        axes = _clipped_axes(region, g)
         if any(lo == hi and (lo_o or hi_o) for lo, hi, lo_o, hi_o in axes):
             return empty
         return _product_rows([_axis_lattice(*axis, k) for axis in axes])

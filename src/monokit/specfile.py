@@ -6,7 +6,9 @@ interval-product literals for regions. Every unknown key, bad indent, or
 malformed value is rejected with its line number. An operator block names a
 kind of operators.KINDS, and each of its fields is read by the reader of
 its format there: rows as `- [a, b]` items, a region literal, a vector as a
-number or `[a, b]`, a number, or a nested operator block.
+number or `[a, b]`, a number, or a nested operator block. An operator that
+its constructor refuses is reported at its own block's line, a nested one
+included.
 
     operator:
       kind: flat
@@ -203,8 +205,19 @@ _FIELD_READERS = {
     "region": lambda raw, line, _: _as_region(raw, line),
     "vector": lambda raw, line, _: _as_vector_value(raw, line),
     "number": lambda raw, line, _: _as_float(raw, line),
-    "operator": lambda raw, line, _: _operator_node(raw, line),
+    "operator": lambda raw, line, _: _operator(raw, line),
 }
+
+
+def _operator(node, line) -> OperatorHandle:
+    """The operator a block describes, built, with an error raised while it
+    is constructed reported at the block's line; a nested block is built
+    first, so its errors carry its own line."""
+    spec = _operator_node(node, line)
+    try:
+        return build_operator(spec)
+    except MonokitError as exc:
+        raise SpecFormatError(str(exc), line=line) from None
 
 
 _PROPERTY_NAMES = {p.value: p for p in Property}
@@ -229,12 +242,7 @@ def parse_spec(text: str) -> RunConfig:
         raise SpecFormatError("missing 'operator' block",
                               line=lines[0].number)
 
-    op_line, op_node = tree["operator"]
-    op_spec = _operator_node(op_node, op_line)
-    try:
-        operator = build_operator(op_spec)
-    except MonokitError as exc:
-        raise SpecFormatError(str(exc), line=op_line) from None
+    operator = _operator(*reversed(tree["operator"]))
 
     window = target = None
     if "window" in tree:

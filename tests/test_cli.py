@@ -162,6 +162,22 @@ def test_ragged_matrix_is_a_spec_error(tmp_path, capsys):
     assert err.splitlines() == ["spec error: line 1: matrix must be square"]
 
 
+def test_a_nested_operator_error_is_reported_at_its_line(tmp_path, capsys):
+    spec = write(tmp_path, (
+        "operator:\n"
+        "  kind: restriction\n"
+        "  region: [-1, 1]\n"
+        "  operator:\n"
+        "    kind: normal_cone_box\n"
+        "    box: (-1, 1)\n"
+    ))
+    code = main(["classify", "--spec", spec])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        "spec error: line 4: normal cones require a closed box"]
+
+
 # No grid block, so the default resolutions ask for 41^6 scan rows.
 IDENTITY_3D = (
     "operator:\n"

@@ -20,6 +20,7 @@ from monokit import (
     PointComplement,
     ScanTooLarge,
     add_normal_cone,
+    box_from_literal,
     check_v_representable,
     closed_box,
     coupling,
@@ -481,3 +482,27 @@ def test_the_budget_bounds_primals_times_duals(monkeypatch):
         == (9 * 7 * 9 * 7, 4)
     with pytest.raises(ScanTooLarge):
         scan_rows(V, GridSpec(resolution=10, dual_resolution=7))
+
+
+@pytest.mark.parametrize("literal, primals", [
+    ("[0, 0] x [-1, 1]", 100),   # a closed point axis holds one sample
+    ("[0, 0) x [-1, 1]", 0),     # an open one holds none
+    ("[10, 30] x [-1, 1]", 100),  # the ambient clip leaves the point 10
+    ("(10, 30] x [-1, 1]", 0),   # and here an open point
+    ("[20, 30] x [-1, 1]", 0),   # here nothing
+])
+def test_the_budget_counts_a_box_axis_by_axis(literal, primals, monkeypatch):
+    """A box's primals are counted per axis after the ambient clip: 1 on a
+    closed point axis, 0 on an open or empty one, resolution otherwise.
+    The count is exact, so a scan of exactly the budget is built; the
+    bound (resolution * dual_resolution)^n would refuse 16,810,000 rows."""
+    g = GridSpec(resolution=100, dual_resolution=41)
+    V = box_from_literal(literal)
+    rows = scan_rows(V, g)
+    assert rows.shape == (primals * 41 * 41, 4)
+    if primals:
+        monkeypatch.setattr(fitzpatrick, "SCAN_ROW_BUDGET", len(rows))
+        assert len(scan_rows(V, g)) == len(rows)
+        monkeypatch.setattr(fitzpatrick, "SCAN_ROW_BUDGET", len(rows) - 1)
+        with pytest.raises(ScanTooLarge, match=f"{len(rows):,} rows"):
+            scan_rows(V, g)

@@ -50,10 +50,12 @@ from monokit import (
     whole_space,
 )
 import monokit
-from monokit import core
+from monokit import cli, core
 from monokit.core import PrimalDualPoint, point_rows, row_points
+from monokit.errors import MonokitError
 from monokit.operators import _MATCH_TOL, _DUST, OperatorHandle
 from monokit.regions import HalfSpace, grid_sample, intersect_regions
+from monokit.specfile import RunConfig
 from test_scan_kernel import TOL, cases, grids, windows
 
 
@@ -435,17 +437,36 @@ def _extra_state(T):
     return set(vars(T)) - fields - cached
 
 
+def classify_run(T, V, g, tol):
+    """One classify run over V asking every property its window scans
+    answer, each error kept as the command line keeps it."""
+    config = RunConfig(operator=T, window=V, target=None, properties=(),
+                       grid=g, tol=tol)
+    scans = cli._run_scans(config)
+    for prop in (Property.MONOTONE, Property.VNI, Property.NI,
+                 Property.LOCATES, Property.IDENTIFIES,
+                 Property.V_REPRESENTABLE, Property.CONDITION_C,
+                 Property.MAXIMAL_ON_GRID):
+        try:
+            cli._dispatch(prop, config, scans)
+        except MonokitError:
+            pass
+
+
 @pytest.mark.parametrize("check", [check_vni, check_locates,
                                    check_identifies, check_condition_c,
                                    check_v_representable,
-                                   check_maximal_on_grid])
+                                   check_maximal_on_grid, classify_run])
 def test_only_the_sum_keeps_its_graph(check):
-    """The build is kept on the sum; no summand kind holds a graph."""
+    """The build is kept on the sum; no summand kind holds a graph, and
+    neither the window nor the grid holds anything a check or a classify
+    run made."""
     inner = PairSum(restrict(Linear(((1.0,),)), interval(-1.0, 0.75)),
                     NormalConeBox(closed_box([-0.5], [0.5])))
     T = PairSum(inner, Flat(interval(-0.25, 1.0), (0.5,)))
     cloud = PairSum(finite((-0.7, -1.0), (0.0, 0.0), (0.3, 0.5)),
                     PointComplement((0.25,)))
+    before = [set(vars(W)), set(vars(G9))]
     for S in (T, cloud):
         check(S, W, G9, TOL)
         assert _extra_state(S) == {"_slot"}
@@ -453,6 +474,7 @@ def test_only_the_sum_keeps_its_graph(check):
                 cloud.first, cloud.second)
     for A in summands:
         assert _extra_state(A) == set(), A
+    assert [set(vars(W)), set(vars(G9))] == before
 
 
 @pytest.mark.parametrize("slope, notes", [

@@ -227,6 +227,31 @@ class TestRejection:
             "    - [1, 0]\n    - [0, inf]\n",
             "line 1: matrix entries must be finite")
 
+    @pytest.mark.parametrize("text, fragment, line", [
+        ("operator:\n  kind: restriction\n  operator:\n"
+         "    kind: normal_cone_box\n    box: (-1, 1)\n  region: [-1, 1]\n",
+         "normal cones require a closed box", 3),
+        ("operator:\n  kind: sum_normal_cone\n  box: [0, 1]\n  operator:\n"
+         "    kind: abs_subdiff\n    slope: -1\n",
+         "slope must be positive", 4),
+        ("operator:\n  kind: pair_sum\n  first:\n    kind: linear\n"
+         "    matrix:\n      - [1]\n  second:\n    kind: pair_sum\n"
+         "    first:\n      kind: abs_subdiff\n      slope: 1\n"
+         "    second:\n      kind: linear\n      matrix:\n"
+         "        - [1, 0]\n        - [0]\n",
+         "matrix must be square", 12),
+        # The nested operators are valid; the sum of them is not.
+        ("operator:\n  kind: pair_sum\n  first:\n    kind: abs_subdiff\n"
+         "    slope: 1\n  second:\n    kind: point_complement\n"
+         "    anchor: [0, 0]\n",
+         "summands disagree in dimension", 1),
+    ])
+    def test_a_nested_operator_error_carries_its_own_line(self, text,
+                                                          fragment, line):
+        with pytest.raises(SpecFormatError) as err:
+            parse_spec(text)
+        assert str(err.value) == f"line {line}: {fragment}"
+
     def test_operator_validation_is_line_tagged(self):
         # a semantically invalid operator surfaces at the operator line
         self.expect(
